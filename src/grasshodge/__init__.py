@@ -23,7 +23,6 @@ from .chowring import (
 )
 from .exactmath import (
     ConcaveSequence,
-    Rational,
     binomial,
     decimal_approx,
     exp_compare,
@@ -31,7 +30,6 @@ from .exactmath import (
     harmonic,
     harmonic_sum,
     parse_rational,
-    pochhammer,
     random_concave,
     validate_concave,
 )
@@ -59,24 +57,18 @@ from .racah import (
     ScanReport,
     WindowReport,
     WindowSamples,
-    alternating_bound,
     alternating_profile,
     bound_scan,
-    cauchy_sufficient,
     certify_alternating_bound,
-    check_legendre_approx,
-    in_cauchy_range,
     lattice_node,
     legendre_approx_profile,
     legendre_eval,
     legendre_window_checks,
     n_below_log,
-    orthogonality_check,
     orthogonality_profile,
     racah_eval,
     racah_top_product,
     rescale_factor,
-    rescaled_eval,
 )
 
 __version__ = "0.1.0"

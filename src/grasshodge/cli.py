@@ -15,7 +15,7 @@ import json
 import sys
 from dataclasses import dataclass, fields as dataclass_fields
 from fractions import Fraction
-from typing import Callable, TextIO
+from typing import Callable, Iterator, TextIO
 
 from . import lefschetz, racah
 from .exactmath import (
@@ -135,11 +135,10 @@ def _resolve_sequence(
 # ---------------------------------------------------------------------------
 
 
-def cmd_verify_grassmannian(config: RunConfig, out: TextIO, err: TextIO) -> bool:
+def _sigma_rows(config: RunConfig) -> Iterator[tuple[lefschetz.SigmaVerdict, dict]]:
+    """Verdict and output row for each (N, k) in the range, in (N, k) order."""
     if config.Nmax is None or not 1 <= config.Nmin <= config.Nmax:
         raise UsageError("need 1 <= Nmin <= Nmax")
-    rows = []
-    ok = True
     for N in range(config.Nmin, config.Nmax + 1):
         if config.k_set is None:
             ks = range(N // 2 + 1)
@@ -149,10 +148,17 @@ def cmd_verify_grassmannian(config: RunConfig, out: TextIO, err: TextIO) -> bool
             verdict = lefschetz.sigma_verdict(
                 lefschetz.SigmaInstance(N, k), method=config.method
             )
-            ok = ok and verdict.positive and verdict.agree
             row = verdict.to_json_dict()
             row["sigma_approx"] = decimal_approx(verdict.sigma)
-            rows.append(row)
+            yield verdict, row
+
+
+def cmd_verify_grassmannian(config: RunConfig, out: TextIO, err: TextIO) -> bool:
+    rows = []
+    ok = True
+    for verdict, row in _sigma_rows(config):
+        ok = ok and verdict.positive and verdict.agree
+        rows.append(row)
     if not rows:
         raise UsageError("no (N, k) instances in the requested range")
     columns = ["N", "k", "n", "T", "sigma", "sigma_approx", "positive", "method", "agree"]
@@ -278,21 +284,7 @@ def cmd_sigma(config: RunConfig, out: TextIO, err: TextIO) -> bool:
 
 def cmd_table(config: RunConfig, out: TextIO, err: TextIO) -> bool:
     if config.kind == "sigma":
-        if config.Nmax is None or not 1 <= config.Nmin <= config.Nmax:
-            raise UsageError("table --kind sigma needs 1 <= Nmin <= Nmax")
-        rows = []
-        for N in range(config.Nmin, config.Nmax + 1):
-            if config.k_set is None:
-                ks = range(N // 2 + 1)
-            else:
-                ks = [k for k in config.k_set if 2 * k <= N]
-            for k in ks:
-                verdict = lefschetz.sigma_verdict(
-                    lefschetz.SigmaInstance(N, k), method=config.method
-                )
-                row = verdict.to_json_dict()
-                row["sigma_approx"] = decimal_approx(verdict.sigma)
-                rows.append(row)
+        rows = [row for _, row in _sigma_rows(config)]
         columns = ["N", "k", "n", "T", "sigma", "sigma_approx", "positive"]
         emit_table(rows, columns, config.output_format, out)
         print(f"{len(rows)} rows", file=err)
@@ -301,15 +293,16 @@ def cmd_table(config: RunConfig, out: TextIO, err: TextIO) -> bool:
         t_lo, t_hi = _t_range(config)
         rows = []
         for T in range(t_lo, t_hi + 1):
+            if config.n is not None and not 0 <= config.n <= T - 1:
+                raise UsageError(f"need 0 <= n <= T-1, got n={config.n}, T={T}")
+            if config.s is not None and not 0 <= config.s <= T - 1:
+                raise UsageError(f"need 0 <= s <= T-1, got s={config.s}, T={T}")
             n_vals = [config.n] if config.n is not None else range(T)
+            s_vals = [config.s] if config.s is not None else range(T)
+            nums, dens = racah._full_int_table(T)
             for n in n_vals:
-                if not 0 <= n <= T - 1:
-                    raise UsageError(f"need 0 <= n <= T-1, got n={n}, T={T}")
-                s_vals = [config.s] if config.s is not None else range(T)
                 for s in s_vals:
-                    if not 0 <= s <= T - 1:
-                        raise UsageError(f"need 0 <= s <= T-1, got s={s}, T={T}")
-                    value = racah.racah_eval(n, s, T)
+                    value = Fraction(nums[n][s], dens[n])
                     rows.append(
                         {
                             "T": T,

@@ -15,9 +15,7 @@ from fractions import Fraction
 from typing import Sequence
 
 __all__ = [
-    "Rational",
     "binomial",
-    "pochhammer",
     "harmonic",
     "harmonic_sum",
     "validate_concave",
@@ -28,8 +26,6 @@ __all__ = [
     "decimal_approx",
     "exp_compare",
 ]
-
-Rational = Fraction
 
 _ZERO = Fraction(0)
 
@@ -45,16 +41,6 @@ def binomial(n: int, k: int) -> int:
     if k < 0 or k > n:
         return 0
     return math.comb(n, k)
-
-
-def pochhammer(a, r: int):
-    """Rising factorial a (a+1) ... (a+r-1); empty product 1 when r = 0."""
-    if r < 0:
-        raise ValueError(f"pochhammer needs r >= 0, got {r}")
-    out = 1
-    for i in range(r):
-        out *= a + i
-    return out
 
 
 # Harmonic numbers are requested constantly and grow one term at a time, so

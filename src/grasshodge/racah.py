@@ -5,8 +5,12 @@ The central object is the normalized Racah value
     R_n(s, T) = sum_r [(-n)_r (n+1)_r (-s)_r (s+1)_r]
                       / [(1)_r (1+T)_r (1-T)_r r!],
 
-a terminating hypergeometric sum, always evaluated exactly.  Around it sit
-the Legendre comparison family, the lattice that links the two, the
+the terminating 4F3 that defines the Racah polynomial with alpha = beta = 0,
+gamma = -T, delta = T in the variable s(s+1) (Wilson 1980; Koekoek, Lesky
+and Swarttouw, Hypergeometric Orthogonal Polynomials, section 9.2).  It is
+evaluated exactly, in integers, by the polynomial's three-term recurrence in
+n; the sum itself lives in the tests as the independent oracle.  Around it
+sit the Legendre comparison family, the lattice that links the two, the
 alternating inequality driven by a concave sequence, and the scan that
 checks |R_n(s, T)| <= 1 across a whole parameter range.
 """
@@ -18,7 +22,6 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import cos, lcm, pi, sin, sqrt
 
 from .exactmath import (
@@ -37,29 +40,47 @@ JOBS_ENV_VAR = "GRASSHODGE_JOBS"
 # ---------------------------------------------------------------------------
 # Exact evaluation.
 #
-# For a fixed row (n, T) every denominator (r!)^2 (1+T)_r (1-T)_r divides the
-# one at r_max, so a row is carried as integer weights over one common
-# denominator.  Scans then compare |numerator| against |denominator| with no
-# gcd work at all; single values normalize once at the end.
+# For a fixed T, R_n(s, T) = num_n(s) / D_n over the row denominators
+# D_n = prod_{m<=n} m^2 (T+m)(m-T), nonzero for n <= T-1 and the same for
+# every column s.  Clearing denominators in the Racah three-term recurrence
+# (Koekoek-Lesky-Swarttouw 9.2) gives, from num_(-1) = 0 and num_0 = 1,
+#
+#     num_(n+1) = (a_n + c_n + (2n+1)(2n+2) s(s+1)) num_n - k_n num_(n-1),
+#     a_n = (n+1)^2 (T+n+1)(n+1-T) = D_(n+1) / D_n,
+#     c_n = n (n+1)(n+T)(n-T),   k_n = c_n a_(n-1) = (n+1) n^3 (n^2-T^2)^2.
+#
+# All three coefficients carry the factor n+1, and
+# (a_n + c_n + (2n+1)(2n+2) s(s+1)) / (n+1) = (n+1)^3 + n^3 + (2n+1)(2 s(s+1) - T^2).
+# Multiplying by n+1 last keeps the two products with the big numerators
+# down to small multipliers; there is no gcd and no Fraction.  The
+# recurrence is a polynomial identity in s(s+1), so a column may run past
+# s = T-1.  Scans compare |num| against |D_n| directly; single values
+# normalize once at the end.
 # ---------------------------------------------------------------------------
 
 
-def _row_weights(n: int, T: int, r_max: int) -> tuple[list[int], int]:
-    """Integer weights w_r and denominator D with
-    R_n(s, T) = sum_{r<=r_max} w_r (-s)_r (s+1)_r / D for every s >= r_max.
+def _racah_numerators(s: int, T: int, n_max: int) -> list[int]:
+    """num_n(s) = D_n R_n(s, T) for n = 0..n_max; needs n_max <= T-1."""
+    T2 = T * T
+    u = 2 * s * (s + 1) - T2
+    prev, cur = 0, 1
+    nums = [1]
+    for n in range(n_max):
+        m = n + 1
+        e = n * (n * n - T2)
+        # (a_n + c_n + (2n+1)(2n+2) s(s+1)) / m and k_n / m
+        b, k = m * m * m + n * n * n + (2 * n + 1) * u, n * e * e
+        prev, cur = cur, m * (b * cur - k * prev)
+        nums.append(cur)
+    return nums
 
-    Caller guarantees r_max <= T - 1 so no denominator factor vanishes.
-    """
-    mults = [m * m * (T + m) * (m - T) for m in range(1, r_max + 1)]
-    suffix = [1] * (r_max + 1)
-    for r in range(r_max - 1, -1, -1):
-        suffix[r] = suffix[r + 1] * mults[r]
-    weights = []
-    a = 1  # (-n)_r (n+1)_r
-    for r in range(r_max + 1):
-        weights.append(a * suffix[r])
-        a *= (r - n) * (n + 1 + r)
-    return weights, suffix[0]
+
+def _denominators(T: int, n_max: int) -> list[int]:
+    """Row denominators D_0..D_(n_max)."""
+    dens = [1]
+    for m in range(1, n_max + 1):
+        dens.append(dens[-1] * m * m * (T + m) * (m - T))
+    return dens
 
 
 def _validate_racah_args(n: int, s: int, T: int) -> None:
@@ -74,47 +95,18 @@ def _validate_racah_args(n: int, s: int, T: int) -> None:
 
 
 def racah_eval(n: int, s: int, T: int) -> Fraction:
-    """Exact value R_n(s, T) of the terminating hypergeometric sum."""
+    """Exact value R_n(s, T); by the n <-> s symmetry one index may be >= T."""
     _validate_racah_args(n, s, T)
-    return _racah_cached(n, s, T)
+    steps = min(n, s)
+    num = _racah_numerators(max(n, s), T, steps)[-1]
+    return Fraction(num, _denominators(T, steps)[-1])
 
 
-@lru_cache(maxsize=None)
-def _racah_cached(n: int, s: int, T: int) -> Fraction:
-    r_max = min(n, s)
-    weights, den = _row_weights(n, T, r_max)
-    num = 0
-    p = 1  # (-s)_r (s+1)_r
-    for r in range(r_max + 1):
-        num += weights[r] * p
-        p *= (r - s) * (s + 1 + r)
-    return Fraction(num, den)
-
-
-def _row_numerators(n: int, T: int, s_start: int) -> tuple[list[int], int]:
-    """Integer numerators of R_n(s, T) for s = s_start..T-1, one denominator."""
-    weights, den = _row_weights(n, T, n)
-    nums = []
-    for s in range(s_start, T):
-        num = 0
-        p = 1
-        for r in range(min(n, s) + 1):
-            num += weights[r] * p
-            p *= (r - s) * (s + 1 + r)
-        nums.append(num)
-    return nums, den
-
-
-@lru_cache(maxsize=4)
 def _full_int_table(T: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-    """All numerators (row n, column s) and per-row denominators for one T."""
-    rows = []
-    dens = []
-    for n in range(T):
-        nums, den = _row_numerators(n, T, 0)
-        rows.append(tuple(nums))
-        dens.append(den)
-    return tuple(rows), tuple(dens)
+    """All numerators (row n, column s) and per-row denominators for one T,
+    built as T engine columns and transposed; nothing is cached."""
+    columns = [_racah_numerators(s, T, T - 1) for s in range(T)]
+    return tuple(zip(*columns)), tuple(_denominators(T, T - 1))
 
 
 def racah_top_product(s: int, T: int) -> Fraction:
@@ -126,28 +118,14 @@ def racah_top_product(s: int, T: int) -> Fraction:
     return out
 
 
-def orthogonality_check(T: int, n: int, m: int) -> tuple[Fraction, bool]:
-    """Weighted inner product of rows n and m against its predicted value.
+def orthogonality_profile(T: int) -> tuple[int, bool]:
+    """Weighted orthogonality of every unordered row pair n <= m at one T.
 
     sum_s (2s+1) R_n R_m over s = 0..T-1 must equal T^2/(2n+1) when n = m
-    and 0 otherwise.  Returns the computed sum and the exact comparison.
-    """
-    if not (0 <= n <= T - 1 and 0 <= m <= T - 1):
-        raise ValueError(f"need 0 <= n, m <= T-1, got n={n}, m={m}, T={T}")
-    total = _ZERO
-    for s in range(T):
-        total += (2 * s + 1) * racah_eval(n, s, T) * racah_eval(m, s, T)
-    predicted = Fraction(T * T, 2 * n + 1) if n == m else _ZERO
-    return total, total == predicted
-
-
-def orthogonality_profile(T: int) -> tuple[int, bool]:
-    """orthogonality_check over every unordered pair n <= m at one T.
-
-    Runs on the common-denominator integer table, so each pair is a single
-    integer identity: sum_s (2s+1) num_n num_m times (2n+1) must equal
-    T^2 den_n den_m on the diagonal and 0 off it.  Returns the pair count
-    and whether every pair matched.
+    and 0 otherwise.  On the integer table each pair is a single integer
+    identity: sum_s (2s+1) num_n num_m times (2n+1) must equal T^2 D_n^2 on
+    the diagonal and 0 off it.  Returns the pair count and whether every
+    pair matched.
     """
     if T < 3:
         raise ValueError(f"need T >= 3, got {T}")
@@ -191,24 +169,6 @@ def legendre_eval(n: int, t) -> Fraction:
     return legendre_values(n, t)[n]
 
 
-def legendre_coeffs(n: int) -> list[Fraction]:
-    """Coefficient list of P_n, constant term first."""
-    if n < 0:
-        raise ValueError(f"need n >= 0, got {n}")
-    prev = [_ONE]
-    if n == 0:
-        return prev
-    cur = [_ZERO, _ONE]
-    for m in range(1, n):
-        nxt = [_ZERO] * (m + 2)
-        for idx, c in enumerate(cur):
-            nxt[idx + 1] += Fraction(2 * m + 1, m + 1) * c
-        for idx, c in enumerate(prev):
-            nxt[idx] -= Fraction(m, m + 1) * c
-        prev, cur = cur, nxt
-    return cur
-
-
 def rescaled_values(n_max: int, T: int, t) -> list[Fraction]:
     """p_0(t) .. p_(n_max)(t), the lattice-rescaled family for parameter T.
 
@@ -234,13 +194,6 @@ def rescaled_values(n_max: int, T: int, t) -> list[Fraction]:
         ) * vals[m - 1]
         vals.append(nxt)
     return vals
-
-
-def rescaled_eval(n: int, T: int, t) -> Fraction:
-    """Exact value p_n(t) of the rescaled family."""
-    if n < 0:
-        raise ValueError(f"need n >= 0, got {n}")
-    return rescaled_values(n, T, t)[n]
 
 
 def lattice_node(s: int, T: int) -> Fraction:
@@ -292,26 +245,9 @@ def _sequence_values(seq, T: int) -> tuple[Fraction, ...]:
     return values[: T - 1]
 
 
-def alternating_bound(seq, n: int, T: int) -> Inequality:
-    """The strict inequality sum_s (-1)^(s+1) R_n(s,T) H_s < sum_s H_s.
-
-    Both sides run over s = 1..T-1 and are returned exactly.  Reference
-    implementation over cached single values; alternating_profile is the
-    bulk route.
-    """
-    values = _sequence_values(seq, T)
-    lhs = _ZERO
-    rhs = _ZERO
-    for s in range(1, T):
-        h = values[s - 1]
-        sign = 1 if s % 2 else -1
-        lhs += sign * racah_eval(n, s, T) * h
-        rhs += h
-    return Inequality(lhs, rhs)
-
-
 def alternating_profile(seq, T: int) -> list[Inequality]:
-    """alternating_bound for every n = 0..T-1 at once, via integer rows.
+    """The strict inequality sum_s (-1)^(s+1) R_n(s,T) H_s < sum_s H_s for
+    every n = 0..T-1, both sides over s = 1..T-1 and returned exactly.
 
     The sequence is put over one denominator and each Racah row over its
     own, so the whole profile costs one exact division per n.
@@ -334,37 +270,6 @@ def alternating_profile(seq, T: int) -> list[Inequality]:
             Inequality(Fraction(acc, dens[n] * scale), Fraction(rhs_num, scale))
         )
     return out
-
-
-def cauchy_sufficient(seq, n: int, T: int) -> Inequality:
-    """Sufficient condition by Cauchy-Schwarz and orthogonality:
-
-        sum_s H_s^2/(2s+1) < (2n+1) (mean of H_0..H_(T-1))^2,
-
-    with H_0 = 0.  When it holds, the alternating bound follows.
-    """
-    values = _sequence_values(seq, T)
-    square_sum = _ZERO
-    plain_sum = _ZERO
-    for s in range(1, T):
-        h = values[s - 1]
-        square_sum += h * h / (2 * s + 1)
-        plain_sum += h
-    mean = plain_sum / T
-    return Inequality(square_sum, (2 * n + 1) * mean * mean)
-
-
-def in_cauchy_range(n: int, T: int) -> bool:
-    """True iff log T < n + 1/2, decided exactly as T^2 < e^(2n+1).
-
-    In this range the Cauchy-Schwarz route certifies the alternating bound
-    for every concave increasing sequence.
-    """
-    if T < 3:
-        raise ValueError(f"need T >= 3, got {T}")
-    if n < 0:
-        raise ValueError(f"need n >= 0, got {n}")
-    return exp_compare(2 * n + 1, Fraction(T * T)) > 0
 
 
 def n_below_log(n: int, T: int) -> bool:
@@ -487,25 +392,25 @@ class ScanReport:
 
 
 def _scan_one_T(T: int) -> tuple[int, list, list, int]:
-    """Scan the half grid 0 <= n <= s <= T-1 for one T.
+    """Scan the half grid 0 <= n <= s <= T-1 for one T, column by column.
 
-    Returns plain tuples (kept picklable for the process pool): violations
-    carry the exact value as a numerator/denominator pair.
+    Returns plain tuples in (n, s) order (kept picklable for the process
+    pool): violations carry the exact value as a numerator/denominator pair.
     """
+    dens = _denominators(T, T - 1)
+    abs_dens = [abs(den) for den in dens]
     violations = []
     equalities = []
-    rows = 0
-    for n in range(T):
-        nums, den = _row_numerators(n, T, n)
-        abs_den = abs(den)
-        rows += 1
-        for offset, num in enumerate(nums):
+    for s in range(T):
+        for n, num in enumerate(_racah_numerators(s, T, s)):
             abs_num = abs(num)
-            if abs_num > abs_den:
-                violations.append((T, n, n + offset, num, den))
-            elif abs_num == abs_den:
-                equalities.append((T, n, n + offset))
-    return T, violations, equalities, rows
+            if abs_num > abs_dens[n]:
+                violations.append((T, n, s, num, dens[n]))
+            elif abs_num == abs_dens[n]:
+                equalities.append((T, n, s))
+    violations.sort()
+    equalities.sort()
+    return T, violations, equalities, T
 
 
 def default_jobs() -> int:
@@ -580,10 +485,31 @@ class ApproxReport:
     tight_within: bool | None  # deviation <= 1/10 when in the tight regime
 
 
-def _approx_reports(T: int, grid_size: int, n_list: list[int]) -> list[ApproxReport]:
-    """Shared grid pass: both families are computed once up to max(n_list)."""
-    n_hi = max(n_list)
-    max_dev = {n: _ZERO for n in n_list}
+def admissible_degrees(T: int) -> list[int]:
+    """All n satisfying the closeness hypothesis 1 + 2n + 2n^2 < T^2/10."""
+    out = []
+    n = 0
+    while 10 * (1 + 2 * n + 2 * n * n) < T * T:
+        out.append(n)
+        n += 1
+    return out
+
+
+def legendre_approx_profile(T: int, grid_size: int = 200) -> list[ApproxReport]:
+    """Compare p_n and P_n on an equally spaced rational grid of [-1, 1] for
+    every admissible n at this T, computing both families once.
+
+    Under the hypothesis 1 + 2n + 2n^2 < T^2 / 10 the deviation is bounded
+    by (3/2) 4^n / T^2, and additionally by 1/10 once T >= 90 and n < log T.
+    All comparisons are exact.
+    """
+    if grid_size < 1:
+        raise ValueError(f"need grid_size >= 1, got {grid_size}")
+    n_list = admissible_degrees(T)
+    if not n_list:
+        return []
+    n_hi = n_list[-1]
+    max_dev = [_ZERO] * (n_hi + 1)
     for j in range(grid_size + 1):
         t = Fraction(2 * j - grid_size, grid_size)
         ps = rescaled_values(n_hi, T, t)
@@ -609,44 +535,6 @@ def _approx_reports(T: int, grid_size: int, n_list: list[int]) -> list[ApproxRep
             )
         )
     return out
-
-
-def check_legendre_approx(n: int, T: int, grid_size: int = 200) -> ApproxReport:
-    """Compare p_n and P_n on an equally spaced rational grid of [-1, 1].
-
-    Requires the hypothesis 1 + 2n + 2n^2 < T^2 / 10; under it the deviation
-    is bounded by (3/2) 4^n / T^2, and additionally by 1/10 once T >= 90 and
-    n < log T.  All comparisons are exact.
-    """
-    if n < 0:
-        raise ValueError(f"need n >= 0, got {n}")
-    if grid_size < 1:
-        raise ValueError(f"need grid_size >= 1, got {grid_size}")
-    if 10 * (1 + 2 * n + 2 * n * n) >= T * T:
-        raise ValueError(
-            f"hypothesis 1 + 2n + 2n^2 < T^2/10 fails for n={n}, T={T}"
-        )
-    return _approx_reports(T, grid_size, [n])[0]
-
-
-def admissible_degrees(T: int) -> list[int]:
-    """All n satisfying the closeness hypothesis 1 + 2n + 2n^2 < T^2/10."""
-    out = []
-    n = 0
-    while 10 * (1 + 2 * n + 2 * n * n) < T * T:
-        out.append(n)
-        n += 1
-    return out
-
-
-def legendre_approx_profile(T: int, grid_size: int = 200) -> list[ApproxReport]:
-    """check_legendre_approx for every admissible n at this T, in one pass."""
-    if grid_size < 1:
-        raise ValueError(f"need grid_size >= 1, got {grid_size}")
-    n_list = admissible_degrees(T)
-    if not n_list:
-        return []
-    return _approx_reports(T, grid_size, n_list)
 
 
 @dataclass(frozen=True)

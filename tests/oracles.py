@@ -1,0 +1,85 @@
+"""Independent reference routes that the tests compare the library against.
+
+Each function here is the slow, definitional form of something the library
+computes by a faster route: the terminating 4F3 sum behind R_n(s, T), the
+pairwise orthogonality sums and the single-degree inequalities built on it,
+and the coefficient recurrence of the Legendre polynomials.
+"""
+
+from fractions import Fraction
+
+from grasshodge.exactmath import exp_compare
+from grasshodge.racah import Inequality
+
+
+def pochhammer(a, r):
+    """Rising factorial a (a+1) ... (a+r-1); empty product 1 when r = 0."""
+    if r < 0:
+        raise ValueError(f"pochhammer needs r >= 0, got {r}")
+    out = 1
+    for i in range(r):
+        out *= a + i
+    return out
+
+
+def racah_sum(n, s, T):
+    """R_n(s, T) term by term straight off the terminating hypergeometric sum
+
+        sum_r (-n)_r (n+1)_r (-s)_r (s+1)_r / ((1)_r (1+T)_r (1-T)_r r!),
+
+    for min(n, s) <= T-1 (one index may be >= T).
+    """
+    total = Fraction(0)
+    for r in range(min(n, s) + 1):
+        num = pochhammer(-n, r) * pochhammer(n + 1, r) * pochhammer(-s, r) * pochhammer(s + 1, r)
+        den = pochhammer(1, r) ** 2 * pochhammer(1 + T, r) * pochhammer(1 - T, r)
+        total += Fraction(num, den)
+    return total
+
+
+def orthogonality_check(T, n, m):
+    """sum_s (2s+1) R_n R_m over s = 0..T-1 against T^2/(2n+1) (n = m) or 0."""
+    total = sum(
+        ((2 * s + 1) * racah_sum(n, s, T) * racah_sum(m, s, T) for s in range(T)),
+        Fraction(0),
+    )
+    predicted = Fraction(T * T, 2 * n + 1) if n == m else 0
+    return total, total == predicted
+
+
+def alternating_bound(values, n, T):
+    """sum_s (-1)^(s+1) R_n(s,T) H_s < sum_s H_s over s = 1..T-1, for one n."""
+    lhs = rhs = Fraction(0)
+    for s in range(1, T):
+        h = Fraction(values[s - 1])
+        lhs += (1 if s % 2 else -1) * racah_sum(n, s, T) * h
+        rhs += h
+    return Inequality(lhs, rhs)
+
+
+def cauchy_sufficient(values, n, T):
+    """Sufficient condition for the alternating bound by Cauchy-Schwarz and
+    orthogonality: sum_s H_s^2/(2s+1) < (2n+1) (mean of H_0..H_(T-1))^2."""
+    hs = [Fraction(v) for v in values[: T - 1]]
+    square_sum = sum((h * h / (2 * s + 1) for s, h in enumerate(hs, 1)), Fraction(0))
+    mean = sum(hs, Fraction(0)) / T
+    return Inequality(square_sum, (2 * n + 1) * mean * mean)
+
+
+def in_cauchy_range(n, T):
+    """True iff log T < n + 1/2, decided exactly as T^2 < e^(2n+1)."""
+    return exp_compare(2 * n + 1, Fraction(T * T)) > 0
+
+
+def legendre_coeffs(n):
+    """Coefficient list of P_n, constant term first, by the coefficient form
+    of (m+1) P_(m+1) = (2m+1) t P_m - m P_(m-1)."""
+    prev, cur = [Fraction(1)], [Fraction(0), Fraction(1)]
+    if n == 0:
+        return prev
+    for m in range(1, n):
+        nxt = [Fraction(0)] + [Fraction(2 * m + 1, m + 1) * c for c in cur]
+        for idx, c in enumerate(prev):
+            nxt[idx] -= Fraction(m, m + 1) * c
+        prev, cur = cur, nxt
+    return cur

@@ -37,6 +37,7 @@ from grasshodge.racah import (
     rescaled_values,
     lattice_node,
 )
+from oracles import racah_sum
 
 
 def _report(num: int, text: str) -> None:
@@ -73,7 +74,7 @@ def test_03_weight_ratio_equals_racah_value():
             A = principal_weight(n, T)
             for i in range(1, T):
                 lhs = Fraction((-1) ** i * correction_weight(n, T, i), A)
-                assert lhs == racah_eval(n, i, T), (n, T, i)
+                assert lhs == racah_eval(n, i, T) == racah_sum(n, i, T), (n, T, i)
                 count += 1
     _report(3, f"signed weight ratio matches the hypergeometric value at {count} points, T <= 25")
 
@@ -100,9 +101,10 @@ def test_05_column_sums_match_binomial():
 def test_06_closed_form_rows_through_T40():
     for T in range(3, 41):
         for s in range(T):
-            assert racah_eval(0, s, T) == 1
-            assert racah_eval(T - 1, s, T) == racah_top_product(s, T)
-        assert racah_eval(1, T - 1, T) == Fraction(1 - T, 1 + T)
+            assert racah_eval(0, s, T) == racah_sum(0, s, T) == 1
+            top = racah_top_product(s, T)
+            assert racah_eval(T - 1, s, T) == racah_sum(T - 1, s, T) == top, (T, s)
+        assert racah_eval(1, T - 1, T) == racah_sum(1, T - 1, T) == Fraction(1 - T, 1 + T)
     _report(6, "constant row, last-node value, and top-row product exact for T <= 40")
 
 

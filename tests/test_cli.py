@@ -1,11 +1,14 @@
 import io
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import grasshodge
 from grasshodge import cli, lefschetz, racah
 from grasshodge.cli import RunConfig, UsageError, emit_table, load_sequence, main
 
@@ -221,6 +224,27 @@ def test_fault_injection_scan(monkeypatch, capsys):
     assert json.loads(out)["violations"] == [{"T": 3, "n": 1, "s": 2, "value": "9/8"}]
 
 
+def test_fault_injection_engine(monkeypatch, capsys):
+    # one interior numerator of the Racah engine doubled past its row
+    # denominator: R_2(4, 6) reads 2, and every consumer must notice
+    real = racah._racah_numerators
+    den = racah._denominators(6, 2)[2]
+
+    def corrupted(s, T, n_max):
+        nums = real(s, T, n_max)
+        if (s, T) == (4, 6) and n_max >= 2:
+            nums[2] = 2 * den
+        return nums
+
+    monkeypatch.setattr(racah, "_racah_numerators", corrupted)
+    code, out, _ = run_cli(capsys, "scan-bound", "--Tmin", "3", "--Tmax", "8", "--jobs", "1")
+    assert code == 1
+    assert json.loads(out)["violations"] == [{"T": 6, "n": 2, "s": 4, "value": "2"}]
+    code, out, _ = run_cli(capsys, "verify-ortho", "--T", "6")
+    assert code == 1
+    assert json.loads(out)["ok"] is False
+
+
 def test_emit_table_empty_rows_gives_header_only():
     buf = io.StringIO()
     emit_table([], ["a", "b"], "csv", buf)
@@ -260,10 +284,14 @@ def test_default_jobs_env_override(monkeypatch):
 
 
 def test_module_entry_point_runs():
+    # the child imports the same package tree as this test run, installed or not
+    src = str(Path(grasshodge.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "grasshodge", "sigma", "--N", "2", "--k", "1"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["sigma"] == "3"

@@ -13,10 +13,10 @@ from grasshodge.exactmath import (
     harmonic,
     harmonic_sum,
     parse_rational,
-    pochhammer,
     random_concave,
     validate_concave,
 )
+from oracles import pochhammer
 
 
 def test_binomial_matches_math_comb():

@@ -3,50 +3,54 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from grasshodge.exactmath import ConcaveSequence, pochhammer, random_concave
+from grasshodge.exactmath import ConcaveSequence, random_concave
 from grasshodge.racah import (
     WindowSamples,
-    alternating_bound,
+    _full_int_table,
     alternating_profile,
     bound_scan,
-    cauchy_sufficient,
     certify_alternating_bound,
-    check_legendre_approx,
-    in_cauchy_range,
     lattice_node,
     legendre_approx_profile,
-    legendre_coeffs,
     legendre_eval,
     legendre_window_checks,
     n_below_log,
-    orthogonality_check,
     orthogonality_profile,
     racah_eval,
     racah_top_product,
     rescale_factor,
-    rescaled_eval,
+    rescaled_values,
+)
+from oracles import (
+    alternating_bound,
+    cauchy_sufficient,
+    in_cauchy_range,
+    legendre_coeffs,
+    orthogonality_check,
+    racah_sum,
 )
 
 
-def _racah_term_sum(n, s, T):
-    """Direct term-by-term evaluation straight off the hypergeometric sum."""
-    total = Fraction(0)
-    for r in range(min(n, s) + 1):
-        num = pochhammer(-n, r) * pochhammer(n + 1, r) * pochhammer(-s, r) * pochhammer(s + 1, r)
-        den = (
-            pochhammer(1, r) ** 2
-            * pochhammer(1 + T, r)
-            * pochhammer(1 - T, r)
-        )
-        total += Fraction(num, den)
-    return total
-
-
 def test_racah_matches_term_sum():
-    for T in range(3, 10):
+    # the whole grid, through both the single-value and the table route
+    for T in range(3, 26):
+        rows, dens = _full_int_table(T)
         for n in range(T):
             for s in range(T):
-                assert racah_eval(n, s, T) == _racah_term_sum(n, s, T)
+                expected = racah_sum(n, s, T)
+                assert Fraction(rows[n][s], dens[n]) == expected, (T, n, s)
+                assert racah_eval(n, s, T) == expected, (T, n, s)
+
+
+@settings(max_examples=60)
+@given(st.integers(3, 150), st.data())
+def test_racah_matches_term_sum_sampled(T, data):
+    # one index may run past T-1 as long as the other stays below T
+    n = data.draw(st.integers(0, T - 1))
+    s = data.draw(st.integers(0, 2 * T + 10))
+    if data.draw(st.booleans()):
+        n, s = s, n
+    assert racah_eval(n, s, T) == racah_sum(n, s, T)
 
 
 def test_racah_validation():
@@ -57,7 +61,7 @@ def test_racah_validation():
     with pytest.raises(ValueError):
         racah_eval(5, 6, 5)  # (1-T)_r hits zero
     # one large index is fine as long as the other stays below T
-    assert racah_eval(2, 50, 5) == _racah_term_sum(2, 50, 5)
+    assert racah_eval(2, 50, 5) == racah_sum(2, 50, 5)
 
 
 def test_row_zero_and_one():
@@ -88,8 +92,6 @@ def test_orthogonality_spot_values():
     assert ok and total == Fraction(81, 5)
     total, ok = orthogonality_check(9, 2, 5)
     assert ok and total == 0
-    with pytest.raises(ValueError):
-        orthogonality_check(9, 9, 2)
 
 
 def test_orthogonality_profile_matches_pairwise():
@@ -162,7 +164,7 @@ def test_lattice_agreement(T, data):
     n = data.draw(st.integers(0, T - 1))
     s = data.draw(st.integers(0, T - 1))
     node = lattice_node(s, T)
-    lhs = rescaled_eval(n, T, node)
+    lhs = rescaled_values(n, T, node)[n]
     rhs = (-1) ** n * rescale_factor(n, T) * racah_eval(n, s, T)
     assert lhs == rhs
 
@@ -170,20 +172,21 @@ def test_lattice_agreement(T, data):
 def test_rescaled_degenerates_to_legendre():
     # the recurrence shifts vanish like 1/T^2, so huge T pins the difference
     t = Fraction(1, 3)
+    vals = rescaled_values(5, 10**6, t)
     for n in range(6):
-        dev = abs(rescaled_eval(n, 10**6, t) - legendre_eval(n, t))
+        dev = abs(vals[n] - legendre_eval(n, t))
         assert dev < Fraction(1, 10**9)
 
 
 def test_approx_report_bounds():
-    rep = check_legendre_approx(2, 12, grid_size=40)
-    assert rep.within
+    rep = legendre_approx_profile(12, grid_size=40)[2]
+    assert rep.n == 2 and rep.within
     assert rep.bound == Fraction(24, 144)
     assert rep.tight_regime is False and rep.tight_within is None
-    rep = check_legendre_approx(3, 95, grid_size=40)
-    assert rep.within and rep.tight_regime and rep.tight_within
-    with pytest.raises(ValueError):
-        check_legendre_approx(5, 10)  # hypothesis 1+2n+2n^2 < T^2/10 fails
+    rep = legendre_approx_profile(95, grid_size=40)[3]
+    assert rep.n == 3 and rep.within and rep.tight_regime and rep.tight_within
+    # hypothesis 1+2n+2n^2 < T^2/10 fails for n = 5 at T = 10
+    assert [r.n for r in legendre_approx_profile(10, grid_size=4)] == [0, 1]
 
 
 def test_approx_profile_lists_admissible_degrees():
@@ -225,7 +228,7 @@ def test_alternating_bound_matches_profile():
         seq = ConcaveSequence.harmonic(T - 1)
         profile = alternating_profile(seq, T)
         for n in range(T):
-            single = alternating_bound(seq, n, T)
+            single = alternating_bound(seq.values, n, T)
             assert single.lhs == profile[n].lhs
             assert single.rhs == profile[n].rhs
             assert single.holds
@@ -276,14 +279,14 @@ def test_goodrange_implies_cauchy_for_harmonic():
         seq = ConcaveSequence.harmonic(T - 1)
         for n in range(T):
             if in_cauchy_range(n, T):
-                assert cauchy_sufficient(seq, n, T).holds, (T, n)
+                assert cauchy_sufficient(seq.values, n, T).holds, (T, n)
     # at larger T check the smallest degree in range; the left side does not
     # depend on n and the right side grows with n, so the rest follow
     for T in range(41, 201):
         seq = ConcaveSequence.harmonic(T - 1)
         n_min = next(n for n in range(T) if in_cauchy_range(n, T))
-        low = cauchy_sufficient(seq, n_min, T)
-        top = cauchy_sufficient(seq, T - 1, T)
+        low = cauchy_sufficient(seq.values, n_min, T)
+        top = cauchy_sufficient(seq.values, T - 1, T)
         assert low.holds and top.holds, T
         assert low.lhs == top.lhs and low.rhs < top.rhs, T
 
@@ -316,4 +319,6 @@ def test_certify_flags_non_concave_input():
 
 def test_sequence_length_checked():
     with pytest.raises(ValueError):
-        alternating_bound([Fraction(1)], 0, 4)
+        alternating_profile([Fraction(1)], 4)
+    with pytest.raises(ValueError):
+        certify_alternating_bound([Fraction(1)], 4)
