@@ -2,8 +2,11 @@
 
 Classes are indexed by two-row partitions (a, b) with N >= a >= b >= 0, the
 partitions fitting in a 2 x N box.  The variety has dimension 2N, codimension
-p classes are the partitions of weight p, and everything is carried as a
-sparse map from partition to exact rational coefficient.
+p classes are the partitions of weight p, and a class is a sparse map from
+partition to coefficient.  Coefficients keep the exact type they arise in:
+Schubert classes, the primitive class and its Pieri raises are integral and
+stay int, and only a genuinely rational step (the Hodge star, the kernel
+solve, the correction operator) brings in Fraction.
 """
 
 from __future__ import annotations
@@ -12,23 +15,23 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .exactmath import binomial, format_rational, parse_rational
+from .exactmath import binomial
 
 Partition2 = tuple[int, int]
-
-_ZERO = Fraction(0)
 
 
 def valid_partition(N: int, a: int, b: int) -> bool:
     return N >= a >= b >= 0
 
 
-def _insert(acc: dict[Partition2, Fraction], N: int, a: int, b: int, c: Fraction) -> None:
+def _insert(
+    acc: dict[Partition2, int | Fraction], N: int, a: int, b: int, c: int | Fraction
+) -> None:
     # Out-of-box Schubert symbols are identically zero, so they are dropped
     # here rather than policed by every caller.
     if not c or not valid_partition(N, a, b):
         return
-    new = acc.get((a, b), _ZERO) + c
+    new = acc.get((a, b), 0) + c
     if new:
         acc[(a, b)] = new
     else:
@@ -37,34 +40,31 @@ def _insert(acc: dict[Partition2, Fraction], N: int, a: int, b: int, c: Fraction
 
 @dataclass(frozen=True)
 class ChowElement:
-    """Sparse rational combination of Schubert classes in a fixed 2 x N box."""
+    """Sparse combination of Schubert classes in a fixed 2 x N box.
+
+    Coefficients are exact: int while the class is integral, Fraction once a
+    rational step has been applied.  Zero coefficients are dropped.
+    """
 
     N: int
-    terms: dict[Partition2, Fraction]
+    terms: dict[Partition2, int | Fraction]
 
     def __post_init__(self) -> None:
         if self.N < 1:
             raise ValueError(f"box width must be positive, got {self.N}")
-        clean: dict[Partition2, Fraction] = {}
+        clean: dict[Partition2, int | Fraction] = {}
         for (a, b), c in self.terms.items():
             if not valid_partition(self.N, a, b):
                 raise ValueError(f"({a},{b}) does not fit in the 2 x {self.N} box")
-            c = Fraction(c)
             if c:
                 clean[(a, b)] = c
         object.__setattr__(self, "terms", clean)
 
-    def coeff(self, a: int, b: int) -> Fraction:
-        return self.terms.get((a, b), _ZERO)
+    def coeff(self, a: int, b: int) -> int | Fraction:
+        return self.terms.get((a, b), 0)
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def support(self) -> list[Partition2]:
-        return sorted(self.terms, reverse=True)
-
-    def degrees(self) -> set[int]:
-        return {a + b for (a, b) in self.terms}
 
     def _check_ring(self, other: "ChowElement") -> None:
         if self.N != other.N:
@@ -84,28 +84,7 @@ class ChowElement:
         return ChowElement(self.N, {ab: -c for ab, c in self.terms.items()})
 
     def scale(self, c) -> "ChowElement":
-        c = Fraction(c)
         return ChowElement(self.N, {ab: c * v for ab, v in self.terms.items()})
-
-    def __rmul__(self, c) -> "ChowElement":
-        return self.scale(c)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "N": self.N,
-            "terms": [
-                {"a": a, "b": b, "coeff": format_rational(c)}
-                for (a, b), c in sorted(self.terms.items(), reverse=True)
-            ],
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "ChowElement":
-        terms = {
-            (int(t["a"]), int(t["b"])): parse_rational(t["coeff"])
-            for t in data["terms"]
-        }
-        return cls(int(data["N"]), terms)
 
 
 def zero(N: int) -> ChowElement:
@@ -116,7 +95,7 @@ def schubert(N: int, a: int, b: int) -> ChowElement:
     """The single Schubert class s(a, b)."""
     if not valid_partition(N, a, b):
         raise ValueError(f"({a},{b}) does not fit in the 2 x {N} box")
-    return ChowElement(N, {(a, b): Fraction(1)})
+    return ChowElement(N, {(a, b): 1})
 
 
 def box_partitions(N: int, p: int) -> list[Partition2]:
@@ -142,7 +121,7 @@ def lefschetz_op(x: ChowElement) -> ChowElement:
     s(a, b) goes to s(a+1, b) + s(a, b+1), with symbols leaving the box
     dropped.
     """
-    acc: dict[Partition2, Fraction] = {}
+    acc: dict[Partition2, int | Fraction] = {}
     for (a, b), c in x.terms.items():
         _insert(acc, x.N, a + 1, b, c)
         _insert(acc, x.N, a, b + 1, c)
@@ -176,7 +155,7 @@ def lefschetz_power(x: ChowElement, r: int) -> ChowElement:
     if r == 0:
         return x
     N = x.N
-    acc: dict[Partition2, Fraction] = {}
+    acc: dict[Partition2, int | Fraction] = {}
     for (m1, m2), c in x.terms.items():
         size = m1 + m2 + r
         for b in range(m2, min(N, size // 2) + 1):
@@ -206,11 +185,11 @@ def hodge_star(x: ChowElement) -> ChowElement:
     return ChowElement(N, acc)
 
 
-def intersection_pairing(x: ChowElement, y: ChowElement) -> Fraction:
+def intersection_pairing(x: ChowElement, y: ChowElement) -> int | Fraction:
     """Poincare pairing: s(a,b) meets s(N-b, N-a) in a point, all else is 0."""
     x._check_ring(y)
     N = x.N
-    total = _ZERO
+    total = 0
     for (a, b), c in x.terms.items():
         d = y.terms.get((N - b, N - a))
         if d is not None:
@@ -227,10 +206,10 @@ def primitive_class(N: int, k: int) -> ChowElement:
     if not 0 <= 2 * k <= N:
         raise ValueError(f"need 0 <= 2k <= N, got N={N}, k={k}")
     n = N - 2 * k
-    acc: dict[Partition2, Fraction] = {}
+    acc: dict[Partition2, int] = {}
     for j in range(k + 1):
         c = (-1) ** j * binomial(N + 1 - j, n) * binomial(n + j, n)
-        _insert(acc, N, 2 * k - j, j, Fraction(c))
+        _insert(acc, N, 2 * k - j, j, c)
     return ChowElement(N, acc)
 
 
@@ -258,7 +237,7 @@ def _nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
     for free in range(ncols):
         if free in pivots:
             continue
-        v = [_ZERO] * ncols
+        v = [Fraction(0)] * ncols
         v[free] = Fraction(1)
         for i, pc in enumerate(pivots):
             v[pc] = -mat[i][free]
@@ -273,11 +252,12 @@ def lefschetz_kernel(N: int, p: int) -> list[ChowElement]:
     dom = box_partitions(N, p)
     cod = box_partitions(N, p + 1)
     cod_index = {lam: i for i, lam in enumerate(cod)}
-    rows = [[_ZERO] * len(dom) for _ in cod]
+    # Fraction entries so that the row reduction divides exactly.
+    rows = [[Fraction(0)] * len(dom) for _ in cod]
     for j, lam in enumerate(dom):
         image = lefschetz_op(schubert(N, *lam))
         for mu, c in image.terms.items():
-            rows[cod_index[mu]][j] = c
+            rows[cod_index[mu]][j] = Fraction(c)
     return [
         ChowElement(N, {lam: v[j] for j, lam in enumerate(dom)})
         for v in _nullspace(rows, len(dom))

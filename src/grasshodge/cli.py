@@ -299,10 +299,13 @@ def cmd_table(config: RunConfig, out: TextIO, err: TextIO) -> bool:
                 raise UsageError(f"need 0 <= s <= T-1, got s={config.s}, T={T}")
             n_vals = [config.n] if config.n is not None else range(T)
             s_vals = [config.s] if config.s is not None else range(T)
-            nums, dens = racah._full_int_table(T)
+            # only the selected columns, each down to the largest selected row
+            n_max = max(n_vals)
+            columns = [(s, racah._racah_numerators(s, T, n_max)) for s in s_vals]
+            dens = racah._denominators(T, n_max)
             for n in n_vals:
-                for s in s_vals:
-                    value = Fraction(nums[n][s], dens[n])
+                for s, column in columns:
+                    value = Fraction(column[n], dens[n])
                     rows.append(
                         {
                             "T": T,

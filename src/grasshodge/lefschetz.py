@@ -13,6 +13,7 @@ that pins down the correction in the simplest case.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -60,19 +61,26 @@ def correction_op(x: ChowElement) -> ChowElement:
         (sum_i H_i) s(N, b) - sum_i (H_(N-b+1-i) - H_i) s(N-i, b+i),
 
     the second sum running over 0 <= i <= (N - b) // 2.
+
+    Every H_i with i <= N + 1 is an integer over L = lcm(1, ..., N + 1), so
+    the sums run on the integers L H_i and each output coefficient becomes
+    one Fraction over L at the end.
     """
     N = x.N
-    column_sum = sum((harmonic(i) for i in range(1, N + 2)), _ZERO)
-    acc: dict[Partition2, Fraction] = {}
+    L = math.lcm(*range(1, N + 2))
+    h = [0]  # h[i] = L H_i
+    for j in range(1, N + 2):
+        h.append(h[-1] + L // j)
+    column_sum = sum(h)
+    acc: dict[Partition2, int | Fraction] = {}
     for (a, b), c in x.terms.items():
         if a < N:
             continue
-        acc[(N, b)] = acc.get((N, b), _ZERO) + c * column_sum
+        acc[(N, b)] = acc.get((N, b), 0) + c * column_sum
         for i in range((N - b) // 2 + 1):
-            w = harmonic(N - b + 1 - i) - harmonic(i)
             key = (N - i, b + i)
-            acc[key] = acc.get(key, _ZERO) - c * w
-    return ChowElement(N, acc)
+            acc[key] = acc.get(key, 0) - c * (h[N - b + 1 - i] - h[i])
+    return ChowElement(N, {ab: Fraction(v, L) for ab, v in acc.items()})
 
 
 def sigma_direct(inst: SigmaInstance) -> Fraction:
@@ -235,27 +243,25 @@ class ProjElement:
     """Model element: hat[i] in codimension i, form[i] in codimension i + 1."""
 
     n: int
-    hat: tuple[Fraction, ...]
-    form: tuple[Fraction, ...]
+    hat: tuple[int | Fraction, ...]
+    form: tuple[int | Fraction, ...]
 
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError(f"need n >= 1, got {self.n}")
         if len(self.hat) != self.n + 1 or len(self.form) != self.n + 1:
             raise ValueError("hat and form must both have length n + 1")
-        object.__setattr__(self, "hat", tuple(Fraction(c) for c in self.hat))
-        object.__setattr__(self, "form", tuple(Fraction(c) for c in self.form))
 
     @classmethod
     def basis(cls, n: int, kind: str, i: int) -> "ProjElement":
         if not 0 <= i <= n:
             raise ValueError(f"need 0 <= i <= n, got i={i}, n={n}")
-        hat = [_ZERO] * (n + 1)
-        form = [_ZERO] * (n + 1)
+        hat = [0] * (n + 1)
+        form = [0] * (n + 1)
         if kind == "hat":
-            hat[i] = Fraction(1)
+            hat[i] = 1
         elif kind == "form":
-            form[i] = Fraction(1)
+            form[i] = 1
         else:
             raise ValueError(f"unknown kind {kind!r}")
         return cls(n, tuple(hat), tuple(form))
@@ -273,7 +279,6 @@ class ProjElement:
         return self + other.scale(-1)
 
     def scale(self, c) -> "ProjElement":
-        c = Fraction(c)
         return ProjElement(
             self.n,
             tuple(c * v for v in self.hat),
@@ -285,8 +290,8 @@ def proj_raise(x: ProjElement, tau: Fraction) -> ProjElement:
     """Hyperplane raising: hat_i -> hat_(i+1), hat_n -> tau form_n,
     form_i -> form_(i+1), form_n -> 0."""
     n = x.n
-    hat = [_ZERO] * (n + 1)
-    form = [_ZERO] * (n + 1)
+    hat = [0] * (n + 1)
+    form = [0] * (n + 1)
     for i, c in enumerate(x.hat):
         if not c:
             continue
@@ -304,15 +309,16 @@ def proj_lower(x: ProjElement, tau: Fraction) -> ProjElement:
     """Adjoint lowering: hat_i -> i (n+2-i) hat_(i-1) and
     form_i -> ((n+1)/tau) hat_i + i (n-i) form_(i-1)."""
     n = x.n
-    hat = [_ZERO] * (n + 1)
-    form = [_ZERO] * (n + 1)
+    w = Fraction(n + 1) / tau
+    hat = [0] * (n + 1)
+    form = [0] * (n + 1)
     for i, c in enumerate(x.hat):
         if c and i >= 1:
             hat[i - 1] += c * i * (n + 2 - i)
     for i, c in enumerate(x.form):
         if not c:
             continue
-        hat[i] += c * Fraction(n + 1) / tau
+        hat[i] += c * w
         if i >= 1:
             form[i - 1] += c * i * (n - i)
     return ProjElement(n, tuple(hat), tuple(form))

@@ -10,6 +10,7 @@ import pytest
 
 import grasshodge
 from grasshodge import cli, lefschetz, racah
+from grasshodge.chowring import ChowElement
 from grasshodge.cli import RunConfig, UsageError, emit_table, load_sequence, main
 
 
@@ -243,6 +244,47 @@ def test_fault_injection_engine(monkeypatch, capsys):
     code, out, _ = run_cli(capsys, "verify-ortho", "--T", "6")
     assert code == 1
     assert json.loads(out)["ok"] is False
+
+
+def test_fault_injection_correction_op(monkeypatch, capsys):
+    # one corrected coefficient off by 1 at N = 5: the direct pipeline must
+    # disagree with the closed form on exactly those rows
+    real = lefschetz.correction_op
+
+    def corrupted(x):
+        y = real(x)
+        if x.N != 5:
+            return y
+        terms = dict(y.terms)
+        top = max(terms)  # the top-row class s(5, b)
+        terms[top] += 1
+        return ChowElement(x.N, terms)
+
+    monkeypatch.setattr(lefschetz, "correction_op", corrupted)
+    code, out, err = run_cli(capsys, "verify-grassmannian", "--Nmax", "6", "--method", "both")
+    assert code == 1
+    rows = [json.loads(line) for line in out.splitlines()]
+    assert {r["N"] for r in rows if not r["agree"]} == {5}
+    assert all(not r["agree"] for r in rows if r["N"] == 5)
+    assert "FAILED" in err
+    code, _, _ = run_cli(capsys, "verify-grassmannian", "--Nmax", "6", "--method", "closed")
+    assert code == 0
+
+
+def test_table_racah_filters_match_full_table(capsys):
+    def table(T, *filters):
+        argv = ("table", "--kind", "racah", "--T", str(T), "--format", "csv")
+        _, out, _ = run_cli(capsys, *argv, *map(str, filters))
+        return out.splitlines()
+
+    for T in range(3, 13):
+        full = table(T)
+        row = {tuple(map(int, line.split(",")[:3])): line for line in full[1:]}
+        for n in (0, 1, T // 2, T - 1):
+            for s in (0, 2, T - 1):
+                assert table(T, "--n", n, "--s", s) == [full[0], row[(T, n, s)]]
+            assert table(T, "--n", n)[1:] == [row[(T, n, s)] for s in range(T)]
+        assert table(T, "--s", 1)[1:] == [row[(T, n, 1)] for n in range(T)]
 
 
 def test_emit_table_empty_rows_gives_header_only():

@@ -150,6 +150,22 @@ def test_verdict_single_pipeline():
     assert v.agree and w.agree  # vacuous for one pipeline
 
 
+def _exact(c):
+    # 0.5 == Fraction(1, 2), so value tests alone cannot see a float leak
+    return type(c) in (int, Fraction)
+
+
+def test_certificate_pipelines_never_give_floats():
+    for N in range(1, 13):
+        for k in range(N // 2 + 1):
+            inst = SigmaInstance(N, k)
+            alpha = primitive_class(N, k)
+            for r in range(2 * inst.n + 1):
+                corrected = correction_op(lefschetz_power(alpha, r))
+                assert all(_exact(c) for c in corrected.terms.values()), (N, k, r)
+            assert _exact(sigma_direct(inst)) and _exact(sigma_closed(inst)), (N, k)
+
+
 # --- projective-space model ---
 
 
@@ -194,3 +210,15 @@ def test_commutator_eigenvalues_by_hand():
         y = ProjElement.basis(n, "form", i)
         comm = proj_lower(proj_raise(y, tau), tau) - proj_raise(proj_lower(y, tau), tau)
         assert comm == y.scale(n + 1 - 2 * (i + 1))
+
+
+def test_proj_chains_never_give_floats():
+    for n in (1, 2, 5, 9):
+        tau = chain_constant(n)
+        for kind in ("hat", "form"):
+            for i in range(n + 1):
+                for step in (proj_raise, proj_lower):
+                    x = ProjElement.basis(n, kind, i)
+                    for _ in range(2 * n + 3):
+                        x = step(x, tau)
+                        assert all(_exact(c) for c in x.hat + x.form), (n, kind, i)
