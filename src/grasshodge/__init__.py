@@ -67,7 +67,6 @@ from .racah import (
     n_below_log,
     orthogonality_profile,
     racah_eval,
-    racah_top_product,
     rescale_factor,
 )
 

@@ -1,9 +1,10 @@
 """Command-line driver for the verification suites and scans.
 
 Every subcommand writes its report rows to standard out (JSON lines or CSV)
-and a one-line summary to standard error, then exits 0 when every check
-passed, 1 when some mathematical check failed, and 2 on a usage or parse
-error.  Reruns with the same flags and seed produce byte-identical output;
+as they are computed and a one-line summary to standard error, then exits 0
+when every check passed, 1 when some mathematical check failed, and 2 on a
+usage or parse error.  Usage errors are found before the first byte of
+output.  Reruns with the same flags and seed produce byte-identical output;
 anything timing-dependent goes to standard error only.
 """
 
@@ -13,9 +14,8 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass, fields as dataclass_fields
 from fractions import Fraction
-from typing import Callable, Iterator, TextIO
+from typing import Callable, Iterable, Iterator, TextIO
 
 from . import lefschetz, racah
 from .exactmath import (
@@ -29,31 +29,6 @@ from .exactmath import (
 
 class UsageError(Exception):
     """Bad flags, an infeasible range, or a malformed sequence file."""
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One parsed invocation; exactly one subcommand's fields are live."""
-
-    command: str
-    N: int | None = None
-    Nmin: int = 1
-    Nmax: int | None = None
-    k: int | None = None
-    k_set: tuple[int, ...] | None = None
-    T: int | None = None
-    Tmin: int | None = None
-    Tmax: int | None = None
-    n: int | None = None
-    s: int | None = None
-    nmin: int = 1
-    nmax: int | None = None
-    method: str = "closed"
-    sequence_source: str = "harmonic"
-    output_format: str = "json"
-    jobs: int | None = None
-    seed: int = 0
-    kind: str | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -71,12 +46,13 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def emit_table(rows: list[dict], columns: list[str], fmt: str, out: TextIO) -> None:
+def emit_table(rows: Iterable[dict], columns: list[str], fmt: str, out: TextIO) -> None:
     """Write homogeneous rows in the fixed column order, as CSV or JSON lines.
 
-    CSV always starts with the header row, so an empty row set still emits
-    one line.  Rationals are expected to arrive already serialized as "p/q"
-    strings, with any decimal companion in its own column.
+    Each row is written as soon as the iterable yields it.  CSV always
+    starts with the header row, so an empty row set still emits one line.
+    Rationals are expected to arrive already serialized as "p/q" strings,
+    with any decimal companion in its own column.
     """
     if fmt == "csv":
         writer = csv.writer(out, lineterminator="\n")
@@ -92,6 +68,26 @@ def emit_table(rows: list[dict], columns: list[str], fmt: str, out: TextIO) -> N
             out.write(json.dumps(ordered) + "\n")
     else:
         raise UsageError(f"unknown output format {fmt!r}")
+
+
+class _Tally:
+    """Pass rows through, counting them and checking each one on the way.
+
+    A report's summary line needs the row count and the overall verdict,
+    and with streamed rows both are known only after the last one is out.
+    """
+
+    def __init__(self, rows: Iterable[dict], passed: Callable[[dict], bool] = lambda row: True):
+        self._rows = rows
+        self._passed = passed
+        self.count = 0
+        self.ok = True
+
+    def __iter__(self) -> Iterator[dict]:
+        for row in self._rows:
+            self.count += 1
+            self.ok = self.ok and self._passed(row)
+            yield row
 
 
 def load_sequence(path: str) -> tuple[Fraction, ...]:
@@ -131,55 +127,50 @@ def _resolve_sequence(
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers.  Each returns True iff every check passed.
+# Subcommand handlers.  Each checks its arguments before writing anything,
+# streams its rows, and returns True iff every check passed.
 # ---------------------------------------------------------------------------
 
 
-def _sigma_rows(config: RunConfig) -> Iterator[tuple[lefschetz.SigmaVerdict, dict]]:
-    """Verdict and output row for each (N, k) in the range, in (N, k) order."""
-    if config.Nmax is None or not 1 <= config.Nmin <= config.Nmax:
+def _sigma_rows(args: argparse.Namespace) -> Iterator[dict]:
+    """Output row for each (N, k) in the range, in (N, k) order.
+
+    The range is checked on the call, before any row is computed.
+    """
+    if args.Nmax is None or not 1 <= args.Nmin <= args.Nmax:
         raise UsageError("need 1 <= Nmin <= Nmax")
-    for N in range(config.Nmin, config.Nmax + 1):
-        if config.k_set is None:
-            ks = range(N // 2 + 1)
-        else:
-            ks = [k for k in config.k_set if 2 * k <= N]
-        for k in ks:
-            verdict = lefschetz.sigma_verdict(
-                lefschetz.SigmaInstance(N, k), method=config.method
-            )
-            row = verdict.to_json_dict()
-            row["sigma_approx"] = decimal_approx(verdict.sigma)
-            yield verdict, row
+    verdicts = (
+        lefschetz.sigma_verdict(lefschetz.SigmaInstance(N, k), method=args.method)
+        for N in range(args.Nmin, args.Nmax + 1)
+        for k in range(N // 2 + 1)
+        if args.k_set is None or k in args.k_set
+    )
+    return ({**v.to_json_dict(), "sigma_approx": decimal_approx(v.sigma)} for v in verdicts)
 
 
-def cmd_verify_grassmannian(config: RunConfig, out: TextIO, err: TextIO) -> bool:
-    rows = []
-    ok = True
-    for verdict, row in _sigma_rows(config):
-        ok = ok and verdict.positive and verdict.agree
-        rows.append(row)
-    if not rows:
+def cmd_verify_grassmannian(args: argparse.Namespace, out: TextIO, err: TextIO) -> bool:
+    rows = _Tally(_sigma_rows(args), lambda row: row["positive"] and row["agree"])
+    # some N <= Nmax holds a k with 2k <= N exactly when the smallest k fits
+    if args.k_set is not None and 2 * min(args.k_set) > args.Nmax:
         raise UsageError("no (N, k) instances in the requested range")
     columns = ["N", "k", "n", "T", "sigma", "sigma_approx", "positive", "method", "agree"]
-    emit_table(rows, columns, config.output_format, out)
+    emit_table(rows, columns, args.output_format, out)
     print(
-        f"{len(rows)} certificates: " + ("all positive" if ok else "FAILED"),
+        f"{rows.count} certificates: " + ("all positive" if rows.ok else "FAILED"),
         file=err,
     )
-    return ok
+    return rows.ok
 
 
-def cmd_verify_pn(config: RunConfig, out: TextIO, err: TextIO) -> bool:
-    if config.nmax is None or not 1 <= config.nmin <= config.nmax:
+def cmd_verify_pn(args: argparse.Namespace, out: TextIO, err: TextIO) -> bool:
+    if args.nmax is None or not 1 <= args.nmin <= args.nmax:
         raise UsageError("need 1 <= nmin <= nmax")
-    rows = []
-    ok = True
-    for n in range(config.nmin, config.nmax + 1):
-        commutes = lefschetz.proj_commutator_check(n)
-        tau = lefschetz.chain_constant(n)
-        ok = ok and commutes and tau > 0
-        rows.append(
+    checks = (
+        (n, lefschetz.proj_commutator_check(n), lefschetz.chain_constant(n))
+        for n in range(args.nmin, args.nmax + 1)
+    )
+    rows = _Tally(
+        (
             {
                 "n": n,
                 "commutator_ok": commutes,
@@ -187,48 +178,53 @@ def cmd_verify_pn(config: RunConfig, out: TextIO, err: TextIO) -> bool:
                 "tau_approx": decimal_approx(tau),
                 "tau_positive": tau > 0,
             }
-        )
+            for n, commutes, tau in checks
+        ),
+        lambda row: row["commutator_ok"] and row["tau_positive"],
+    )
     columns = ["n", "commutator_ok", "tau", "tau_approx", "tau_positive"]
-    emit_table(rows, columns, config.output_format, out)
+    emit_table(rows, columns, args.output_format, out)
     print(
-        f"projective model n={config.nmin}..{config.nmax}: "
-        + ("all relations hold" if ok else "FAILED"),
+        f"projective model n={args.nmin}..{args.nmax}: "
+        + ("all relations hold" if rows.ok else "FAILED"),
         file=err,
     )
-    return ok
+    return rows.ok
 
 
-def cmd_verify_ortho(config: RunConfig, out: TextIO, err: TextIO) -> bool:
-    t_lo, t_hi = _t_range(config)
-    rows = []
-    ok = True
-    for T in range(t_lo, t_hi + 1):
-        pairs, good = racah.orthogonality_profile(T)
-        ok = ok and good
-        rows.append({"T": T, "pairs_checked": pairs, "ok": good})
-    emit_table(rows, ["T", "pairs_checked", "ok"], config.output_format, out)
+def cmd_verify_ortho(args: argparse.Namespace, out: TextIO, err: TextIO) -> bool:
+    t_lo, t_hi = _t_range(args)
+    profiles = ((T, *racah.orthogonality_profile(T)) for T in range(t_lo, t_hi + 1))
+    rows = _Tally(
+        ({"T": T, "pairs_checked": pairs, "ok": good} for T, pairs, good in profiles),
+        lambda row: row["ok"],
+    )
+    emit_table(rows, ["T", "pairs_checked", "ok"], args.output_format, out)
     print(
-        f"orthogonality T={t_lo}..{t_hi}: " + ("exact" if ok else "FAILED"),
+        f"orthogonality T={t_lo}..{t_hi}: " + ("exact" if rows.ok else "FAILED"),
         file=err,
     )
-    return ok
+    return rows.ok
 
 
-def cmd_verify_needed(config: RunConfig, out: TextIO, err: TextIO) -> bool:
-    if config.T is None or config.T < 3:
+def cmd_verify_needed(args: argparse.Namespace, out: TextIO, err: TextIO) -> bool:
+    if args.T is None or args.T < 3:
         raise UsageError("need --T at least 3")
-    values, label, seed = _resolve_sequence(config.sequence_source, config.T, config.seed)
-    verdicts = racah.certify_alternating_bound(values, config.T)
-    rows = []
-    ok = True
-    for v in verdicts:
-        ok = ok and v.inequality.holds
-        row = v.to_json_dict()
-        row["lhs_approx"] = decimal_approx(v.inequality.lhs)
-        row["rhs_approx"] = decimal_approx(v.inequality.rhs)
-        row["sequence"] = label
-        row["seed"] = seed
-        rows.append(row)
+    values, label, seed = _resolve_sequence(args.sequence_source, args.T, args.seed)
+    verdicts = racah.certify_alternating_bound(values, args.T)
+    rows = _Tally(
+        (
+            {
+                **v.to_json_dict(),
+                "lhs_approx": decimal_approx(v.inequality.lhs),
+                "rhs_approx": decimal_approx(v.inequality.rhs),
+                "sequence": label,
+                "seed": seed,
+            }
+            for v in verdicts
+        ),
+        lambda row: row["holds"],
+    )
     columns = [
         "T",
         "n",
@@ -243,22 +239,27 @@ def cmd_verify_needed(config: RunConfig, out: TextIO, err: TextIO) -> bool:
         "covered",
         "concave",
     ]
-    emit_table(rows, columns, config.output_format, out)
+    emit_table(rows, columns, args.output_format, out)
     concave = verdicts[0].concave if verdicts else True
     note = "" if concave else " (sequence not concave increasing: exploratory run)"
     print(
-        f"alternating bound T={config.T}, sequence={label}: "
-        + ("holds for all n" if ok else "FAILED")
+        f"alternating bound T={args.T}, sequence={label}: "
+        + ("holds for all n" if rows.ok else "FAILED")
         + note,
         file=err,
     )
-    return ok
+    return rows.ok
 
 
-def cmd_scan_bound(config: RunConfig, out: TextIO, err: TextIO) -> bool:
-    t_lo, t_hi = _t_range(config)
-    jobs = config.jobs if config.jobs is not None else racah.default_jobs()
-    if jobs < 1:
+def cmd_scan_bound(args: argparse.Namespace, out: TextIO, err: TextIO) -> bool:
+    t_lo, t_hi = _t_range(args)
+    jobs = args.jobs
+    if jobs is None:
+        try:
+            jobs = racah.default_jobs()
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
+    elif jobs < 1:
         raise UsageError("--jobs must be a positive integer")
     report = racah.bound_scan(t_lo, t_hi, jobs=jobs)
     out.write(json.dumps(report.to_json_dict(with_elapsed=False)) + "\n")
@@ -270,79 +271,71 @@ def cmd_scan_bound(config: RunConfig, out: TextIO, err: TextIO) -> bool:
     return report.ok
 
 
-def cmd_sigma(config: RunConfig, out: TextIO, err: TextIO) -> bool:
+def cmd_sigma(args: argparse.Namespace, out: TextIO, err: TextIO) -> bool:
     try:
-        inst = lefschetz.SigmaInstance(config.N, config.k)
+        inst = lefschetz.SigmaInstance(args.N, args.k)
     except (TypeError, ValueError) as exc:
         raise UsageError(str(exc)) from None
-    verdict = lefschetz.sigma_verdict(inst, method=config.method)
+    verdict = lefschetz.sigma_verdict(inst, method=args.method)
     d = verdict.to_json_dict()
     d["sigma_approx"] = decimal_approx(verdict.sigma)
     out.write(json.dumps(d, indent=2) + "\n")
     return verdict.positive and verdict.agree
 
 
-def cmd_table(config: RunConfig, out: TextIO, err: TextIO) -> bool:
-    if config.kind == "sigma":
-        rows = [row for _, row in _sigma_rows(config)]
+def _racah_rows(args: argparse.Namespace, t_lo: int, t_hi: int) -> Iterator[dict]:
+    """Rows of R_n(s, T) in (T, n, s) order, at every n and s or at the
+    selected one; the caller has checked the selection against T = t_lo."""
+    for T in range(t_lo, t_hi + 1):
+        n_vals = [args.n] if args.n is not None else range(T)
+        s_vals = [args.s] if args.s is not None else range(T)
+        # only the selected columns, each down to the largest selected row
+        n_max = max(n_vals)
+        columns = [(s, racah._racah_numerators(s, T, n_max)) for s in s_vals]
+        dens = racah._denominators(T, n_max)
+        for n in n_vals:
+            for s, column in columns:
+                value = Fraction(column[n], dens[n])
+                yield {
+                    "T": T,
+                    "n": n,
+                    "s": s,
+                    "value": format_rational(value),
+                    "value_approx": decimal_approx(value),
+                }
+
+
+def cmd_table(args: argparse.Namespace, out: TextIO, err: TextIO) -> bool:
+    if args.kind == "sigma":
+        rows = _Tally(_sigma_rows(args))
         columns = ["N", "k", "n", "T", "sigma", "sigma_approx", "positive"]
-        emit_table(rows, columns, config.output_format, out)
-        print(f"{len(rows)} rows", file=err)
-        return True
-    if config.kind == "racah":
-        t_lo, t_hi = _t_range(config)
-        rows = []
-        for T in range(t_lo, t_hi + 1):
-            if config.n is not None and not 0 <= config.n <= T - 1:
-                raise UsageError(f"need 0 <= n <= T-1, got n={config.n}, T={T}")
-            if config.s is not None and not 0 <= config.s <= T - 1:
-                raise UsageError(f"need 0 <= s <= T-1, got s={config.s}, T={T}")
-            n_vals = [config.n] if config.n is not None else range(T)
-            s_vals = [config.s] if config.s is not None else range(T)
-            # only the selected columns, each down to the largest selected row
-            n_max = max(n_vals)
-            columns = [(s, racah._racah_numerators(s, T, n_max)) for s in s_vals]
-            dens = racah._denominators(T, n_max)
-            for n in n_vals:
-                for s, column in columns:
-                    value = Fraction(column[n], dens[n])
-                    rows.append(
-                        {
-                            "T": T,
-                            "n": n,
-                            "s": s,
-                            "value": format_rational(value),
-                            "value_approx": decimal_approx(value),
-                        }
-                    )
-        emit_table(rows, ["T", "n", "s", "value", "value_approx"], config.output_format, out)
-        print(f"{len(rows)} rows", file=err)
-        return True
-    raise UsageError(f"unknown table kind {config.kind!r}")
-
-
-def _t_range(config: RunConfig) -> tuple[int, int]:
-    """Resolve --T / --Tmin / --Tmax into a validated inclusive range."""
-    if config.T is not None:
-        t_lo = t_hi = config.T
+    elif args.kind == "racah":
+        t_lo, t_hi = _t_range(args)
+        # the bound T-1 only grows with T, so the first T decides
+        if args.n is not None and not 0 <= args.n <= t_lo - 1:
+            raise UsageError(f"need 0 <= n <= T-1, got n={args.n}, T={t_lo}")
+        if args.s is not None and not 0 <= args.s <= t_lo - 1:
+            raise UsageError(f"need 0 <= s <= T-1, got s={args.s}, T={t_lo}")
+        rows = _Tally(_racah_rows(args, t_lo, t_hi))
+        columns = ["T", "n", "s", "value", "value_approx"]
     else:
-        if config.Tmin is None or config.Tmax is None:
+        raise UsageError(f"unknown table kind {args.kind!r}")
+    emit_table(rows, columns, args.output_format, out)
+    print(f"{rows.count} rows", file=err)
+    return True
+
+
+def _t_range(args: argparse.Namespace) -> tuple[int, int]:
+    """Resolve --T / --Tmin / --Tmax into a validated inclusive range."""
+    if args.T is not None:
+        t_lo = t_hi = args.T
+    else:
+        if args.Tmin is None or args.Tmax is None:
             raise UsageError("need --T, or both --Tmin and --Tmax")
-        t_lo, t_hi = config.Tmin, config.Tmax
+        t_lo, t_hi = args.Tmin, args.Tmax
     if not 3 <= t_lo <= t_hi:
         raise UsageError(f"need 3 <= Tmin <= Tmax, got {t_lo}..{t_hi}")
     return t_lo, t_hi
-
-
-_HANDLERS: dict[str, Callable[[RunConfig, TextIO, TextIO], bool]] = {
-    "verify-grassmannian": cmd_verify_grassmannian,
-    "verify-pn": cmd_verify_pn,
-    "verify-ortho": cmd_verify_ortho,
-    "verify-needed": cmd_verify_needed,
-    "scan-bound": cmd_scan_bound,
-    "sigma": cmd_sigma,
-    "table": cmd_table,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -383,6 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
         "verify-grassmannian",
         help="certificate positivity over a range of Grassmannians",
     )
+    p.set_defaults(handler=cmd_verify_grassmannian)
     p.add_argument("--Nmax", type=int, required=True)
     p.add_argument("--Nmin", type=int, default=1)
     p.add_argument(
@@ -396,11 +390,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format_flag(p)
 
     p = sub.add_parser("verify-pn", help="projective-space model relations")
+    p.set_defaults(handler=cmd_verify_pn)
     p.add_argument("--nmax", type=int, required=True)
     p.add_argument("--nmin", type=int, default=1)
     _add_format_flag(p)
 
     p = sub.add_parser("verify-ortho", help="weighted orthogonality of the R rows")
+    p.set_defaults(handler=cmd_verify_ortho)
     p.add_argument("--T", type=int, default=None)
     p.add_argument("--Tmin", type=int, default=None)
     p.add_argument("--Tmax", type=int, default=None)
@@ -410,6 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
         "verify-needed",
         help="alternating bound for a concave sequence, all n at one T",
     )
+    p.set_defaults(handler=cmd_verify_needed)
     p.add_argument("--T", type=int, required=True)
     p.add_argument(
         "--sequence",
@@ -421,6 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format_flag(p)
 
     p = sub.add_parser("scan-bound", help="scan |R_n(s,T)| <= 1 over a T range")
+    p.set_defaults(handler=cmd_scan_bound)
     p.add_argument("--T", type=int, default=None)
     p.add_argument("--Tmin", type=int, default=None)
     p.add_argument("--Tmax", type=int, default=None)
@@ -432,11 +430,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser("sigma", help="one certificate value, exact")
+    p.set_defaults(handler=cmd_sigma)
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--method", choices=("direct", "closed", "both"), default="both")
 
     p = sub.add_parser("table", help="plot-ready value tables")
+    p.set_defaults(handler=cmd_table)
     p.add_argument("--kind", choices=("sigma", "racah"), required=True)
     p.add_argument("--Nmax", type=int, default=None)
     p.add_argument("--Nmin", type=int, default=1)
@@ -452,18 +452,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    pairs = {
-        f.name: getattr(args, f.name, f.default) for f in dataclass_fields(RunConfig)
-    }
-    return RunConfig(**pairs)
-
-
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    config = config_from_args(args)
     try:
-        ok = _HANDLERS[config.command](config, sys.stdout, sys.stderr)
+        ok = args.handler(args, sys.stdout, sys.stderr)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

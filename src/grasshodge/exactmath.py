@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 import random
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -17,6 +16,7 @@ from typing import Sequence
 __all__ = [
     "binomial",
     "harmonic",
+    "harmonic_numerators",
     "harmonic_sum",
     "validate_concave",
     "ConcaveSequence",
@@ -43,31 +43,31 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-# Harmonic numbers are requested constantly and grow one term at a time, so
-# the cache is a prefix list extended under a lock (each worker process gets
-# its own copy).
-_harmonic_values = [_ZERO]
-_harmonic_lock = threading.Lock()
+def harmonic_numerators(m: int) -> tuple[int, list[int]]:
+    """L = lcm(1, ..., m) and the integers [L H_0, ..., L H_m].
+
+    Every harmonic number H_i with i <= m is the integer L H_i over L, so
+    sums of them stay in integers until one final division.
+    """
+    if m < 0:
+        raise ValueError(f"harmonic numbers need m >= 0, got {m}")
+    L = math.lcm(*range(1, m + 1))
+    h = [0]
+    for j in range(1, m + 1):
+        h.append(h[-1] + L // j)
+    return L, h
 
 
 def harmonic(k: int) -> Fraction:
     """k-th harmonic number 1 + 1/2 + ... + 1/k, with harmonic(0) = 0."""
-    if k < 0:
-        raise ValueError(f"harmonic needs k >= 0, got {k}")
-    if k >= len(_harmonic_values):
-        with _harmonic_lock:
-            while len(_harmonic_values) <= k:
-                j = len(_harmonic_values)
-                _harmonic_values.append(_harmonic_values[-1] + Fraction(1, j))
-    return _harmonic_values[k]
+    L, h = harmonic_numerators(k)
+    return Fraction(h[k], L)
 
 
 def harmonic_sum(n: int) -> Fraction:
     """Sum of the first n harmonic numbers, harmonic(1) + ... + harmonic(n)."""
-    if n < 0:
-        raise ValueError(f"harmonic_sum needs n >= 0, got {n}")
-    harmonic(n)
-    return sum(_harmonic_values[1 : n + 1], _ZERO)
+    L, h = harmonic_numerators(n)
+    return Fraction(sum(h), L)
 
 
 def validate_concave(values: Sequence[Fraction]) -> bool:
@@ -115,7 +115,8 @@ class ConcaveSequence:
 
     @classmethod
     def harmonic(cls, m: int) -> "ConcaveSequence":
-        return cls(tuple(harmonic(k) for k in range(1, m + 1)))
+        L, h = harmonic_numerators(m)
+        return cls(tuple(Fraction(v, L) for v in h[1:]))
 
 
 def random_concave(m: int, seed: int) -> ConcaveSequence:

@@ -13,7 +13,6 @@ that pins down the correction in the simplest case.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -24,7 +23,7 @@ from .chowring import (
     lefschetz_power,
     primitive_class,
 )
-from .exactmath import binomial, format_rational, harmonic, harmonic_sum
+from .exactmath import binomial, format_rational, harmonic_numerators, harmonic_sum
 
 _ZERO = Fraction(0)
 
@@ -67,10 +66,7 @@ def correction_op(x: ChowElement) -> ChowElement:
     one Fraction over L at the end.
     """
     N = x.N
-    L = math.lcm(*range(1, N + 2))
-    h = [0]  # h[i] = L H_i
-    for j in range(1, N + 2):
-        h.append(h[-1] + L // j)
+    L, h = harmonic_numerators(N + 1)  # h[i] = L H_i
     column_sum = sum(h)
     acc: dict[Partition2, int | Fraction] = {}
     for (a, b), c in x.terms.items():
@@ -93,15 +89,6 @@ def sigma_direct(inst: SigmaInstance) -> Fraction:
         right = correction_op(lefschetz_power(alpha, n + b))
         total += intersection_pairing(left, right)
     return total
-
-
-def top_coefficient(N: int, k: int, b: int) -> int:
-    """Coefficient of the top-row class s(N, b) in the raised primitive class.
-
-    Closed form C(N+1-b, 2k+1) * C(N-2k+b, N-2k); summing over b gives
-    C(2N-2k+2, N+2).
-    """
-    return binomial(N + 1 - b, 2 * k + 1) * binomial(N - 2 * k + b, N - 2 * k)
 
 
 def principal_weight(n: int, T: int) -> int:
@@ -132,45 +119,12 @@ def correction_weight(n: int, T: int, i: int) -> int:
     return total
 
 
-def _overlap_sum(N: int, k: int, b: int, i: int) -> int:
-    """Alternating overlap of the raised primitive class with the staircase.
-
-    This is sum_j (-1)^j C(N+1-j, N-2k) C(N-2k+j, N-2k) C(N-2k-b, i-j); it is
-    antisymmetric under i -> N-b+1-i, which makes the middle term vanish when
-    N - b is odd.
-    """
-    n = N - 2 * k
-    total = 0
-    for j in range(0, 2 * k + 2):
-        total += (
-            (-1) ** j
-            * binomial(N + 1 - j, n)
-            * binomial(n + j, n)
-            * binomial(n - b, i - j)
-        )
-    return total
-
-
-def correction_weight_box(N: int, k: int, i: int) -> int:
-    """Correction weight in box coordinates, as the double sum over (j, b).
-
-    Slower than correction_weight but independent of it; the two must agree
-    on every instance.
-    """
-    n = N - 2 * k
-    return sum(
-        top_coefficient(N, k, b) * _overlap_sum(N, k, b, i) for b in range(n + 1)
-    )
-
-
 def sigma_closed(inst: SigmaInstance) -> Fraction:
     """Certificate from the closed form: weighted harmonic sums only."""
     n, T = inst.n, inst.T
     a = principal_weight(n, T)
-    total = _ZERO
-    for i in range(1, T):
-        total += (a + correction_weight(n, T, i)) * harmonic(i)
-    return total
+    L, h = harmonic_numerators(T - 1)  # h[i] = L H_i
+    return Fraction(sum((a + correction_weight(n, T, i)) * h[i] for i in range(1, T)), L)
 
 
 @dataclass(frozen=True)

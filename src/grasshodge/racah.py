@@ -109,15 +109,6 @@ def _full_int_table(T: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...
     return tuple(zip(*columns)), tuple(_denominators(T, T - 1))
 
 
-def racah_top_product(s: int, T: int) -> Fraction:
-    """Closed product form of the top row: R_(T-1)(s, T) as a telescoping
-    product of (j - T)/(j + T) for j = 1..s."""
-    out = _ONE
-    for j in range(1, s + 1):
-        out *= Fraction(j - T, j + T)
-    return out
-
-
 def orthogonality_profile(T: int) -> tuple[int, bool]:
     """Weighted orthogonality of every unordered row pair n <= m at one T.
 
@@ -414,16 +405,20 @@ def _scan_one_T(T: int) -> tuple[int, list, list, int]:
 
 
 def default_jobs() -> int:
-    """Worker count: the jobs environment variable, else the CPU count."""
+    """Worker count: the jobs environment variable, else the CPU count.
+
+    A variable that is set but not a positive integer raises ValueError.
+    """
     env = os.environ.get(JOBS_ENV_VAR, "")
-    if env.strip():
-        try:
-            jobs = int(env)
-        except ValueError as exc:
-            raise ValueError(f"{JOBS_ENV_VAR} must be an integer, got {env!r}") from exc
-        if jobs >= 1:
-            return jobs
-    return os.cpu_count() or 1
+    if not env.strip():
+        return os.cpu_count() or 1
+    try:
+        jobs = int(env)
+    except ValueError:
+        jobs = None
+    if jobs is None or jobs < 1:
+        raise ValueError(f"{JOBS_ENV_VAR} must be a positive integer, got {env!r}")
+    return jobs
 
 
 def bound_scan(T_min: int, T_max: int, jobs: int | None = None) -> ScanReport:

@@ -3,12 +3,14 @@
 Each function here is the slow, definitional form of something the library
 computes by a faster route: the terminating 4F3 sum behind R_n(s, T), the
 pairwise orthogonality sums and the single-degree inequalities built on it,
-and the coefficient recurrence of the Legendre polynomials.
+the top-row product of R, the coefficient recurrence of the Legendre
+polynomials, and the box-coordinate double sum behind the correction weights
+of the closed certificate.
 """
 
 from fractions import Fraction
 
-from grasshodge.exactmath import exp_compare
+from grasshodge.exactmath import binomial, exp_compare
 from grasshodge.racah import Inequality
 
 
@@ -83,3 +85,50 @@ def legendre_coeffs(n):
             nxt[idx] -= Fraction(m, m + 1) * c
         prev, cur = cur, nxt
     return cur
+
+
+def racah_top_product(s, T):
+    """Closed product form of the top row: R_(T-1)(s, T) as a telescoping
+    product of (j - T)/(j + T) for j = 1..s."""
+    out = Fraction(1)
+    for j in range(1, s + 1):
+        out *= Fraction(j - T, j + T)
+    return out
+
+
+def top_coefficient(N, k, b):
+    """Coefficient of the top-row class s(N, b) in the raised primitive class.
+
+    Closed form C(N+1-b, 2k+1) * C(N-2k+b, N-2k); summing over b gives
+    C(2N-2k+2, N+2).
+    """
+    return binomial(N + 1 - b, 2 * k + 1) * binomial(N - 2 * k + b, N - 2 * k)
+
+
+def overlap_sum(N, k, b, i):
+    """Alternating overlap of the raised primitive class with the staircase.
+
+    This is sum_j (-1)^j C(N+1-j, N-2k) C(N-2k+j, N-2k) C(N-2k-b, i-j); it is
+    antisymmetric under i -> N-b+1-i, which makes the middle term vanish when
+    N - b is odd.
+    """
+    n = N - 2 * k
+    total = 0
+    for j in range(0, 2 * k + 2):
+        total += (
+            (-1) ** j
+            * binomial(N + 1 - j, n)
+            * binomial(n + j, n)
+            * binomial(n - b, i - j)
+        )
+    return total
+
+
+def correction_weight_box(N, k, i):
+    """Correction weight in box coordinates, as the double sum over (j, b).
+
+    Slower than correction_weight but independent of it; the two must agree
+    on every instance.
+    """
+    n = N - 2 * k
+    return sum(top_coefficient(N, k, b) * overlap_sum(N, k, b, i) for b in range(n + 1))

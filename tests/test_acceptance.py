@@ -23,7 +23,6 @@ from grasshodge.lefschetz import (
     proj_commutator_check,
     sigma_closed,
     sigma_direct,
-    top_coefficient,
 )
 from grasshodge.racah import (
     alternating_profile,
@@ -32,12 +31,11 @@ from grasshodge.racah import (
     legendre_window_checks,
     orthogonality_profile,
     racah_eval,
-    racah_top_product,
     rescale_factor,
     rescaled_values,
     lattice_node,
 )
-from oracles import racah_sum
+from oracles import racah_sum, racah_top_product, top_coefficient
 
 
 def _report(num: int, text: str) -> None:

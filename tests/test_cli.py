@@ -1,8 +1,10 @@
+import contextlib
 import io
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,7 +13,7 @@ import pytest
 import grasshodge
 from grasshodge import cli, lefschetz, racah
 from grasshodge.chowring import ChowElement
-from grasshodge.cli import RunConfig, UsageError, emit_table, load_sequence, main
+from grasshodge.cli import UsageError, emit_table, load_sequence, main
 
 
 def run_cli(capsys, *argv):
@@ -170,11 +172,35 @@ def test_table_out_of_range_filter(capsys):
 
 
 def test_infeasible_ranges(capsys):
-    assert run_cli(capsys, "scan-bound", "--Tmin", "9", "--Tmax", "3")[0] == 2
-    assert run_cli(capsys, "scan-bound", "--Tmin", "2", "--Tmax", "5")[0] == 2
-    assert run_cli(capsys, "verify-grassmannian", "--Nmax", "0")[0] == 2
-    assert run_cli(capsys, "verify-needed", "--T", "2")[0] == 2
-    assert run_cli(capsys, "verify-ortho", "--Tmax", "9")[0] == 2  # Tmin missing
+    cases = [
+        ("scan-bound", "--Tmin", "9", "--Tmax", "3"),
+        ("scan-bound", "--Tmin", "2", "--Tmax", "5"),
+        ("verify-grassmannian", "--Nmax", "0"),
+        ("verify-needed", "--T", "2"),
+        ("verify-ortho", "--Tmax", "9"),  # Tmin missing
+        # rows stream, so each of these must be caught before the CSV header
+        ("table", "--kind", "sigma", "--Nmax", "0"),
+        ("verify-grassmannian", "--Nmax", "4", "--kset", "3"),
+        ("table", "--kind", "racah", "--Tmin", "3", "--Tmax", "9", "--n", "5"),
+    ]
+    for argv in cases:
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: "), argv
+
+
+def test_table_rows_stream():
+    # the whole T 3..40 table held as rows peaks near 7 MB traced; written
+    # as computed, only one T's columns are alive at a time
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        tracemalloc.start()
+        try:
+            code = main(["table", "--kind", "racah", "--Tmin", "3", "--Tmax", "40"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert code == 0
+    assert peak < 2 * 2**20
 
 
 def test_usage_error_from_argparse():
@@ -318,11 +344,20 @@ def test_load_sequence_blank_lines_ok(tmp_path):
 def test_default_jobs_env_override(monkeypatch):
     monkeypatch.setenv(racah.JOBS_ENV_VAR, "3")
     assert racah.default_jobs() == 3
-    monkeypatch.setenv(racah.JOBS_ENV_VAR, "zero?")
-    with pytest.raises(ValueError):
-        racah.default_jobs()
+    for bad in ("zero?", "0", "-3"):
+        monkeypatch.setenv(racah.JOBS_ENV_VAR, bad)
+        with pytest.raises(ValueError):
+            racah.default_jobs()
     monkeypatch.delenv(racah.JOBS_ENV_VAR)
     assert racah.default_jobs() >= 1
+
+
+def test_scan_bound_rejects_bad_jobs_env(monkeypatch, capsys):
+    for value in ("abc", "0"):
+        monkeypatch.setenv(racah.JOBS_ENV_VAR, value)
+        code, out, err = run_cli(capsys, "scan-bound", "--T", "5")
+        assert (code, out) == (2, "")
+        assert err == f"error: {racah.JOBS_ENV_VAR} must be a positive integer, got {value!r}\n"
 
 
 def test_module_entry_point_runs():
@@ -339,7 +374,12 @@ def test_module_entry_point_runs():
     assert json.loads(proc.stdout)["sigma"] == "3"
 
 
-def test_run_config_is_plain_data():
-    config = RunConfig(command="sigma", N=2, k=1)
-    assert config.method == "closed"
-    assert config.output_format == "json"
+def test_parser_owns_the_defaults(capsys):
+    code, out, _ = run_cli(capsys, "sigma", "--N", "6", "--k", "1")
+    assert code == 0 and json.loads(out)["method"] == "both"
+    code, out, _ = run_cli(capsys, "table", "--kind", "sigma", "--Nmax", "2")
+    assert code == 0 and out.splitlines()[0] == "N,k,n,T,sigma,sigma_approx,positive"
+    code, out, _ = run_cli(capsys, "verify-grassmannian", "--Nmax", "2")
+    rows = [json.loads(line) for line in out.splitlines()]
+    assert code == 0 and len(rows) == 3
+    assert all(row["method"] == "closed" for row in rows)

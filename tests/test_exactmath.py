@@ -11,6 +11,7 @@ from grasshodge.exactmath import (
     exp_compare,
     format_rational,
     harmonic,
+    harmonic_numerators,
     harmonic_sum,
     parse_rational,
     random_concave,
@@ -56,9 +57,11 @@ def test_harmonic_values():
     assert harmonic(0) == 0
     assert harmonic(1) == 1
     assert harmonic(4) == Fraction(25, 12)
-    # cache grows incrementally; a later call must not disturb earlier values
     assert harmonic(30) > harmonic(29)
-    assert harmonic(4) == Fraction(25, 12)
+    assert harmonic_numerators(4) == (12, [0, 12, 18, 22, 25])
+    assert harmonic_numerators(0) == (1, [0])
+    with pytest.raises(ValueError):
+        harmonic(-1)
 
 
 def test_harmonic_sum_is_prefix_sum():
@@ -73,7 +76,7 @@ def test_harmonic_recurrence(k):
 
 
 def test_harmonic_recurrence_deep():
-    # the shared cache must stay exact well past toy sizes
+    # exact well past toy sizes
     assert harmonic(10_000) - harmonic(9_999) == Fraction(1, 10_000)
 
 

@@ -17,7 +17,6 @@ from grasshodge.racah import (
     n_below_log,
     orthogonality_profile,
     racah_eval,
-    racah_top_product,
     rescale_factor,
     rescaled_values,
 )
@@ -28,6 +27,7 @@ from oracles import (
     legendre_coeffs,
     orthogonality_check,
     racah_sum,
+    racah_top_product,
 )
 
 
