@@ -22,7 +22,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from math import cos, lcm, pi, sin, sqrt
+from math import cos, gcd, lcm, pi, sin, sqrt
 
 from .exactmath import (
     ConcaveSequence,
@@ -109,6 +109,19 @@ def _full_int_table(T: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...
     return tuple(zip(*columns)), tuple(_denominators(T, T - 1))
 
 
+def _content_reduced_table(T: int) -> tuple[list[list[int]], list[int]]:
+    """_full_int_table(T) with each row and its D_n divided by
+    g_n = gcd(D_n, num_n(0..T-1)); g_n > 0 because D_n != 0, so every value
+    num_n(s) / D_n and the sign of D_n are unchanged.  Each unreduced row is
+    released as its replacement is stored."""
+    rows, dens = map(list, _full_int_table(T))
+    for n, row in enumerate(rows):
+        g = gcd(dens[n], *row)
+        rows[n] = [a // g for a in row]
+        dens[n] //= g
+    return rows, dens
+
+
 def orthogonality_profile(T: int) -> tuple[int, bool]:
     """Weighted orthogonality of every unordered row pair n <= m at one T.
 
@@ -117,23 +130,28 @@ def orthogonality_profile(T: int) -> tuple[int, bool]:
     identity: sum_s (2s+1) num_n num_m times (2n+1) must equal T^2 D_n^2 on
     the diagonal and 0 off it.  Returns the pair count and whether every
     pair matched.
+
+    The identities run on the content-reduced table: an off-diagonal sum
+    shrinks by g_n g_m and both sides of a diagonal identity by g_n^2, so
+    every verdict is unchanged, while the T^3/2 products of the pair sums
+    run on numbers a fraction of the size (at T = 100, n = 99, D_n drops
+    from 2268 to 195 bits).
     """
     if T < 3:
         raise ValueError(f"need T >= 3, got {T}")
-    rows, dens = _full_int_table(T)
-    weights = [2 * s + 1 for s in range(T)]
+    rows, dens = _content_reduced_table(T)
     pairs = 0
     ok = True
     T2 = T * T
-    for n in range(T):
-        for m in range(n, T):
-            total = sum(w * a * b for w, a, b in zip(weights, rows[n], rows[m]))
-            pairs += 1
-            if n == m:
-                if total * (2 * n + 1) != T2 * dens[n] * dens[n]:
-                    ok = False
-            elif total != 0:
+    for n, row in enumerate(rows):
+        weighted = [(2 * s + 1) * a for s, a in enumerate(row)]
+        diagonal = sum(map(int.__mul__, weighted, row))
+        if diagonal * (2 * n + 1) != T2 * dens[n] * dens[n]:
+            ok = False
+        for m in range(n + 1, T):
+            if sum(map(int.__mul__, weighted, rows[m])):
                 ok = False
+        pairs += T - n
     return pairs, ok
 
 

@@ -272,6 +272,36 @@ def test_fault_injection_engine(monkeypatch, capsys):
     assert json.loads(out)["ok"] is False
 
 
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        # one interior numerator off by 1: breaks the factor g_20
+        lambda s, num: num + 1 if s == 17 else num,
+        # one numerator negated: every diagonal identity still holds
+        lambda s, num: -num if s == 17 else num,
+        # the whole row doubled: every off-diagonal sum is still 0
+        lambda s, num: 2 * num,
+    ],
+    ids=["plus-one", "negated", "row-doubled"],
+)
+def test_fault_injection_engine_reduced_rows(monkeypatch, capsys, corrupt):
+    # at T = 40 row 20 shares a 287-bit factor g_20 with D_20; a corrupted
+    # row 20 must still fail the profile on content-reduced rows
+    real = racah._racah_numerators
+
+    def corrupted(s, T, n_max):
+        nums = real(s, T, n_max)
+        if T == 40 and n_max >= 20:
+            nums[20] = corrupt(s, nums[20])
+        return nums
+
+    monkeypatch.setattr(racah, "_racah_numerators", corrupted)
+    assert racah.orthogonality_profile(40) == (820, False)
+    code, out, _ = run_cli(capsys, "verify-ortho", "--T", "40")
+    assert code == 1
+    assert json.loads(out)["ok"] is False
+
+
 def test_fault_injection_correction_op(monkeypatch, capsys):
     # one corrected coefficient off by 1 at N = 5: the direct pipeline must
     # disagree with the closed form on exactly those rows

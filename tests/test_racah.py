@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from grasshodge.exactmath import ConcaveSequence, random_concave
 from grasshodge.racah import (
     WindowSamples,
+    _content_reduced_table,
     _full_int_table,
     alternating_profile,
     bound_scan,
@@ -102,6 +104,21 @@ def test_orthogonality_profile_matches_pairwise():
         for n in range(T):
             for m in range(n, T):
                 assert orthogonality_check(T, n, m)[1]
+
+
+def test_content_reduced_table_keeps_every_value():
+    # the division by g_n is exact, keeps the sign of D_n and leaves rows
+    # with no common factor; the profile on the reduced rows still passes
+    for T in range(3, 31):
+        rows, dens = _full_int_table(T)
+        reduced, reduced_dens = _content_reduced_table(T)
+        for n in range(T):
+            assert reduced_dens[n] * dens[n] > 0
+            assert gcd(reduced_dens[n], *reduced[n]) == 1
+            assert [Fraction(a, reduced_dens[n]) for a in reduced[n]] == [
+                Fraction(a, dens[n]) for a in rows[n]
+            ]
+        assert orthogonality_profile(T) == (T * (T + 1) // 2, True)
 
 
 # --- scan ---
