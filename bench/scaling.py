@@ -1,0 +1,72 @@
+"""Serial scaling series for the certificate layers, one fresh process per size.
+
+    python3 bench/scaling.py [--src DIR]
+
+Times `sigma_direct` over every k of one N at N = 30, 60, 90, 120 and
+`primitive_profile(N)` at N = 12, 24, 36, each size in its own Python
+process with DIR (default: this checkout's src) first on sys.path and the
+import left out of the timing, and keeps the best of REPEAT runs.  Prints
+one JSON object: per layer the seconds per size and the least-squares slope
+of log(seconds) against log(N), fitted by perfbench's `log_log_slope`.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+sys.path.insert(0, str(ROOT / "perfbench"))
+from measure import log_log_slope  # noqa: E402
+
+REPEAT = 3
+LAYERS = {
+    "sigma_direct_all_k": (
+        (30, 60, 90, 120),
+        "from grasshodge.lefschetz import SigmaInstance, sigma_direct",
+        "for k in range(N // 2 + 1): sigma_direct(SigmaInstance(N, k))",
+    ),
+    "primitive_profile": (
+        (12, 24, 36),
+        "from grasshodge.chowring import primitive_profile",
+        "primitive_profile(N)",
+    ),
+}
+CHILD = """import sys, time
+sys.path.insert(0, {src!r})
+{setup}
+N = {N}
+start = time.perf_counter()
+{stmt}
+print(time.perf_counter() - start)
+"""
+
+
+def seconds(src: str, N: int, setup: str, stmt: str) -> float:
+    code = CHILD.format(src=src, setup=setup, N=N, stmt=stmt)
+    out = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True, text=True)
+    return float(out.stdout)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", default=str(SRC))
+    args = parser.parse_args(argv)
+    out = {}
+    for layer, (sizes, setup, stmt) in LAYERS.items():
+        times = [min(seconds(args.src, N, setup, stmt) for _ in range(REPEAT)) for N in sizes]
+        out[layer] = {
+            "N": list(sizes),
+            "seconds": [round(t, 4) for t in times],
+            "exponent": round(log_log_slope(dict(zip(sizes, times))), 2),
+        }
+    print(json.dumps(out))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -19,7 +19,6 @@ from .chowring import (
     primitive_class,
     primitive_profile,
     schubert,
-    skew_syt_count,
 )
 from .exactmath import (
     ConcaveSequence,

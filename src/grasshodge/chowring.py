@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial, gcd
 
 from .exactmath import binomial
 
@@ -128,26 +128,14 @@ def lefschetz_op(x: ChowElement) -> ChowElement:
     return ChowElement(x.N, acc)
 
 
-def skew_syt_count(lam: Partition2, mu: Partition2) -> int:
-    """Number of standard tableaux of the two-row skew shape lam/mu.
-
-    Closed form: with m cells, C(m, lam1-mu1) - C(m, lam1-mu2+1), a ballot
-    count minus its reflected overcount.  The empty shape counts 1.
-    """
-    (l1, l2), (m1, m2) = lam, mu
-    if not (l1 >= l2 >= 0 and m1 >= m2 >= 0):
-        raise ValueError(f"{lam}/{mu}: arguments must be two-row partitions")
-    if l1 < m1 or l2 < m2:
-        raise ValueError(f"{lam}/{mu}: shapes are not nested")
-    size = (l1 + l2) - (m1 + m2)
-    return binomial(size, l1 - m1) - binomial(size, l1 - m2 + 1)
-
-
 def lefschetz_power(x: ChowElement, r: int) -> ChowElement:
     """r-fold hyperplane multiplication in a single closed-form pass.
 
-    The multiplicity of s(lam) in the r-th power applied to s(mu) is the
-    standard tableau count of the skew shape lam/mu, so the result is
+    The multiplicity of s(a, b) in the r-th power applied to s(m1, m2) is the
+    standard tableau count of the two-row skew shape (a, b)/(m1, m2), the
+    ballot count C(r, a-m1) - C(r, a-m2+1): all words of r row steps with a-m1
+    first-row steps, minus, by reflection, those whose second row overtakes.
+    Every count reads off one binomial row C(r, 0..N+1), so the result is
     assembled directly instead of iterating lefschetz_op r times.
     """
     if r < 0:
@@ -155,16 +143,17 @@ def lefschetz_power(x: ChowElement, r: int) -> ChowElement:
     if r == 0:
         return x
     N = x.N
+    row = [comb(r, j) for j in range(N + 2)]  # zero past j = r
     acc: dict[Partition2, int | Fraction] = {}
     for (m1, m2), c in x.terms.items():
         size = m1 + m2 + r
-        for b in range(m2, min(N, size // 2) + 1):
+        # in-box targets: m2 <= b <= a <= N with a = size - b >= m1
+        for b in range(max(m2, size - N), min(size // 2, m2 + r) + 1):
             a = size - b
-            if a < b or a > N or a < m1:
-                continue
-            f = skew_syt_count((a, b), (m1, m2))
+            f = row[a - m1] - row[a - m2 + 1]
             if f:
-                _insert(acc, N, a, b, c * f)
+                key = (a, b)
+                acc[key] = acc.get(key, 0) + c * f
     return ChowElement(N, acc)
 
 
@@ -186,15 +175,27 @@ def hodge_star(x: ChowElement) -> ChowElement:
 
 
 def intersection_pairing(x: ChowElement, y: ChowElement) -> int | Fraction:
-    """Poincare pairing: s(a,b) meets s(N-b, N-a) in a point, all else is 0."""
+    """Poincare pairing: s(a,b) meets s(N-b, N-a) in a point, all else is 0.
+
+    The products are summed as integers over a running lcm of their
+    denominators and one Fraction is built at the end.  The result is an int
+    when every paired coefficient is, as the plain sum would be.
+    """
     x._check_ring(y)
     N = x.N
-    total = 0
+    num, den, rational = 0, 1, False
     for (a, b), c in x.terms.items():
         d = y.terms.get((N - b, N - a))
-        if d is not None:
-            total += c * d
-    return total
+        if d is None:
+            continue
+        rational = rational or type(c) is not int or type(d) is not int
+        q = c.denominator * d.denominator
+        if den % q:
+            scale = q // gcd(den, q)
+            num *= scale
+            den *= scale
+        num += c.numerator * d.numerator * (den // q)
+    return Fraction(num, den) if rational else num
 
 
 def primitive_class(N: int, k: int) -> ChowElement:
@@ -223,12 +224,17 @@ def _nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
         if pivot_row is None:
             continue
         mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        inv = 1 / mat[r][c]
-        mat[r] = [v * inv for v in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [u - f * v for u, v in zip(mat[i], mat[r])]
+        pivot = mat[r]
+        inv = 1 / pivot[c]
+        # Pieri rows start with at most two nonzeros; skip the zero entries.
+        support = [j for j, v in enumerate(pivot) if v]
+        for j in support:
+            pivot[j] *= inv
+        for i, row in enumerate(mat):
+            f = row[c]
+            if i != r and f:
+                for j in support:
+                    row[j] -= f * pivot[j]
         pivots.append(c)
         r += 1
         if r == len(mat):

@@ -4,12 +4,14 @@ Each function here is the slow, definitional form of something the library
 computes by a faster route: the terminating 4F3 sum behind R_n(s, T), the
 pairwise orthogonality sums and the single-degree inequalities built on it,
 the top-row product of R, the coefficient recurrence of the Legendre
-polynomials, and the box-coordinate double sum behind the correction weights
-of the closed certificate.
+polynomials, the box-coordinate double sum behind the correction weights
+of the closed certificate, hyperplane powers as sums of validated skew
+tableau counts, and the Poincare pairing as a plain sum of products.
 """
 
 from fractions import Fraction
 
+from grasshodge.chowring import ChowElement
 from grasshodge.exactmath import binomial, exp_compare
 from grasshodge.racah import Inequality
 
@@ -132,3 +134,37 @@ def correction_weight_box(N, k, i):
     """
     n = N - 2 * k
     return sum(top_coefficient(N, k, b) * overlap_sum(N, k, b, i) for b in range(n + 1))
+
+
+def skew_syt_count(lam, mu):
+    """Number of standard tableaux of the two-row skew shape lam/mu.
+
+    Closed form: with m cells, C(m, lam1-mu1) - C(m, lam1-mu2+1), a ballot
+    count minus its reflected overcount.  The empty shape counts 1.
+    """
+    (l1, l2), (m1, m2) = lam, mu
+    if not (l1 >= l2 >= 0 and m1 >= m2 >= 0):
+        raise ValueError(f"{lam}/{mu}: arguments must be two-row partitions")
+    if l1 < m1 or l2 < m2:
+        raise ValueError(f"{lam}/{mu}: shapes are not nested")
+    size = (l1 + l2) - (m1 + m2)
+    return binomial(size, l1 - m1) - binomial(size, l1 - m2 + 1)
+
+
+def skew_count_power(x, r):
+    """r-th hyperplane power of x, one skew tableau count per pair of a
+    source class s(mu) and a target s(lam) of weight |mu| + r in the box."""
+    N, acc = x.N, {}
+    for mu, c in x.terms.items():
+        for l2 in range(N + 1):
+            lam = (mu[0] + mu[1] + r - l2, l2)
+            if N >= lam[0] >= l2 and lam[0] >= mu[0] and l2 >= mu[1]:
+                acc[lam] = acc.get(lam, 0) + c * skew_syt_count(lam, mu)
+    return ChowElement(N, acc)
+
+
+def naive_pairing(x, y):
+    """Poincare pairing as the plain sum of c * d over dual class pairs."""
+    N = x.N
+    return sum(c * y.coeff(N - b, N - a) for (a, b), c in x.terms.items()
+               if (N - b, N - a) in y.terms)

@@ -1,9 +1,12 @@
+import json
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations, permutations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from grasshodge import chowring
 from grasshodge.chowring import (
     ChowElement,
     betti,
@@ -16,9 +19,10 @@ from grasshodge.chowring import (
     primitive_class,
     primitive_profile,
     schubert,
-    skew_syt_count,
     zero,
 )
+from grasshodge.cli import main
+from oracles import naive_pairing, skew_count_power, skew_syt_count
 
 
 def _syt_oracle(lam, mu):
@@ -85,16 +89,6 @@ def test_pieri_on_basis():
     assert lefschetz_op(schubert(4, 4, 4)).is_zero()
 
 
-def test_lefschetz_power_matches_iterated_op():
-    for N in (2, 3, 4):
-        for (a, b) in box_partitions(N, 2):
-            x = schubert(N, a, b)
-            iterated = x
-            for r in range(5):
-                assert lefschetz_power(x, r).terms == iterated.terms
-                iterated = lefschetz_op(iterated)
-
-
 def test_lefschetz_power_matches_iterated_on_sparse_element():
     N = 12
     x = (
@@ -106,6 +100,27 @@ def test_lefschetz_power_matches_iterated_on_sparse_element():
     for r in range(2 * N + 1):
         assert lefschetz_power(x, r).terms == iterated.terms
         iterated = lefschetz_op(iterated)
+
+
+def _power_mismatches(Nmax):
+    """(N, class, r) where lefschetz_power differs from iterated lefschetz_op
+    or from the skew tableau count sum, over every Schubert class with
+    N <= Nmax and every r <= 2N+1."""
+    bad = []
+    for N in range(1, Nmax + 1):
+        for p in range(2 * N + 1):
+            for lam in box_partitions(N, p):
+                x = iterated = schubert(N, *lam)
+                for r in range(2 * N + 2):
+                    got = lefschetz_power(x, r).terms
+                    if got != iterated.terms or got != skew_count_power(x, r).terms:
+                        bad.append((N, lam, r))
+                    iterated = lefschetz_op(iterated)
+    return bad
+
+
+def test_lefschetz_power_matches_oracles():
+    assert _power_mismatches(10) == []
 
 
 @given(st.integers(1, 6), st.data())
@@ -173,6 +188,33 @@ def test_lefschetz_op_self_adjoint_for_pairing():
                     )
 
 
+_NONZERO = st.integers(-(10**30), 10**30).filter(bool)
+_COEFFS = {
+    "int": _NONZERO,
+    "fraction": st.builds(Fraction, _NONZERO, st.integers(1, 10**12)),
+}
+_COEFFS["mixed"] = st.one_of(_COEFFS["int"], _COEFFS["fraction"])
+
+
+@settings(max_examples=80)
+@given(st.integers(1, 8), st.data())
+def test_pairing_matches_naive_sum_in_value_and_type(N, data):
+    # every class of the two complementary degrees gets a nonzero
+    # coefficient, so every coefficient of x and y is paired
+    p = data.draw(st.integers(0, 2 * N))
+    classes = []
+    for q in (p, 2 * N - p):
+        kind = data.draw(st.sampled_from(sorted(_COEFFS)))
+        parts = box_partitions(N, q)
+        coeffs = data.draw(st.lists(_COEFFS[kind], min_size=len(parts), max_size=len(parts)))
+        classes.append(ChowElement(N, dict(zip(parts, coeffs))))
+    x, y = classes
+    got, want = intersection_pairing(x, y), naive_pairing(x, y)
+    assert got == want and type(got) is type(want)
+    integral = all(type(c) is int for z in classes for c in z.terms.values())
+    assert (type(got) is int) == integral
+
+
 def test_pairing_degree_mismatch_is_zero():
     assert intersection_pairing(schubert(3, 1, 0), schubert(3, 1, 0)) == 0
 
@@ -199,6 +241,44 @@ def test_kernel_dimensions():
         for p in range(N, 2 * N + 1):
             kern = lefschetz_kernel(N, p)
             assert len(kern) == betti(N, p) - betti(N, p + 1)
+
+
+def _det(m):
+    """Determinant by the Leibniz sum, exact for the tiny matrices here."""
+    total = 0
+    for perm in permutations(range(len(m))):
+        inversions = sum(perm[i] > perm[j] for i, j in combinations(range(len(m)), 2))
+        term = -1 if inversions % 2 else 1
+        for i, j in enumerate(perm):
+            term *= m[i][j]
+        total += term
+    return total
+
+
+@pytest.mark.parametrize(
+    "rows, nullity",
+    [
+        # non-unit pivots whose elimination fills in zero entries
+        ([[2, 4, 0, 1], [0, 3, 1, 0], [1, 0, 5, 2]], 1),
+        # the same with a dependent row appended
+        ([[2, 4, 0, 1], [0, 3, 1, 0], [1, 0, 5, 2], [2, 7, 1, 1]], 1),
+        # rank 2 with pivots 3 and 5 in five columns
+        ([[3, 6, 0, 2, 1], [6, 12, 5, 4, 2]], 3),
+    ],
+)
+def test_nullspace_with_non_unit_pivots(rows, nullity):
+    # Pieri matrices reduce with unit pivots only, so the pivot scaling of
+    # _nullspace is checked here on matrices that need it.
+    mat = [[Fraction(x) for x in row] for row in rows]
+    ncols = len(rows[0])
+    basis = chowring._nullspace(mat, ncols)
+    assert mat == [[Fraction(x) for x in row] for row in rows]  # input untouched
+    assert len(basis) == nullity
+    for v in basis:
+        assert all(type(x) is Fraction for x in v)
+        assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in rows)
+    gram = [[sum(a * b for a, b in zip(u, v)) for v in basis] for u in basis]
+    assert _det(gram) != 0
 
 
 def test_primitive_profile_shape():
@@ -239,3 +319,29 @@ def test_rational_steps_never_give_floats():
             for v in lefschetz_kernel(N, p):
                 assert all(_exact(c) for c in v.terms.values()), (N, p)
                 assert all(_exact(c) for c in hodge_star(v).terms.values()), (N, p)
+
+
+def _verify_grassmannian(capsys):
+    code = main(["verify-grassmannian", "--Nmax", "8", "--method", "both"])
+    rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    return code, rows
+
+
+def test_fault_injection_binomial_row(monkeypatch, capsys):
+    # every third power's binomial row reads C(3, 1) as 4: both the
+    # certificate cross-check and the power oracles must see it
+    real = chowring.comb
+    monkeypatch.setattr(chowring, "comb", lambda r, j: real(r, j) + (r == 3 and j == 1))
+    code, rows = _verify_grassmannian(capsys)
+    assert code == 1
+    assert any(not row["agree"] for row in rows)
+    assert _power_mismatches(10)
+
+
+def test_fault_injection_pairing_denominator(monkeypatch, capsys):
+    # the one Fraction each pairing builds gets its denominator off by 1
+    real = chowring.Fraction
+    monkeypatch.setattr(chowring, "Fraction", lambda num, den=1: real(num, den + 1))
+    code, rows = _verify_grassmannian(capsys)
+    assert code == 1
+    assert any(not row["agree"] for row in rows)

@@ -161,6 +161,8 @@ def test_certificate_pipelines_never_give_floats():
             for r in range(2 * inst.n + 1):
                 corrected = correction_op(lefschetz_power(alpha, r))
                 assert all(_exact(c) for c in corrected.terms.values()), (N, k, r)
+                lower = lefschetz_power(alpha, 2 * inst.n - r)
+                assert _exact(intersection_pairing(lower, corrected)), (N, k, r)
             assert _exact(sigma_direct(inst)) and _exact(sigma_closed(inst)), (N, k)
 
 
