@@ -1,13 +1,15 @@
-"""Serial scaling series for the certificate layers, one fresh process per size.
+"""Serial scaling series per library layer, one fresh process per size.
 
     python3 bench/scaling.py [--src DIR]
 
-Times `sigma_direct` over every k of one N at N = 30, 60, 90, 120 and
-`primitive_profile(N)` at N = 12, 24, 36, each size in its own Python
-process with DIR (default: this checkout's src) first on sys.path and the
-import left out of the timing, and keeps the best of REPEAT runs.  Prints
-one JSON object: per layer the seconds per size and the least-squares slope
-of log(seconds) against log(N), fitted by perfbench's `log_log_slope`.
+Times `sigma_direct` over every k of one N at N = 30, 60, 90, 120,
+`primitive_profile(N)` at N = 12, 24, 36, `sigma_closed` over every k of
+one N at N = 60, 120, 200 and `alternating_profile` of the harmonic
+sequence at T = 200, 400, each size in its own Python process with DIR
+(default: this checkout's src) first on sys.path and the import left out of
+the timing, and keeps the best of REPEAT runs.  Prints one JSON object: per
+layer the seconds per size and the least-squares slope of log(seconds)
+against log(size), fitted by perfbench's `log_log_slope`.
 """
 
 from __future__ import annotations
@@ -24,30 +26,46 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 from measure import log_log_slope  # noqa: E402
 
 REPEAT = 3
+# layer: (size variable, sizes, setup, statement)
 LAYERS = {
     "sigma_direct_all_k": (
+        "N",
         (30, 60, 90, 120),
         "from grasshodge.lefschetz import SigmaInstance, sigma_direct",
         "for k in range(N // 2 + 1): sigma_direct(SigmaInstance(N, k))",
     ),
     "primitive_profile": (
+        "N",
         (12, 24, 36),
         "from grasshodge.chowring import primitive_profile",
         "primitive_profile(N)",
+    ),
+    "sigma_closed_all_k": (
+        "N",
+        (60, 120, 200),
+        "from grasshodge.lefschetz import SigmaInstance, sigma_closed",
+        "for k in range(N // 2 + 1): sigma_closed(SigmaInstance(N, k))",
+    ),
+    "alternating_profile_harmonic": (
+        "T",
+        (200, 400),
+        "from grasshodge.exactmath import ConcaveSequence\n"
+        "from grasshodge.racah import alternating_profile",
+        "alternating_profile(ConcaveSequence.harmonic(T - 1), T)",
     ),
 }
 CHILD = """import sys, time
 sys.path.insert(0, {src!r})
 {setup}
-N = {N}
+{var} = {size}
 start = time.perf_counter()
 {stmt}
 print(time.perf_counter() - start)
 """
 
 
-def seconds(src: str, N: int, setup: str, stmt: str) -> float:
-    code = CHILD.format(src=src, setup=setup, N=N, stmt=stmt)
+def seconds(src: str, var: str, size: int, setup: str, stmt: str) -> float:
+    code = CHILD.format(src=src, setup=setup, var=var, size=size, stmt=stmt)
     out = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True, text=True)
     return float(out.stdout)
 
@@ -57,10 +75,12 @@ def main(argv=None) -> int:
     parser.add_argument("--src", default=str(SRC))
     args = parser.parse_args(argv)
     out = {}
-    for layer, (sizes, setup, stmt) in LAYERS.items():
-        times = [min(seconds(args.src, N, setup, stmt) for _ in range(REPEAT)) for N in sizes]
+    for layer, (var, sizes, setup, stmt) in LAYERS.items():
+        times = [
+            min(seconds(args.src, var, size, setup, stmt) for _ in range(REPEAT)) for size in sizes
+        ]
         out[layer] = {
-            "N": list(sizes),
+            var: list(sizes),
             "seconds": [round(t, 4) for t in times],
             "exponent": round(log_log_slope(dict(zip(sizes, times))), 2),
         }

@@ -38,7 +38,6 @@ from .lefschetz import (
     SigmaVerdict,
     chain_constant,
     correction_op,
-    correction_weight,
     principal_weight,
     proj_commutator_check,
     proj_lower,

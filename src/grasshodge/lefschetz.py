@@ -3,8 +3,10 @@
 The certificate for a box of width N and primitive codimension 2k is an
 exact rational assembled in two independent ways: directly, by pairing
 hyperplane powers of the primitive class through the correction operator,
-and in closed form, as a weighted sum of harmonic numbers.  Both pipelines
-live here; tests and the CLI compare them.
+and in closed form, as the principal weight times the margin of row
+n = N - 2k of the harmonic alternating inequality at T = N + 2, read off one
+Racah engine column.  The direct pipeline uses no Racah code, so the two
+stay independent; tests and the CLI compare them.
 
 The module also carries a small model of projective n-space with one extra
 archimedean piece per codimension, used to check the commutator identity
@@ -24,6 +26,7 @@ from .chowring import (
     primitive_class,
 )
 from .exactmath import binomial, format_rational, harmonic_numerators, harmonic_sum
+from .racah import _alternating_row_sum
 
 _ZERO = Fraction(0)
 
@@ -92,39 +95,20 @@ def sigma_direct(inst: SigmaInstance) -> Fraction:
 
 
 def principal_weight(n: int, T: int) -> int:
-    """Constant multiplying the plain harmonic sum in the closed certificate."""
+    """Constant multiplying the alternating-inequality margin in the closed
+    certificate."""
     return binomial(T - 1, n) * binomial(T + n, n)
 
 
-def correction_weight(n: int, T: int, i: int) -> int:
-    """Weight of H_i in the correction part of the closed certificate.
-
-    Single alternating sum in the (n, T) coordinates:
-
-        sum_j (-1)^j C(n+j, n) C(T-1-j, n) C(T-1-n+i-j, i-j) C(T+n, n-i+j).
-
-    Well defined for any 0 <= n <= T - 1, not only the box parities.
-    """
-    if not (0 <= n <= T - 1 and 1 <= i <= T - 1):
-        raise ValueError(f"need 0 <= n <= T-1 and 1 <= i <= T-1, got n={n}, T={T}, i={i}")
-    total = 0
-    for j in range(max(0, i - n), i + 1):
-        total += (
-            (-1) ** j
-            * binomial(n + j, n)
-            * binomial(T - 1 - j, n)
-            * binomial(T - 1 - n + i - j, i - j)
-            * binomial(T + n, n - i + j)
-        )
-    return total
-
-
 def sigma_closed(inst: SigmaInstance) -> Fraction:
-    """Certificate from the closed form: weighted harmonic sums only."""
+    """Certificate from the closed form: the principal weight times the
+    margin rhs - lhs of row n of the alternating inequality for the harmonic
+    numbers at T, both sides over H_1..H_(T-1) and the row read off one
+    Racah engine column."""
     n, T = inst.n, inst.T
-    a = principal_weight(n, T)
     L, h = harmonic_numerators(T - 1)  # h[i] = L H_i
-    return Fraction(sum((a + correction_weight(n, T, i)) * h[i] for i in range(1, T)), L)
+    num, den = _alternating_row_sum(n, T, h)
+    return Fraction(principal_weight(n, T) * (sum(h) * den - num), den * L)
 
 
 @dataclass(frozen=True)

@@ -102,24 +102,36 @@ def racah_eval(n: int, s: int, T: int) -> Fraction:
     return Fraction(num, _denominators(T, steps)[-1])
 
 
-def _full_int_table(T: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-    """All numerators (row n, column s) and per-row denominators for one T,
-    built as T engine columns and transposed; nothing is cached."""
-    columns = [_racah_numerators(s, T, T - 1) for s in range(T)]
-    return tuple(zip(*columns)), tuple(_denominators(T, T - 1))
-
-
 def _content_reduced_table(T: int) -> tuple[list[list[int]], list[int]]:
-    """_full_int_table(T) with each row and its D_n divided by
-    g_n = gcd(D_n, num_n(0..T-1)); g_n > 0 because D_n != 0, so every value
-    num_n(s) / D_n and the sign of D_n are unchanged.  Each unreduced row is
-    released as its replacement is stored."""
-    rows, dens = map(list, _full_int_table(T))
+    """All numerators num_n(s) (row n, column s) and the row denominators D_n
+    for one T, built as T engine columns and transposed, with each row and
+    its D_n divided by g_n = gcd(D_n, num_n(0..T-1)); g_n > 0 because
+    D_n != 0, so every value num_n(s) / D_n and the sign of D_n are
+    unchanged.  Each unreduced row is released as its replacement is stored."""
+    rows = list(zip(*[_racah_numerators(s, T, T - 1) for s in range(T)]))
+    dens = _denominators(T, T - 1)
     for n, row in enumerate(rows):
         g = gcd(dens[n], *row)
         rows[n] = [a // g for a in row]
         dens[n] //= g
     return rows, dens
+
+
+def _alternating_row_sum(n: int, T: int, h) -> tuple[int, int]:
+    """sum_s (-1)^(s+1) R_n(s, T) h[s] over s = 1..T-1 as num / |D_(T-1)|.
+
+    R_n(s, T) = R_s(n, T) = num_s(n) / D_s, so the engine column at n gives
+    the whole row n at once.  D_s has the sign (-1)^s, so every term is
+    -num_s(n) h[s] / |D_s|, and a Horner step by |D_s / D_(s-1)| =
+    s^2 (T+s)(T-s) brings them all over |D_(T-1)|; h[0] is never read.
+    """
+    column = _racah_numerators(n, T, T - 1)
+    acc, den = 0, 1
+    for s in range(1, T):
+        step = s * s * (T + s) * (T - s)
+        acc = acc * step + column[s] * h[s]
+        den *= step
+    return -acc, den
 
 
 def orthogonality_profile(T: int) -> tuple[int, bool]:
@@ -258,26 +270,18 @@ def alternating_profile(seq, T: int) -> list[Inequality]:
     """The strict inequality sum_s (-1)^(s+1) R_n(s,T) H_s < sum_s H_s for
     every n = 0..T-1, both sides over s = 1..T-1 and returned exactly.
 
-    The sequence is put over one denominator and each Racah row over its
-    own, so the whole profile costs one exact division per n.
+    The sequence is put over one denominator and each row sum over |D_(T-1)|,
+    so the whole profile costs one exact division per n and holds one
+    engine column at a time.
     """
     values = _sequence_values(seq, T)
     scale = lcm(*(v.denominator for v in values))
-    h = [v.numerator * (scale // v.denominator) for v in values]
-    rhs_num = sum(h)
-    rows, dens = _full_int_table(T)
+    h = [0] + [v.numerator * (scale // v.denominator) for v in values]
+    rhs = Fraction(sum(h), scale)
     out = []
     for n in range(T):
-        acc = 0
-        row = rows[n]
-        for s in range(1, T):
-            if s % 2:
-                acc += row[s] * h[s - 1]
-            else:
-                acc -= row[s] * h[s - 1]
-        out.append(
-            Inequality(Fraction(acc, dens[n] * scale), Fraction(rhs_num, scale))
-        )
+        num, den = _alternating_row_sum(n, T, h)
+        out.append(Inequality(Fraction(num, den * scale), rhs))
     return out
 
 

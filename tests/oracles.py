@@ -4,9 +4,10 @@ Each function here is the slow, definitional form of something the library
 computes by a faster route: the terminating 4F3 sum behind R_n(s, T), the
 pairwise orthogonality sums and the single-degree inequalities built on it,
 the top-row product of R, the coefficient recurrence of the Legendre
-polynomials, the box-coordinate double sum behind the correction weights
-of the closed certificate, hyperplane powers as sums of validated skew
-tableau counts, and the Poincare pairing as a plain sum of products.
+polynomials, the binomial alternating sum (the Whipple bridge) and the
+box-coordinate double sum behind the correction weights of the closed
+certificate, hyperplane powers as sums of validated skew tableau counts,
+and the Poincare pairing as a plain sum of products.
 """
 
 from fractions import Fraction
@@ -122,6 +123,29 @@ def overlap_sum(N, k, b, i):
             * binomial(N + 1 - j, n)
             * binomial(n + j, n)
             * binomial(n - b, i - j)
+        )
+    return total
+
+
+def correction_weight(n: int, T: int, i: int) -> int:
+    """Weight of H_i in the correction part of the closed certificate.
+
+    Single alternating sum in the (n, T) coordinates:
+
+        sum_j (-1)^j C(n+j, n) C(T-1-j, n) C(T-1-n+i-j, i-j) C(T+n, n-i+j).
+
+    Well defined for any 0 <= n <= T - 1, not only the box parities.
+    """
+    if not (0 <= n <= T - 1 and 1 <= i <= T - 1):
+        raise ValueError(f"need 0 <= n <= T-1 and 1 <= i <= T-1, got n={n}, T={T}, i={i}")
+    total = 0
+    for j in range(max(0, i - n), i + 1):
+        total += (
+            (-1) ** j
+            * binomial(n + j, n)
+            * binomial(T - 1 - j, n)
+            * binomial(T - 1 - n + i - j, i - j)
+            * binomial(T + n, n - i + j)
         )
     return total
 

@@ -18,7 +18,6 @@ from grasshodge.exactmath import binomial, random_concave
 from grasshodge.lefschetz import (
     SigmaInstance,
     chain_constant,
-    correction_weight,
     principal_weight,
     proj_commutator_check,
     sigma_closed,
@@ -35,7 +34,7 @@ from grasshodge.racah import (
     rescaled_values,
     lattice_node,
 )
-from oracles import racah_sum, racah_top_product, top_coefficient
+from oracles import correction_weight, racah_sum, racah_top_product, top_coefficient
 
 
 def _report(num: int, text: str) -> None:

@@ -270,6 +270,13 @@ def test_fault_injection_engine(monkeypatch, capsys):
     code, out, _ = run_cli(capsys, "verify-ortho", "--T", "6")
     assert code == 1
     assert json.loads(out)["ok"] is False
+    # the closed certificate walks column n = 4 at T = 6, where the bad
+    # value is R_4(2, 6); the direct route reads no Racah code and disagrees
+    code, out, err = run_cli(capsys, "verify-grassmannian", "--Nmax", "4", "--method", "both")
+    assert code == 1
+    rows = [json.loads(line) for line in out.splitlines()]
+    assert [(r["N"], r["k"]) for r in rows if not r["agree"]] == [(4, 0)]
+    assert "FAILED" in err
 
 
 @pytest.mark.parametrize(

@@ -10,13 +10,12 @@ from grasshodge.chowring import (
     primitive_class,
     schubert,
 )
-from grasshodge.exactmath import binomial, harmonic
+from grasshodge.exactmath import binomial, harmonic, harmonic_numerators
 from grasshodge.lefschetz import (
     ProjElement,
     SigmaInstance,
     chain_constant,
     correction_op,
-    correction_weight,
     principal_weight,
     proj_commutator_check,
     proj_lower,
@@ -27,7 +26,7 @@ from grasshodge.lefschetz import (
     sigma_verdict,
 )
 from grasshodge.racah import racah_eval
-from oracles import correction_weight_box, overlap_sum, top_coefficient
+from oracles import correction_weight, correction_weight_box, overlap_sum, top_coefficient
 
 
 def test_sigma_frozen_values():
@@ -52,6 +51,19 @@ def test_pipelines_agree_small():
         for k in range(N // 2 + 1):
             inst = SigmaInstance(N, k)
             assert sigma_direct(inst) == sigma_closed(inst), (N, k)
+
+
+def test_sigma_closed_matches_weighted_harmonic_sum():
+    # the closed route reads one Racah engine column; the oracle is the
+    # weighted sum of harmonic numbers with the binomial correction weights
+    for N in range(1, 41):
+        T = N + 2
+        L, h = harmonic_numerators(T - 1)
+        for k in range(N // 2 + 1):
+            n = N - 2 * k
+            a = principal_weight(n, T)
+            weighted = sum((a + correction_weight(n, T, i)) * h[i] for i in range(1, T))
+            assert sigma_closed(SigmaInstance(N, k)) == Fraction(weighted, L), (N, k)
 
 
 def test_correction_kills_lower_rows():

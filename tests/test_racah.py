@@ -8,7 +8,8 @@ from grasshodge.exactmath import ConcaveSequence, random_concave
 from grasshodge.racah import (
     WindowSamples,
     _content_reduced_table,
-    _full_int_table,
+    _denominators,
+    _racah_numerators,
     alternating_profile,
     bound_scan,
     certify_alternating_bound,
@@ -34,13 +35,14 @@ from oracles import (
 
 
 def test_racah_matches_term_sum():
-    # the whole grid, through both the single-value and the table route
+    # the whole grid, through both the single-value and the engine-column route
     for T in range(3, 26):
-        rows, dens = _full_int_table(T)
-        for n in range(T):
-            for s in range(T):
+        dens = _denominators(T, T - 1)
+        for s in range(T):
+            column = _racah_numerators(s, T, T - 1)
+            for n in range(T):
                 expected = racah_sum(n, s, T)
-                assert Fraction(rows[n][s], dens[n]) == expected, (T, n, s)
+                assert Fraction(column[n], dens[n]) == expected, (T, n, s)
                 assert racah_eval(n, s, T) == expected, (T, n, s)
 
 
@@ -110,13 +112,13 @@ def test_content_reduced_table_keeps_every_value():
     # the division by g_n is exact, keeps the sign of D_n and leaves rows
     # with no common factor; the profile on the reduced rows still passes
     for T in range(3, 31):
-        rows, dens = _full_int_table(T)
+        dens = _denominators(T, T - 1)
         reduced, reduced_dens = _content_reduced_table(T)
         for n in range(T):
             assert reduced_dens[n] * dens[n] > 0
             assert gcd(reduced_dens[n], *reduced[n]) == 1
             assert [Fraction(a, reduced_dens[n]) for a in reduced[n]] == [
-                Fraction(a, dens[n]) for a in rows[n]
+                racah_eval(n, s, T) for s in range(T)
             ]
         assert orthogonality_profile(T) == (T * (T + 1) // 2, True)
 
@@ -249,6 +251,22 @@ def test_alternating_bound_matches_profile():
             assert single.lhs == profile[n].lhs
             assert single.rhs == profile[n].rhs
             assert single.holds
+
+
+@settings(max_examples=40)
+@given(st.integers(3, 16), st.data())
+def test_alternating_profile_matches_oracle_on_any_values(T, data):
+    # every row sum against the term-by-term oracle, for values of either
+    # sign over unrelated denominators, so no cancellation is taken on trust
+    values = data.draw(
+        st.lists(
+            st.fractions(min_value=-50, max_value=50, max_denominator=10**6),
+            min_size=T - 1,
+            max_size=T - 1,
+        )
+    )
+    for n, ineq in enumerate(alternating_profile(values, T)):
+        assert ineq == alternating_bound(values, n, T), (T, n)
 
 
 @settings(max_examples=30)
