@@ -26,7 +26,7 @@ from .chowring import (
     primitive_class,
 )
 from .exactmath import binomial, format_rational, harmonic_numerators, harmonic_sum
-from .racah import _alternating_row_sum
+from .racah import _alternating_row_sum, _denominators
 
 _ZERO = Fraction(0)
 
@@ -107,7 +107,8 @@ def sigma_closed(inst: SigmaInstance) -> Fraction:
     Racah engine column."""
     n, T = inst.n, inst.T
     L, h = harmonic_numerators(T - 1)  # h[i] = L H_i
-    num, den = _alternating_row_sum(n, T, h)
+    den = abs(_denominators(T, T - 1)[-1])
+    num = _alternating_row_sum(n, T, h)
     return Fraction(principal_weight(n, T) * (sum(h) * den - num), den * L)
 
 

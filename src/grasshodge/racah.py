@@ -102,14 +102,19 @@ def racah_eval(n: int, s: int, T: int) -> Fraction:
     return Fraction(num, _denominators(T, steps)[-1])
 
 
+def _full_int_table(T: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """All numerators (row n, column s) and per-row denominators for one T,
+    built as T engine columns and transposed; nothing is cached."""
+    columns = [_racah_numerators(s, T, T - 1) for s in range(T)]
+    return tuple(zip(*columns)), tuple(_denominators(T, T - 1))
+
+
 def _content_reduced_table(T: int) -> tuple[list[list[int]], list[int]]:
-    """All numerators num_n(s) (row n, column s) and the row denominators D_n
-    for one T, built as T engine columns and transposed, with each row and
-    its D_n divided by g_n = gcd(D_n, num_n(0..T-1)); g_n > 0 because
-    D_n != 0, so every value num_n(s) / D_n and the sign of D_n are
-    unchanged.  Each unreduced row is released as its replacement is stored."""
-    rows = list(zip(*[_racah_numerators(s, T, T - 1) for s in range(T)]))
-    dens = _denominators(T, T - 1)
+    """_full_int_table(T) with each row and its D_n divided by
+    g_n = gcd(D_n, num_n(0..T-1)); g_n > 0 because D_n != 0, so every value
+    num_n(s) / D_n and the sign of D_n are unchanged.  Each unreduced row is
+    released as its replacement is stored."""
+    rows, dens = map(list, _full_int_table(T))
     for n, row in enumerate(rows):
         g = gcd(dens[n], *row)
         rows[n] = [a // g for a in row]
@@ -117,21 +122,20 @@ def _content_reduced_table(T: int) -> tuple[list[list[int]], list[int]]:
     return rows, dens
 
 
-def _alternating_row_sum(n: int, T: int, h) -> tuple[int, int]:
-    """sum_s (-1)^(s+1) R_n(s, T) h[s] over s = 1..T-1 as num / |D_(T-1)|.
+def _alternating_row_sum(n: int, T: int, h) -> int:
+    """sum_s (-1)^(s+1) R_n(s, T) h[s] over s = 1..T-1, times |D_(T-1)|.
 
     R_n(s, T) = R_s(n, T) = num_s(n) / D_s, so the engine column at n gives
     the whole row n at once.  D_s has the sign (-1)^s, so every term is
     -num_s(n) h[s] / |D_s|, and a Horner step by |D_s / D_(s-1)| =
-    s^2 (T+s)(T-s) brings them all over |D_(T-1)|; h[0] is never read.
+    s^2 (T+s)(T-s) brings them all over |D_(T-1)|, which depends on T only
+    and is left to the caller; h[0] is never read.
     """
     column = _racah_numerators(n, T, T - 1)
-    acc, den = 0, 1
+    acc = 0
     for s in range(1, T):
-        step = s * s * (T + s) * (T - s)
-        acc = acc * step + column[s] * h[s]
-        den *= step
-    return -acc, den
+        acc = acc * (s * s * (T + s) * (T - s)) + column[s] * h[s]
+    return -acc
 
 
 def orthogonality_profile(T: int) -> tuple[int, bool]:
@@ -278,10 +282,10 @@ def alternating_profile(seq, T: int) -> list[Inequality]:
     scale = lcm(*(v.denominator for v in values))
     h = [0] + [v.numerator * (scale // v.denominator) for v in values]
     rhs = Fraction(sum(h), scale)
-    out = []
-    for n in range(T):
-        num, den = _alternating_row_sum(n, T, h)
-        out.append(Inequality(Fraction(num, den * scale), rhs))
+    den = abs(_denominators(T, T - 1)[-1]) * scale
+    return [
+        Inequality(Fraction(_alternating_row_sum(n, T, h), den), rhs) for n in range(T)
+    ]
     return out
 
 
