@@ -4,8 +4,9 @@
 
 Times `sigma_direct` over every k of one N at N = 30, 60, 90, 120,
 `primitive_profile(N)` at N = 12, 24, 36, `sigma_closed` over every k of
-one N at N = 60, 120, 200 and `alternating_profile` of the harmonic
-sequence at T = 200, 400, each size in its own Python process with DIR
+one N at N = 60, 120, 200, `alternating_profile` of the harmonic
+sequence at T = 200, 400 and `proj_commutator_check(n)` at n = 30, 60,
+120, each size in its own Python process with DIR
 (default: this checkout's src) first on sys.path and the import left out of
 the timing, and keeps the best of REPEAT runs.  Prints one JSON object: per
 layer the seconds per size and the least-squares slope of log(seconds)
@@ -52,6 +53,12 @@ LAYERS = {
         "from grasshodge.exactmath import ConcaveSequence\n"
         "from grasshodge.racah import alternating_profile",
         "alternating_profile(ConcaveSequence.harmonic(T - 1), T)",
+    ),
+    "proj_commutator_check": (
+        "n",
+        (30, 60, 120),
+        "from grasshodge.lefschetz import proj_commutator_check",
+        "proj_commutator_check(n)",
     ),
 }
 CHILD = """import sys, time

@@ -7,6 +7,15 @@ partition to coefficient.  Coefficients keep the exact type they arise in:
 Schubert classes, the primitive class and its Pieri raises are integral and
 stay int, and only a genuinely rational step (the Hodge star, the kernel
 solve, the correction operator) brings in Fraction.
+
+A class built by the public constructor ChowElement(N, terms) is validated:
+every partition must fit in the box, and zero coefficients are dropped from
+a copy of the map.  The library's own operations (Pieri steps, powers, the
+Hodge star, the correction operator, sums, negation, scaling) only ever
+produce in-box partitions with nonzero coefficients, so they build their
+results through the private ChowElement._trusted, which takes ownership of
+the map as it stands and skips the per-term check.  Anything coming from a
+caller goes through the validating constructor.
 """
 
 from __future__ import annotations
@@ -60,6 +69,18 @@ class ChowElement:
                 clean[(a, b)] = c
         object.__setattr__(self, "terms", clean)
 
+    @classmethod
+    def _trusted(cls, N: int, terms: dict[Partition2, int | Fraction]) -> "ChowElement":
+        """A class over terms that already fit the box and are all nonzero.
+
+        Skips the validation and the copy of the public constructor; the
+        map is owned by the new class, so callers pass a fresh one.
+        """
+        x = object.__new__(cls)
+        object.__setattr__(x, "N", N)
+        object.__setattr__(x, "terms", terms)
+        return x
+
     def coeff(self, a: int, b: int) -> int | Fraction:
         return self.terms.get((a, b), 0)
 
@@ -73,18 +94,25 @@ class ChowElement:
     def __add__(self, other: "ChowElement") -> "ChowElement":
         self._check_ring(other)
         acc = dict(self.terms)
-        for (a, b), c in other.terms.items():
-            _insert(acc, self.N, a, b, c)
-        return ChowElement(self.N, acc)
+        for ab, c in other.terms.items():
+            new = acc.get(ab, 0) + c
+            if new:
+                acc[ab] = new
+            else:
+                del acc[ab]
+        return ChowElement._trusted(self.N, acc)
 
     def __sub__(self, other: "ChowElement") -> "ChowElement":
         return self + (-other)
 
     def __neg__(self) -> "ChowElement":
-        return ChowElement(self.N, {ab: -c for ab, c in self.terms.items()})
+        return ChowElement._trusted(self.N, {ab: -c for ab, c in self.terms.items()})
 
     def scale(self, c) -> "ChowElement":
-        return ChowElement(self.N, {ab: c * v for ab, v in self.terms.items()})
+        # exact nonzero numbers have nonzero products, so only c = 0 drops terms
+        if not c:
+            return ChowElement._trusted(self.N, {})
+        return ChowElement._trusted(self.N, {ab: c * v for ab, v in self.terms.items()})
 
 
 def zero(N: int) -> ChowElement:
@@ -125,7 +153,7 @@ def lefschetz_op(x: ChowElement) -> ChowElement:
     for (a, b), c in x.terms.items():
         _insert(acc, x.N, a + 1, b, c)
         _insert(acc, x.N, a, b + 1, c)
-    return ChowElement(x.N, acc)
+    return ChowElement._trusted(x.N, acc)
 
 
 def lefschetz_power(x: ChowElement, r: int) -> ChowElement:
@@ -143,18 +171,25 @@ def lefschetz_power(x: ChowElement, r: int) -> ChowElement:
     if r == 0:
         return x
     N = x.N
-    row = [comb(r, j) for j in range(N + 2)]  # zero past j = r
-    acc: dict[Partition2, int | Fraction] = {}
+    rev = [comb(r, j) for j in range(N + 1, -1, -1)]  # rev[i] = C(r, N+1-i)
+    by_weight: dict[int, list[int | Fraction]] = {}  # weight -> coefficients by b
     for (m1, m2), c in x.terms.items():
         size = m1 + m2 + r
-        # in-box targets: m2 <= b <= a <= N with a = size - b >= m1
-        for b in range(max(m2, size - N), min(size // 2, m2 + r) + 1):
-            a = size - b
-            f = row[a - m1] - row[a - m2 + 1]
-            if f:
-                key = (a, b)
-                acc[key] = acc.get(key, 0) + c * f
-    return ChowElement(N, acc)
+        # in-box targets: m2 <= b <= a <= N with a = size - b >= m1, and the
+        # ballot count of (size - b, b) is rev[i + b] - rev[j + b]
+        lo, hi = max(m2, size - N), min(size // 2, m2 + r) + 1
+        i, j = N + 1 - m2 - r, N - m1 - r
+        acc = by_weight.get(size)
+        if acc is None:
+            acc = by_weight[size] = [0] * (size // 2 + 1)
+        acc[lo:hi] = [
+            v + c * (f - g)
+            for v, f, g in zip(acc[lo:hi], rev[i + lo : i + hi], rev[j + lo : j + hi])
+        ]
+    return ChowElement._trusted(
+        N,
+        {(size - b, b): v for size, acc in by_weight.items() for b, v in enumerate(acc) if v},
+    )
 
 
 def hodge_star(x: ChowElement) -> ChowElement:
@@ -170,8 +205,9 @@ def hodge_star(x: ChowElement) -> ChowElement:
             factorial(a + 1) * factorial(b),
             factorial(N - a) * factorial(N - b + 1),
         )
-        _insert(acc, N, N - b, N - a, c * w)
-    return ChowElement(N, acc)
+        # s(a, b) -> s(N-b, N-a) is a bijection of the box: no terms collide
+        acc[(N - b, N - a)] = c * w
+    return ChowElement._trusted(N, acc)
 
 
 def intersection_pairing(x: ChowElement, y: ChowElement) -> int | Fraction:
@@ -214,8 +250,15 @@ def primitive_class(N: int, k: int) -> ChowElement:
     return ChowElement(N, acc)
 
 
-def _nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
-    """Basis of the right kernel of a rational matrix, by row reduction."""
+def _nullspace(rows: list[list[int | Fraction]], ncols: int) -> list[list[Fraction]]:
+    """Basis of the right kernel of a rational matrix, by row reduction.
+
+    The reduction is Gauss-Jordan, so the basis is the one read off the
+    reduced row echelon form whatever the entry type.  A unit pivot (every
+    pivot a Pieri matrix meets) needs no scaling, so integer rows stay
+    integer; any other pivot divides in Fraction.  The basis vectors come
+    back in Fraction.
+    """
     mat = [row[:] for row in rows]
     pivots: list[int] = []
     r = 0
@@ -225,11 +268,12 @@ def _nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
             continue
         mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
         pivot = mat[r]
-        inv = 1 / pivot[c]
         # Pieri rows start with at most two nonzeros; skip the zero entries.
         support = [j for j, v in enumerate(pivot) if v]
-        for j in support:
-            pivot[j] *= inv
+        if pivot[c] != 1:
+            inv = 1 / Fraction(pivot[c])
+            for j in support:
+                pivot[j] *= inv
         for i, row in enumerate(mat):
             f = row[c]
             if i != r and f:
@@ -246,7 +290,7 @@ def _nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
         v = [Fraction(0)] * ncols
         v[free] = Fraction(1)
         for i, pc in enumerate(pivots):
-            v[pc] = -mat[i][free]
+            v[pc] = Fraction(-mat[i][free])
         basis.append(v)
     return basis
 
@@ -258,14 +302,13 @@ def lefschetz_kernel(N: int, p: int) -> list[ChowElement]:
     dom = box_partitions(N, p)
     cod = box_partitions(N, p + 1)
     cod_index = {lam: i for i, lam in enumerate(cod)}
-    # Fraction entries so that the row reduction divides exactly.
-    rows = [[Fraction(0)] * len(dom) for _ in cod]
+    rows = [[0] * len(dom) for _ in cod]
     for j, lam in enumerate(dom):
         image = lefschetz_op(schubert(N, *lam))
         for mu, c in image.terms.items():
-            rows[cod_index[mu]][j] = Fraction(c)
+            rows[cod_index[mu]][j] = c
     return [
-        ChowElement(N, {lam: v[j] for j, lam in enumerate(dom)})
+        ChowElement._trusted(N, {lam: c for lam, c in zip(dom, v) if c})
         for v in _nullspace(rows, len(dom))
     ]
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .chowring import (
     ChowElement,
@@ -29,6 +30,18 @@ from .exactmath import binomial, format_rational, harmonic_numerators, harmonic_
 from .racah import _alternating_row_sum, _denominators
 
 _ZERO = Fraction(0)
+
+
+@lru_cache(maxsize=1)
+def _harmonic_table(m: int) -> tuple[int, tuple[int, ...], int]:
+    """L = lcm(1, ..., m), the integers L H_0, ..., L H_m and their sum.
+
+    One box of width N reads the table at m = N + 1 for its correction
+    operator and at m = T - 1 = N + 1 for its closed certificate, so the last
+    table is kept; the tuple keeps the shared result read-only.
+    """
+    L, h = harmonic_numerators(m)
+    return L, tuple(h), sum(h)
 
 
 @dataclass(frozen=True)
@@ -69,8 +82,7 @@ def correction_op(x: ChowElement) -> ChowElement:
     one Fraction over L at the end.
     """
     N = x.N
-    L, h = harmonic_numerators(N + 1)  # h[i] = L H_i
-    column_sum = sum(h)
+    L, h, column_sum = _harmonic_table(N + 1)  # h[i] = L H_i
     acc: dict[Partition2, int | Fraction] = {}
     for (a, b), c in x.terms.items():
         if a < N:
@@ -79,7 +91,9 @@ def correction_op(x: ChowElement) -> ChowElement:
         for i in range((N - b) // 2 + 1):
             key = (N - i, b + i)
             acc[key] = acc.get(key, 0) - c * (h[N - b + 1 - i] - h[i])
-    return ChowElement(N, {ab: Fraction(v, L) for ab, v in acc.items()})
+    # no two source terms share a target and every harmonic weight above is
+    # positive, so no coefficient cancels
+    return ChowElement._trusted(N, {ab: Fraction(v, L) for ab, v in acc.items()})
 
 
 def sigma_direct(inst: SigmaInstance) -> Fraction:
@@ -106,10 +120,10 @@ def sigma_closed(inst: SigmaInstance) -> Fraction:
     numbers at T, both sides over H_1..H_(T-1) and the row read off one
     Racah engine column."""
     n, T = inst.n, inst.T
-    L, h = harmonic_numerators(T - 1)  # h[i] = L H_i
+    L, h, h_sum = _harmonic_table(T - 1)  # h[i] = L H_i
     den = abs(_denominators(T, T - 1)[-1])
     num = _alternating_row_sum(n, T, h)
-    return Fraction(principal_weight(n, T) * (sum(h) * den - num), den * L)
+    return Fraction(principal_weight(n, T) * (h_sum * den - num), den * L)
 
 
 @dataclass(frozen=True)
@@ -263,22 +277,41 @@ def proj_lower(x: ProjElement, tau: Fraction) -> ProjElement:
     return ProjElement(n, tuple(hat), tuple(form))
 
 
+def _coordinates(x: ProjElement) -> dict[tuple[str, int], int | Fraction]:
+    """The nonzero coordinates of x, keyed by basis label (kind, i)."""
+    out = {("hat", i): c for i, c in enumerate(x.hat) if c}
+    out.update((("form", i), c) for i, c in enumerate(x.form) if c)
+    return out
+
+
 def proj_commutator_check(n: int) -> bool:
     """Check [lower, raise] = (n + 1 - 2p) id on every model basis element.
 
     The codimension p is i for hat_i and i + 1 for form_i, so the eigenvalue
-    runs from n + 1 down to -(n + 1) along the chain.
+    runs from n + 1 down to -(n + 1) along the chain.  Raising and lowering
+    are applied once to each basis element; both composites are then
+    assembled from those images by linearity, on sparse coordinate maps.
     """
     tau = chain_constant(n)
-    for kind in ("hat", "form"):
-        for i in range(n + 1):
-            x = ProjElement.basis(n, kind, i)
-            commutator = proj_lower(proj_raise(x, tau), tau) - proj_raise(
-                proj_lower(x, tau), tau
-            )
-            p = i if kind == "hat" else i + 1
-            if commutator != x.scale(n + 1 - 2 * p):
-                return False
+    labels = [(kind, i) for kind in ("hat", "form") for i in range(n + 1)]
+    up, down = {}, {}
+    for label in labels:
+        x = ProjElement.basis(n, *label)
+        up[label] = _coordinates(proj_raise(x, tau))
+        down[label] = _coordinates(proj_lower(x, tau))
+
+    for label in labels:
+        # lower(raise(x)) - raise(lower(x)), accumulated coordinate by coordinate
+        acc: dict[tuple[str, int], int | Fraction] = {}
+        for first, second, sign in ((up, down, 1), (down, up, -1)):
+            for mid, c in first[label].items():
+                for target, d in second[mid].items():
+                    acc[target] = acc.get(target, 0) + sign * c * d
+        kind, i = label
+        eigenvalue = n + 1 - 2 * (i if kind == "hat" else i + 1)
+        acc[label] = acc.get(label, 0) - eigenvalue
+        if any(acc.values()):
+            return False
     return True
 
 

@@ -286,7 +286,6 @@ def alternating_profile(seq, T: int) -> list[Inequality]:
     return [
         Inequality(Fraction(_alternating_row_sum(n, T, h), den), rhs) for n in range(T)
     ]
-    return out
 
 
 def n_below_log(n: int, T: int) -> bool:

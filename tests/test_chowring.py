@@ -22,6 +22,7 @@ from grasshodge.chowring import (
     zero,
 )
 from grasshodge.cli import main
+from grasshodge.lefschetz import correction_op
 from oracles import naive_pairing, skew_count_power, skew_syt_count
 
 
@@ -215,6 +216,53 @@ def test_pairing_matches_naive_sum_in_value_and_type(N, data):
     assert (type(got) is int) == integral
 
 
+def _random_class(N, data):
+    """A class over any in-box partitions, of one weight or several."""
+    kind = data.draw(st.sampled_from(sorted(_COEFFS)))
+    parts = [lam for p in range(2 * N + 1) for lam in box_partitions(N, p)]
+    chosen = data.draw(st.lists(st.sampled_from(parts), unique=True, max_size=8))
+    coeffs = data.draw(st.lists(_COEFFS[kind], min_size=len(chosen), max_size=len(chosen)))
+    return kind, ChowElement(N, dict(zip(chosen, coeffs)))
+
+
+@settings(max_examples=80)
+@given(st.integers(1, 8), st.data())
+def test_built_classes_equal_their_validated_copies(N, data):
+    # the library builds its results without re-validating them, so each
+    # must already be what the public constructor would make of its terms
+    kind, x = _random_class(N, data)
+    y_kind, y = _random_class(N, data)
+    # y cancels some of x's terms outright
+    flips = data.draw(st.lists(st.booleans(), min_size=len(x.terms), max_size=len(x.terms)))
+    y = y + ChowElement(N, {ab: -c for (ab, c), f in zip(x.terms.items(), flips) if f})
+    r = data.draw(st.integers(0, 2 * N + 1))
+    iterated = x
+    for _ in range(r):
+        iterated = lefschetz_op(iterated)
+    built = {
+        "lefschetz_op": lefschetz_op(x),
+        "lefschetz_power": lefschetz_power(x, r),
+        "hodge_star": hodge_star(x),
+        "correction_op": correction_op(x),
+        "sum": x + y,
+        "difference": x - x,
+        "negation": -x,
+    }
+    factor = data.draw(st.sampled_from([0, 3, -1, Fraction(2, 5)]))
+    built["scale"] = x.scale(factor)
+    assert built["scale"] == ChowElement(N, {ab: factor * c for ab, c in x.terms.items()})
+    assert built["lefschetz_power"] == iterated
+    assert built["difference"].is_zero()
+    for name, z in built.items():
+        assert z == ChowElement(z.N, dict(z.terms)), name
+    if kind == "int":
+        # the Hodge star and the correction operator are rational steps
+        integral = ["lefschetz_op", "lefschetz_power", "negation"]
+        integral += ["sum"] if y_kind == "int" else []
+        for name in integral:
+            assert all(type(c) is int for c in built[name].terms.values()), name
+
+
 def test_pairing_degree_mismatch_is_zero():
     assert intersection_pairing(schubert(3, 1, 0), schubert(3, 1, 0)) == 0
 
@@ -241,6 +289,22 @@ def test_kernel_dimensions():
         for p in range(N, 2 * N + 1):
             kern = lefschetz_kernel(N, p)
             assert len(kern) == betti(N, p) - betti(N, p + 1)
+
+
+def test_kernel_basis_is_the_reduced_one():
+    # the reduced row echelon basis: each vector has a 1 at its last nonzero
+    # (free) class and 0 at the free classes of the others
+    for N in range(1, 13):
+        for p in range(2 * N + 1):
+            dom = box_partitions(N, p)
+            kern = lefschetz_kernel(N, p)
+            assert len(kern) == max(betti(N, p) - betti(N, p + 1), 0), (N, p)
+            free = [dom[max(map(dom.index, v.terms))] for v in kern]
+            for v, own in zip(kern, free):
+                assert v == ChowElement(N, dict(v.terms)), (N, p)
+                assert lefschetz_op(v).is_zero(), (N, p)
+                assert all(type(c) is Fraction for c in v.terms.values()), (N, p)
+                assert [v.coeff(*lam) for lam in free] == [int(lam == own) for lam in free]
 
 
 def _det(m):
@@ -273,12 +337,31 @@ def test_nullspace_with_non_unit_pivots(rows, nullity):
     ncols = len(rows[0])
     basis = chowring._nullspace(mat, ncols)
     assert mat == [[Fraction(x) for x in row] for row in rows]  # input untouched
+    # integer rows turn rational at the first non-unit pivot, to the same basis
+    assert chowring._nullspace([row[:] for row in rows], ncols) == basis
     assert len(basis) == nullity
     for v in basis:
         assert all(type(x) is Fraction for x in v)
         assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in rows)
     gram = [[sum(a * b for a, b in zip(u, v)) for v in basis] for u in basis]
     assert _det(gram) != 0
+
+
+def test_fault_injection_pieri_image(monkeypatch):
+    # the Pieri step at N = 6 loses its s(6, 4) term, so s(6, 3) maps to 0
+    # and the kernel in codimension 9 gains a vector the betti count lacks
+    real = chowring.lefschetz_op
+
+    def corrupted(x):
+        y = real(x)
+        if x.N != 6 or (6, 4) not in y.terms:
+            return y
+        return ChowElement(6, {ab: c for ab, c in y.terms.items() if ab != (6, 4)})
+
+    monkeypatch.setattr(chowring, "lefschetz_op", corrupted)
+    with pytest.raises(ArithmeticError, match="N=6, p=3"):
+        primitive_profile(6)
+    assert primitive_profile(5).dims == (1, 0, 1, 0, 1, 0)
 
 
 def test_primitive_profile_shape():

@@ -334,6 +334,28 @@ def test_fault_injection_correction_op(monkeypatch, capsys):
     assert code == 0
 
 
+def test_fault_injection_proj_lower(monkeypatch, capsys):
+    # lowering form_2 at n = 4 gains a stray hat_2: the commutator check
+    # must fail for n = 4 and for no other n
+    real = lefschetz.proj_lower
+
+    def corrupted(x, tau):
+        y = real(x, tau)
+        if x.n != 4 or not x.form[2]:
+            return y
+        hat = list(y.hat)
+        hat[2] += 1
+        return lefschetz.ProjElement(y.n, tuple(hat), y.form)
+
+    monkeypatch.setattr(lefschetz, "proj_lower", corrupted)
+    code, out, err = run_cli(capsys, "verify-pn", "--nmax", "6")
+    assert code == 1
+    rows = [json.loads(line) for line in out.splitlines()]
+    assert [r["n"] for r in rows if not r["commutator_ok"]] == [4]
+    assert all(r["tau_positive"] for r in rows)
+    assert "FAILED" in err
+
+
 def test_table_racah_filters_match_full_table(capsys):
     def table(T, *filters):
         argv = ("table", "--kind", "racah", "--T", str(T), "--format", "csv")
