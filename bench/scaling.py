@@ -1,6 +1,6 @@
 """Serial scaling series per library layer, one fresh process per size.
 
-    python3 bench/scaling.py [--src DIR]
+    python3 bench/scaling.py [--src DIR [--src DIR2]]
 
 Times `sigma_direct` over every k of one N at N = 30, 60, 90, 120,
 `primitive_profile(N)` at N = 12, 24, 36, `sigma_closed` over every k of
@@ -11,6 +11,11 @@ sequence at T = 200, 400 and `proj_commutator_check(n)` at n = 30, 60,
 the timing, and keeps the best of REPEAT runs.  Prints one JSON object: per
 layer the seconds per size and the least-squares slope of log(seconds)
 against log(size), fitted by perfbench's `log_log_slope`.
+
+Given twice (parent, then change), the two trees are timed side by side:
+for each size the repeats alternate which tree runs first, so host-load
+drift falls on both alike, and one JSON object is printed per tree, in the
+order of the --src flags.
 """
 
 from __future__ import annotations
@@ -79,19 +84,28 @@ def seconds(src: str, var: str, size: int, setup: str, stmt: str) -> float:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--src", default=str(SRC))
+    parser.add_argument("--src", action="append", help="source tree; default: this checkout's src")
     args = parser.parse_args(argv)
-    out = {}
+    srcs = args.src or [str(SRC)]
+    trees = range(len(srcs))
+    series = [{} for _ in srcs]
     for layer, (var, sizes, setup, stmt) in LAYERS.items():
-        times = [
-            min(seconds(args.src, var, size, setup, stmt) for _ in range(REPEAT)) for size in sizes
-        ]
-        out[layer] = {
-            var: list(sizes),
-            "seconds": [round(t, 4) for t in times],
-            "exponent": round(log_log_slope(dict(zip(sizes, times))), 2),
-        }
-    print(json.dumps(out))
+        best = [[] for _ in srcs]
+        for size in sizes:
+            runs = [[] for _ in srcs]
+            for rep in range(REPEAT):
+                for i in trees if rep % 2 == 0 else reversed(trees):
+                    runs[i].append(seconds(srcs[i], var, size, setup, stmt))
+            for times, tree_runs in zip(best, runs):
+                times.append(min(tree_runs))
+        for out, times in zip(series, best):
+            out[layer] = {
+                var: list(sizes),
+                "seconds": [round(t, 4) for t in times],
+                "exponent": round(log_log_slope(dict(zip(sizes, times))), 2),
+            }
+    for out in series:
+        print(json.dumps(out))
     return 0
 
 

@@ -262,7 +262,7 @@ def cmd_scan_bound(args: argparse.Namespace, out: TextIO, err: TextIO) -> bool:
     elif jobs < 1:
         raise UsageError("--jobs must be a positive integer")
     report = racah.bound_scan(t_lo, t_hi, jobs=jobs)
-    out.write(json.dumps(report.to_json_dict(with_elapsed=False)) + "\n")
+    out.write(json.dumps(report.to_json_dict()) + "\n")
     print(
         f"scanned {report.rows_checked} rows over T={t_lo}..{t_hi} "
         f"in {report.elapsed_ms} ms ({jobs} workers)",
@@ -287,22 +287,14 @@ def _racah_rows(args: argparse.Namespace, t_lo: int, t_hi: int) -> Iterator[dict
     """Rows of R_n(s, T) in (T, n, s) order, at every n and s or at the
     selected one; the caller has checked the selection against T = t_lo."""
     for T in range(t_lo, t_hi + 1):
-        n_vals = [args.n] if args.n is not None else range(T)
-        s_vals = [args.s] if args.s is not None else range(T)
-        # only the selected columns, each down to the largest selected row
-        n_max = max(n_vals)
-        columns = [(s, racah._racah_numerators(s, T, n_max)) for s in s_vals]
-        dens = racah._denominators(T, n_max)
-        for n in n_vals:
-            for s, column in columns:
-                value = Fraction(column[n], dens[n])
-                yield {
-                    "T": T,
-                    "n": n,
-                    "s": s,
-                    "value": format_rational(value),
-                    "value_approx": decimal_approx(value),
-                }
+        for n, s, value in racah.racah_grid(T, args.n, args.s):
+            yield {
+                "T": T,
+                "n": n,
+                "s": s,
+                "value": format_rational(value),
+                "value_approx": decimal_approx(value),
+            }
 
 
 def cmd_table(args: argparse.Namespace, out: TextIO, err: TextIO) -> bool:

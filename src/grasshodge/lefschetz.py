@@ -27,7 +27,7 @@ from .chowring import (
     primitive_class,
 )
 from .exactmath import binomial, format_rational, harmonic_numerators, harmonic_sum
-from .racah import _alternating_row_sum, _denominators
+from .racah import alternating_row
 
 _ZERO = Fraction(0)
 
@@ -117,13 +117,10 @@ def principal_weight(n: int, T: int) -> int:
 def sigma_closed(inst: SigmaInstance) -> Fraction:
     """Certificate from the closed form: the principal weight times the
     margin rhs - lhs of row n of the alternating inequality for the harmonic
-    numbers at T, both sides over H_1..H_(T-1) and the row read off one
-    Racah engine column."""
+    numbers at T."""
     n, T = inst.n, inst.T
-    L, h, h_sum = _harmonic_table(T - 1)  # h[i] = L H_i
-    den = abs(_denominators(T, T - 1)[-1])
-    num = _alternating_row_sum(n, T, h)
-    return Fraction(principal_weight(n, T) * (h_sum * den - num), den * L)
+    L, h, _ = _harmonic_table(T - 1)  # h[i] = L H_i
+    return principal_weight(n, T) * alternating_row(n, T, h, L).margin
 
 
 @dataclass(frozen=True)

@@ -19,10 +19,11 @@ from __future__ import annotations
 
 import os
 import time
+from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from math import cos, gcd, lcm, pi, sin, sqrt
+from math import cos, factorial, gcd, lcm, pi, sin, sqrt
 
 from .exactmath import (
     ConcaveSequence,
@@ -83,6 +84,11 @@ def _denominators(T: int, n_max: int) -> list[int]:
     return dens
 
 
+def _top_denominator(T: int) -> int:
+    """|D_(T-1)| = prod_{m<T} m^2 (T+m)(T-m) = (T-1)!^3 (2T-1)! / T!."""
+    return factorial(T - 1) ** 2 * factorial(2 * T - 1) // T
+
+
 def _validate_racah_args(n: int, s: int, T: int) -> None:
     if T < 3:
         raise ValueError(f"need T >= 3, got {T}")
@@ -100,6 +106,21 @@ def racah_eval(n: int, s: int, T: int) -> Fraction:
     steps = min(n, s)
     num = _racah_numerators(max(n, s), T, steps)[-1]
     return Fraction(num, _denominators(T, steps)[-1])
+
+
+def racah_grid(T: int, n: int | None = None, s: int | None = None) -> Iterator[tuple]:
+    """(n, s, R_n(s, T)) in (n, s) order over n, s = 0..T-1, or at the
+    selected n and/or s; only the selected columns are walked, each down to
+    the largest selected row."""
+    if T < 3 or not all(0 <= i < T for i in (n, s) if i is not None):
+        raise ValueError(f"need T >= 3 and 0 <= n, s <= T-1, got T={T}, n={n}, s={s}")
+    n_vals = range(T) if n is None else [n]
+    s_vals = range(T) if s is None else [s]
+    columns = [_racah_numerators(c, T, max(n_vals)) for c in s_vals]
+    dens = _denominators(T, max(n_vals))
+    for row in n_vals:
+        for c, column in zip(s_vals, columns):
+            yield row, c, Fraction(column[row], dens[row])
 
 
 def _full_int_table(T: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
@@ -120,22 +141,6 @@ def _content_reduced_table(T: int) -> tuple[list[list[int]], list[int]]:
         rows[n] = [a // g for a in row]
         dens[n] //= g
     return rows, dens
-
-
-def _alternating_row_sum(n: int, T: int, h) -> int:
-    """sum_s (-1)^(s+1) R_n(s, T) h[s] over s = 1..T-1, times |D_(T-1)|.
-
-    R_n(s, T) = R_s(n, T) = num_s(n) / D_s, so the engine column at n gives
-    the whole row n at once.  D_s has the sign (-1)^s, so every term is
-    -num_s(n) h[s] / |D_s|, and a Horner step by |D_s / D_(s-1)| =
-    s^2 (T+s)(T-s) brings them all over |D_(T-1)|, which depends on T only
-    and is left to the caller; h[0] is never read.
-    """
-    column = _racah_numerators(n, T, T - 1)
-    acc = 0
-    for s in range(1, T):
-        acc = acc * (s * s * (T + s) * (T - s)) + column[s] * h[s]
-    return -acc
 
 
 def orthogonality_profile(T: int) -> tuple[int, bool]:
@@ -270,22 +275,30 @@ def _sequence_values(seq, T: int) -> tuple[Fraction, ...]:
     return values[: T - 1]
 
 
-def alternating_profile(seq, T: int) -> list[Inequality]:
-    """The strict inequality sum_s (-1)^(s+1) R_n(s,T) H_s < sum_s H_s for
-    every n = 0..T-1, both sides over s = 1..T-1 and returned exactly.
+def alternating_row(n: int, T: int, h, scale: int) -> Inequality:
+    """Row n of the alternating inequality sum_s (-1)^(s+1) R_n(s,T) H_s <
+    sum_s H_s over s = 1..T-1, from the integers h[s] = scale H_s (h[0] = 0).
 
-    The sequence is put over one denominator and each row sum over |D_(T-1)|,
-    so the whole profile costs one exact division per n and holds one
-    engine column at a time.
+    R_n(s, T) = R_s(n, T) = num_s(n) / D_s, so the engine column at n gives
+    the whole row.  D_s has the sign (-1)^s, so the left side is
+    -sum_s num_s(n) h[s] / |D_s|, brought over |D_(T-1)| by Horner steps
+    |D_s / D_(s-1)| = s^2 (T+s)(T-s): one exact division per row.
     """
+    column = _racah_numerators(n, T, T - 1)
+    acc = 0
+    for s in range(1, T):
+        acc = acc * (s * s * (T + s) * (T - s)) + column[s] * h[s]
+    rhs = Fraction(sum(h[1:T]), scale)
+    return Inequality(Fraction(-acc, _top_denominator(T) * scale), rhs)
+
+
+def alternating_profile(seq, T: int) -> list[Inequality]:
+    """alternating_row for every n = 0..T-1, with the sequence put over one
+    denominator; holds one engine column at a time."""
     values = _sequence_values(seq, T)
     scale = lcm(*(v.denominator for v in values))
     h = [0] + [v.numerator * (scale // v.denominator) for v in values]
-    rhs = Fraction(sum(h), scale)
-    den = abs(_denominators(T, T - 1)[-1]) * scale
-    return [
-        Inequality(Fraction(_alternating_row_sum(n, T, h), den), rhs) for n in range(T)
-    ]
+    return [alternating_row(n, T, h, scale) for n in range(T)]
 
 
 def n_below_log(n: int, T: int) -> bool:
@@ -395,16 +408,13 @@ class ScanReport:
     def ok(self) -> bool:
         return not self.violations and not self.strictness_exceptions
 
-    def to_json_dict(self, with_elapsed: bool = True) -> dict:
-        d = {
+    def to_json_dict(self) -> dict:
+        return {
             "T_range": [self.T_min, self.T_max],
             "violations": [h.to_json_dict(with_value=True) for h in self.violations],
             "equality_cases": [h.to_json_dict() for h in self.equality_cases],
             "rows_checked": self.rows_checked,
         }
-        if with_elapsed:
-            d["elapsed_ms"] = self.elapsed_ms
-        return d
 
 
 def _scan_one_T(T: int) -> tuple[int, list, list, int]:

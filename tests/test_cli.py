@@ -279,6 +279,18 @@ def test_fault_injection_engine(monkeypatch, capsys):
     assert "FAILED" in err
 
 
+def test_fault_injection_top_denominator(monkeypatch, capsys):
+    # |D_(T-1)| doubled at T = 6 halves every alternating lhs there; each
+    # lhs at T = 6 is nonzero, so every closed certificate at N = 4 moves
+    real = racah._top_denominator
+    monkeypatch.setattr(racah, "_top_denominator", lambda T: real(T) * (2 if T == 6 else 1))
+    code, out, err = run_cli(capsys, "verify-grassmannian", "--Nmax", "4", "--method", "both")
+    assert code == 1
+    rows = [json.loads(line) for line in out.splitlines()]
+    assert [(r["N"], r["k"]) for r in rows if not r["agree"]] == [(4, 0), (4, 1), (4, 2)]
+    assert "FAILED" in err
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [

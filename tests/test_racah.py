@@ -10,6 +10,7 @@ from grasshodge.racah import (
     _content_reduced_table,
     _denominators,
     _racah_numerators,
+    _top_denominator,
     alternating_profile,
     bound_scan,
     certify_alternating_bound,
@@ -20,6 +21,7 @@ from grasshodge.racah import (
     n_below_log,
     orthogonality_profile,
     racah_eval,
+    racah_grid,
     rescale_factor,
     rescaled_values,
 )
@@ -44,6 +46,25 @@ def test_racah_matches_term_sum():
                 expected = racah_sum(n, s, T)
                 assert Fraction(column[n], dens[n]) == expected, (T, n, s)
                 assert racah_eval(n, s, T) == expected, (T, n, s)
+
+
+def test_top_denominator_closed_form():
+    # (T-1)!^3 (2T-1)! / T! against the product of the row factors
+    for T in range(3, 201):
+        assert _top_denominator(T) == abs(_denominators(T, T - 1)[-1]), T
+
+
+def test_racah_grid_matches_single_values():
+    T = 9
+    grid = list(racah_grid(T))
+    assert [(n, s) for n, s, _ in grid] == [(n, s) for n in range(T) for s in range(T)]
+    assert all(value == racah_eval(n, s, T) for n, s, value in grid)
+    assert list(racah_grid(T, n=3)) == [g for g in grid if g[0] == 3]
+    assert list(racah_grid(T, s=5)) == [g for g in grid if g[1] == 5]
+    assert list(racah_grid(T, n=3, s=5)) == [(3, 5, racah_eval(3, 5, T))]
+    for bad in ({"T": 2}, {"T": T, "n": T}, {"T": T, "s": -1}):
+        with pytest.raises(ValueError):
+            list(racah_grid(**bad))
 
 
 @settings(max_examples=60)
@@ -137,7 +158,7 @@ def test_scan_small_range():
 def test_scan_workers_agree():
     solo = bound_scan(5, 14, jobs=1)
     multi = bound_scan(5, 14, jobs=2)
-    assert solo.to_json_dict(with_elapsed=False) == multi.to_json_dict(with_elapsed=False)
+    assert solo.to_json_dict() == multi.to_json_dict()
 
 
 def test_scan_validation():
