@@ -5,8 +5,9 @@
 Times `sigma_direct` over every k of one N at N = 30, 60, 90, 120,
 `primitive_profile(N)` at N = 12, 24, 36, `sigma_closed` over every k of
 one N at N = 60, 120, 200, `alternating_profile` of the harmonic
-sequence at T = 200, 400 and `proj_commutator_check(n)` at n = 30, 60,
-120, each size in its own Python process with DIR
+sequence at T = 200, 400, `proj_commutator_check(n)` at n = 30, 60, 120
+and the serial scan of one T, `bound_scan(T, T, jobs=1)`, at T = 300,
+600, 1000, each size in its own Python process with DIR
 (default: this checkout's src) first on sys.path and the import left out of
 the timing, and keeps the best of REPEAT runs.  Prints one JSON object: per
 layer the seconds per size and the least-squares slope of log(seconds)
@@ -64,6 +65,12 @@ LAYERS = {
         (30, 60, 120),
         "from grasshodge.lefschetz import proj_commutator_check",
         "proj_commutator_check(n)",
+    ),
+    "bound_scan_one_T": (
+        "T",
+        (300, 600, 1000),
+        "from grasshodge.racah import bound_scan",
+        "bound_scan(T, T, jobs=1)",
     ),
 }
 CHILD = """import sys, time

@@ -51,6 +51,7 @@ from .racah import (
     ApproxReport,
     BranchVerdict,
     Inequality,
+    InexactStep,
     ScanHit,
     ScanReport,
     WindowReport,

@@ -261,7 +261,11 @@ def cmd_scan_bound(args: argparse.Namespace, out: TextIO, err: TextIO) -> bool:
             raise UsageError(str(exc)) from None
     elif jobs < 1:
         raise UsageError("--jobs must be a positive integer")
-    report = racah.bound_scan(t_lo, t_hi, jobs=jobs)
+    try:
+        report = racah.bound_scan(t_lo, t_hi, jobs=jobs)
+    except racah.InexactStep as exc:
+        print(f"scan over T={t_lo}..{t_hi} FAILED: {exc}", file=err)
+        return False
     out.write(json.dumps(report.to_json_dict()) + "\n")
     print(
         f"scanned {report.rows_checked} rows over T={t_lo}..{t_hi} "

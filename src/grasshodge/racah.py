@@ -12,7 +12,8 @@ evaluated exactly, in integers, by the polynomial's three-term recurrence in
 n; the sum itself lives in the tests as the independent oracle.  Around it
 sit the Legendre comparison family, the lattice that links the two, the
 alternating inequality driven by a concave sequence, and the scan that
-checks |R_n(s, T)| <= 1 across a whole parameter range.
+checks |R_n(s, T)| <= 1 across a whole parameter range on a second, much
+smaller integer form of the same values.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from math import cos, factorial, gcd, lcm, pi, sin, sqrt
+from math import comb, cos, factorial, gcd, lcm, pi, sin, sqrt
 
 from .exactmath import (
     ConcaveSequence,
@@ -55,8 +56,8 @@ JOBS_ENV_VAR = "GRASSHODGE_JOBS"
 # Multiplying by n+1 last keeps the two products with the big numerators
 # down to small multipliers; there is no gcd and no Fraction.  The
 # recurrence is a polynomial identity in s(s+1), so a column may run past
-# s = T-1.  Scans compare |num| against |D_n| directly; single values
-# normalize once at the end.
+# s = T-1.  Single values normalize once at the end; the bound scan walks
+# the second integer form given with it below.
 # ---------------------------------------------------------------------------
 
 
@@ -275,30 +276,41 @@ def _sequence_values(seq, T: int) -> tuple[Fraction, ...]:
     return values[: T - 1]
 
 
+def _alternating_numerator(n: int, T: int, h) -> int:
+    """sum_s num_s(n) h[s] |D_(T-1) / D_s| over s = 1..T-1, by Horner steps
+    |D_s / D_(s-1)| = s^2 (T+s)(T-s) on the engine column at n."""
+    column = _racah_numerators(n, T, T - 1)
+    acc = 0
+    for s in range(1, T):
+        acc = acc * (s * s * (T + s) * (T - s)) + column[s] * h[s]
+    return acc
+
+
 def alternating_row(n: int, T: int, h, scale: int) -> Inequality:
     """Row n of the alternating inequality sum_s (-1)^(s+1) R_n(s,T) H_s <
     sum_s H_s over s = 1..T-1, from the integers h[s] = scale H_s (h[0] = 0).
 
     R_n(s, T) = R_s(n, T) = num_s(n) / D_s, so the engine column at n gives
     the whole row.  D_s has the sign (-1)^s, so the left side is
-    -sum_s num_s(n) h[s] / |D_s|, brought over |D_(T-1)| by Horner steps
-    |D_s / D_(s-1)| = s^2 (T+s)(T-s): one exact division per row.
+    -sum_s num_s(n) h[s] / |D_s|, brought over |D_(T-1)|: one exact
+    division per row.
     """
-    column = _racah_numerators(n, T, T - 1)
-    acc = 0
-    for s in range(1, T):
-        acc = acc * (s * s * (T + s) * (T - s)) + column[s] * h[s]
-    rhs = Fraction(sum(h[1:T]), scale)
-    return Inequality(Fraction(-acc, _top_denominator(T) * scale), rhs)
+    return Inequality(
+        Fraction(-_alternating_numerator(n, T, h), _top_denominator(T) * scale),
+        Fraction(sum(h[1:T]), scale),
+    )
 
 
 def alternating_profile(seq, T: int) -> list[Inequality]:
     """alternating_row for every n = 0..T-1, with the sequence put over one
-    denominator; holds one engine column at a time."""
+    denominator and the right side and |D_(T-1)| built once; holds one
+    engine column at a time."""
     values = _sequence_values(seq, T)
     scale = lcm(*(v.denominator for v in values))
     h = [0] + [v.numerator * (scale // v.denominator) for v in values]
-    return [alternating_row(n, T, h, scale) for n in range(T)]
+    den = _top_denominator(T) * scale
+    rhs = Fraction(sum(h[1:T]), scale)
+    return [Inequality(Fraction(-_alternating_numerator(n, T, h), den), rhs) for n in range(T)]
 
 
 def n_below_log(n: int, T: int) -> bool:
@@ -369,7 +381,32 @@ def certify_alternating_bound(seq, T: int) -> list[BranchVerdict]:
 
 # ---------------------------------------------------------------------------
 # Bound scan: |R_n(s, T)| <= 1 over a whole T range.
+#
+# The scan walks a second integer form, the principal weights
+#
+#     w_n(s) = P_n R_n(s, T),   P_n = C(T-1, n) C(T+n, n) > 0,
+#
+# P_n being the principal weight of the closed certificate.  Bringing the
+# normalized recurrence over P_n gives, from w_0 = 1 and
+# w_1 = T^2 - 1 - 2s(s+1),
+#
+#     w_(n+1) = -(n b_n w_n + (T^2-n^2)^2 w_(n-1)) / (n (n+1)^3),
+#     b_n = (n+1)^3 + n^3 + (2n+1)(2 s(s+1) - T^2).
+#
+# The bound is then |w_n(s)| <= P_n, with no denominator.  The scan walks
+# this form, not the engine above, because w_n is tiny next to num_n (at
+# most 2.5 kbit against 36 kbit at T = 1000): one exact division by a small
+# integer per step costs far less than the engine's products on unreduced
+# numerators.  Only the 2s(s+1) term depends on the column, so the
+# coefficients are built once per T.  Every division was exact on T
+# 3..1000; one that leaves a remainder means a corrupted value, and it
+# raises InexactStep instead of flooring.
 # ---------------------------------------------------------------------------
+
+
+class InexactStep(ArithmeticError):
+    """A principal-weight step left a remainder: a value in the walk is
+    corrupt, so the scan decides nothing for that T."""
 
 
 @dataclass(frozen=True)
@@ -417,26 +454,65 @@ class ScanReport:
         }
 
 
+def _principal_steps(T: int) -> list[tuple[int, int, int, int]]:
+    """Step coefficients (c, d, k, q) for n = 1..T-2, with
+    w_(n+1) = ((c + d v) w_n + k w_(n-1)) / q at v = 2 s(s+1):
+    c + d v = n b_n, k = (T^2-n^2)^2 and q = -n (n+1)^3."""
+    T2 = T * T
+    steps = []
+    for n in range(1, T - 1):
+        m3 = (n + 1) ** 3
+        e = T2 - n * n
+        steps.append((n * (m3 + n * n * n - (2 * n + 1) * T2), n * (2 * n + 1), e * e, -n * m3))
+    return steps
+
+
+def _principal_column(s: int, T: int, steps: list[tuple[int, int, int, int]]) -> list[int]:
+    """w_0(s) .. w_s(s) from the step table of T; needs 0 <= s <= T-1."""
+    v = 2 * s * (s + 1)
+    column = [1]
+    if s:
+        prev, cur = 1, T * T - 1 - v
+        column.append(cur)
+        for c, d, k, q in steps[: s - 1]:
+            nxt, rem = divmod((c + d * v) * cur + k * prev, q)
+            if rem:
+                n = len(column) - 1
+                raise InexactStep(
+                    f"principal-weight step n={n} -> {n + 1} at T={T}, s={s} "
+                    f"leaves a remainder modulo {-q}"
+                )
+            prev, cur = cur, nxt
+            column.append(cur)
+    return column
+
+
 def _scan_one_T(T: int) -> tuple[int, list, list, int]:
-    """Scan the half grid 0 <= n <= s <= T-1 for one T, column by column.
+    """Scan the half grid 0 <= n <= s <= T-1 for one T, column by column, on
+    the principal weights: |w_n(s)| against P_n.
 
     Returns plain tuples in (n, s) order (kept picklable for the process
-    pool): violations carry the exact value as a numerator/denominator pair.
+    pool): violations carry the exact value as the pair (w_n(s), P_n).
     """
-    dens = _denominators(T, T - 1)
-    abs_dens = [abs(den) for den in dens]
+    steps = _principal_steps(T)
+    bounds = [comb(T - 1, n) * comb(T + n, n) for n in range(T)]
     violations = []
     equalities = []
     for s in range(T):
-        for n, num in enumerate(_racah_numerators(s, T, s)):
-            abs_num = abs(num)
-            if abs_num > abs_dens[n]:
-                violations.append((T, n, s, num, dens[n]))
-            elif abs_num == abs_dens[n]:
+        for n, (w, p) in enumerate(zip(_principal_column(s, T, steps), bounds)):
+            size = abs(w)
+            if size > p:
+                violations.append((T, n, s, w, p))
+            elif size == p:
                 equalities.append((T, n, s))
     violations.sort()
     equalities.sort()
     return T, violations, equalities, T
+
+
+def _scan_batch(ts: range) -> list[tuple[int, list, list, int]]:
+    """_scan_one_T for every T of one pool task."""
+    return [_scan_one_T(T) for T in ts]
 
 
 def default_jobs() -> int:
@@ -461,27 +537,31 @@ def bound_scan(T_min: int, T_max: int, jobs: int | None = None) -> ScanReport:
 
     Work is split by T across worker processes (each T is one self-contained
     chunk of rows) and merged back in T order, so the report is identical
-    whatever the worker count.
+    whatever the worker count.  The T values, largest first, are dealt
+    round-robin into 4 * jobs pool tasks (task i gets T_max - i,
+    T_max - i - 4 * jobs, ...): few round trips, a similar share of the
+    cost (about T^3 per T) per task, and no large T left alone at the end.
+    Raises InexactStep when a step of the walk leaves a remainder.
     """
     if not 3 <= T_min <= T_max:
         raise ValueError(f"need 3 <= T_min <= T_max, got {T_min}..{T_max}")
     if jobs is None:
         jobs = default_jobs()
     start = time.monotonic()
-    ts = range(T_min, T_max + 1)
+    ts = range(T_max, T_min - 1, -1)
     if jobs <= 1 or T_max == T_min:
-        results = [_scan_one_T(T) for T in ts]
+        results = _scan_batch(ts)
     else:
+        width = 4 * jobs
+        tasks = [ts[i::width] for i in range(min(width, len(ts)))]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_scan_one_T, ts))
+            results = [result for batch in pool.map(_scan_batch, tasks) for result in batch]
     results.sort(key=lambda item: item[0])
     violations = []
     equalities = []
     rows_checked = 0
     for _, viol, eq, rows in results:
-        violations.extend(
-            ScanHit(T, n, s, Fraction(num, den)) for (T, n, s, num, den) in viol
-        )
+        violations.extend(ScanHit(T, n, s, Fraction(w, p)) for (T, n, s, w, p) in viol)
         equalities.extend(ScanHit(T, n, s, _ONE) for (T, n, s) in eq)
         rows_checked += rows
     elapsed_ms = int((time.monotonic() - start) * 1000)

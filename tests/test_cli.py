@@ -252,8 +252,23 @@ def test_fault_injection_scan(monkeypatch, capsys):
 
 
 def test_fault_injection_engine(monkeypatch, capsys):
+    # one principal weight of the scan's walk doubled past its bound:
+    # R_2(4, 6) reads 2, and the scan must report exactly that point
+    real_column = racah._principal_column
+
+    def corrupted_column(s, T, steps):
+        column = real_column(s, T, steps)
+        if (s, T) == (4, 6):
+            column[2] = 2 * lefschetz.principal_weight(2, 6)
+        return column
+
+    with monkeypatch.context() as patch:
+        patch.setattr(racah, "_principal_column", corrupted_column)
+        code, out, _ = run_cli(capsys, "scan-bound", "--Tmin", "3", "--Tmax", "8", "--jobs", "1")
+    assert code == 1
+    assert json.loads(out)["violations"] == [{"T": 6, "n": 2, "s": 4, "value": "2"}]
     # one interior numerator of the Racah engine doubled past its row
-    # denominator: R_2(4, 6) reads 2, and every consumer must notice
+    # denominator: R_2(4, 6) reads 2 there too, and every consumer must notice
     real = racah._racah_numerators
     den = racah._denominators(6, 2)[2]
 
@@ -264,9 +279,6 @@ def test_fault_injection_engine(monkeypatch, capsys):
         return nums
 
     monkeypatch.setattr(racah, "_racah_numerators", corrupted)
-    code, out, _ = run_cli(capsys, "scan-bound", "--Tmin", "3", "--Tmax", "8", "--jobs", "1")
-    assert code == 1
-    assert json.loads(out)["violations"] == [{"T": 6, "n": 2, "s": 4, "value": "2"}]
     code, out, _ = run_cli(capsys, "verify-ortho", "--T", "6")
     assert code == 1
     assert json.loads(out)["ok"] is False
@@ -277,6 +289,28 @@ def test_fault_injection_engine(monkeypatch, capsys):
     rows = [json.loads(line) for line in out.splitlines()]
     assert [(r["N"], r["k"]) for r in rows if not r["agree"]] == [(4, 0)]
     assert "FAILED" in err
+
+
+def test_fault_injection_scan_remainder(monkeypatch, capsys):
+    # k of the step n = 2 -> 3 off by one at T = 6: the step adds w_1(s) to a
+    # multiple of 2 * 3^3 = 54, and w_1(3) = 11, so column s = 3 cannot divide
+    real = racah._principal_steps
+
+    def corrupted(T):
+        steps = real(T)
+        if T == 6:
+            c, d, k, q = steps[1]
+            steps[1] = (c, d, k + 1, q)
+        return steps
+
+    monkeypatch.setattr(racah, "_principal_steps", corrupted)
+    code, out, err = run_cli(capsys, "scan-bound", "--Tmin", "3", "--Tmax", "8", "--jobs", "1")
+    assert code == 1
+    assert out == ""
+    assert "FAILED" in err and "T=6, s=3" in err and "remainder" in err
+    assert "Traceback" not in err
+    with pytest.raises(racah.InexactStep):
+        racah.bound_scan(6, 6, jobs=1)
 
 
 def test_fault_injection_top_denominator(monkeypatch, capsys):

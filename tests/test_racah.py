@@ -1,14 +1,19 @@
+import random
 from fractions import Fraction
 from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from grasshodge import racah
 from grasshodge.exactmath import ConcaveSequence, random_concave
+from grasshodge.lefschetz import principal_weight
 from grasshodge.racah import (
     WindowSamples,
     _content_reduced_table,
     _denominators,
+    _principal_column,
+    _principal_steps,
     _racah_numerators,
     _top_denominator,
     alternating_profile,
@@ -155,10 +160,34 @@ def test_scan_small_range():
     assert report.rows_checked == sum(range(3, 21))
 
 
+def test_principal_column_matches_racah_eval():
+    # the scan's walk over P_n, the certificate's principal weight, at every
+    # half-grid point
+    for T in range(3, 41):
+        steps = _principal_steps(T)
+        for s in range(T):
+            column = _principal_column(s, T, steps)
+            assert len(column) == s + 1, (T, s)
+            for n, w in enumerate(column):
+                assert Fraction(w, principal_weight(n, T)) == racah_eval(n, s, T), (T, n, s)
+
+
+def test_principal_column_matches_term_sum_sampled():
+    rng = random.Random(20)
+    for _ in range(200):
+        T = rng.randint(3, 60)
+        s = rng.randint(0, T - 1)
+        n = rng.randint(0, s)
+        w = _principal_column(s, T, _principal_steps(T))[n]
+        assert Fraction(w, principal_weight(n, T)) == racah_sum(n, s, T), (T, n, s)
+
+
 def test_scan_workers_agree():
-    solo = bound_scan(5, 14, jobs=1)
-    multi = bound_scan(5, 14, jobs=2)
-    assert solo.to_json_dict() == multi.to_json_dict()
+    # 5..7 has fewer T values than the 4 * jobs pool tasks
+    for T_min, T_max in ((3, 30), (5, 14), (5, 7)):
+        solo = bound_scan(T_min, T_max, jobs=1).to_json_dict()
+        for jobs in (2, 3):
+            assert bound_scan(T_min, T_max, jobs=jobs).to_json_dict() == solo, (T_min, T_max, jobs)
 
 
 def test_scan_validation():
@@ -166,6 +195,25 @@ def test_scan_validation():
         bound_scan(2, 10)
     with pytest.raises(ValueError):
         bound_scan(10, 5)
+
+
+def test_scan_classifies_values_at_and_just_past_the_bound(monkeypatch):
+    # R_2(4, 6) one step past the bound and R_3(5, 6) on it, both interior
+    real = racah._principal_column
+
+    def corrupted(s, T, steps):
+        column = real(s, T, steps)
+        if (s, T) == (4, 6):
+            column[2] = -(principal_weight(2, 6) + 1)
+        if (s, T) == (5, 6):
+            column[3] = principal_weight(3, 6)
+        return column
+
+    monkeypatch.setattr(racah, "_principal_column", corrupted)
+    report = bound_scan(6, 6, jobs=1)
+    assert [(h.n, h.s, h.value) for h in report.violations] == [(2, 4, Fraction(-281, 280))]
+    assert [(h.n, h.s) for h in report.strictness_exceptions] == [(3, 5)]
+    assert not report.ok
 
 
 def test_scan_report_classifies_edges():
