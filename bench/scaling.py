@@ -4,25 +4,28 @@
 
 Times `sigma_direct` over every k of one N at N = 30, 60, 90, 120,
 `primitive_profile(N)` at N = 12, 24, 36, `sigma_closed` over every k of
-one N at N = 60, 120, 200, `alternating_profile` of the harmonic
-sequence at T = 200, 400, `proj_commutator_check(n)` at n = 30, 60, 120
-and the serial scan of one T, `bound_scan(T, T, jobs=1)`, at T = 300,
-600, 1000, each size in its own Python process with DIR
-(default: this checkout's src) first on sys.path and the import left out of
-the timing, and keeps the best of REPEAT runs.  Prints one JSON object: per
-layer the seconds per size and the least-squares slope of log(seconds)
-against log(size), fitted by perfbench's `log_log_slope`.
+one N at N = 60, 120, 200, 300, `alternating_profile` of the harmonic
+sequence at T = 200, 400, `orthogonality_profile(T)` at T = 100, 200, 300,
+`proj_commutator_check(n)` at n = 30, 60, 120 and the serial scan of one T,
+`bound_scan(T, T, jobs=1)`, at T = 300, 600, 1000, each size in its own
+Python process with DIR (default: this checkout's src) first on sys.path
+and the import left out of the timing, REPEAT times.  Prints one JSON
+object: per layer and tree the median seconds per size, their quartiles,
+and the least-squares slope of log(median seconds) against log(size),
+fitted by perfbench's `log_log_slope`.
 
-Given twice (parent, then change), the two trees are timed side by side:
-for each size the repeats alternate which tree runs first, so host-load
-drift falls on both alike, and one JSON object is printed per tree, in the
-order of the --src flags.
+Given twice (parent, then change), the two trees are timed as pairs: each
+repeat runs both trees back to back, alternating which runs first, so
+host-load drift falls on both alike.  Per size the record then also gives
+the median and quartiles of the per-pair ratio change / parent, and in how
+many pairs the change ran faster.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -32,7 +35,7 @@ SRC = ROOT / "src"
 sys.path.insert(0, str(ROOT / "perfbench"))
 from measure import log_log_slope  # noqa: E402
 
-REPEAT = 3
+REPEAT = 10
 # layer: (size variable, sizes, setup, statement)
 LAYERS = {
     "sigma_direct_all_k": (
@@ -49,7 +52,7 @@ LAYERS = {
     ),
     "sigma_closed_all_k": (
         "N",
-        (60, 120, 200),
+        (60, 120, 200, 300),
         "from grasshodge.lefschetz import SigmaInstance, sigma_closed",
         "for k in range(N // 2 + 1): sigma_closed(SigmaInstance(N, k))",
     ),
@@ -59,6 +62,12 @@ LAYERS = {
         "from grasshodge.exactmath import ConcaveSequence\n"
         "from grasshodge.racah import alternating_profile",
         "alternating_profile(ConcaveSequence.harmonic(T - 1), T)",
+    ),
+    "orthogonality_profile": (
+        "T",
+        (100, 200, 300),
+        "from grasshodge.racah import orthogonality_profile",
+        "orthogonality_profile(T)",
     ),
     "proj_commutator_check": (
         "n",
@@ -89,30 +98,45 @@ def seconds(src: str, var: str, size: int, setup: str, stmt: str) -> float:
     return float(out.stdout)
 
 
+def quartiles(values: list[float]) -> list[float]:
+    """[first quartile, third quartile], inclusive method."""
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return [round(q1, 4), round(q3, 4)]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", action="append", help="source tree; default: this checkout's src")
     args = parser.parse_args(argv)
     srcs = args.src or [str(SRC)]
     trees = range(len(srcs))
-    series = [{} for _ in srcs]
+    record = {"trees": srcs, "repeat": REPEAT, "layers": {}}
     for layer, (var, sizes, setup, stmt) in LAYERS.items():
-        best = [[] for _ in srcs]
+        # runs[size index][tree] lists one time per repeat, pairs aligned
+        runs = []
         for size in sizes:
-            runs = [[] for _ in srcs]
+            by_tree = [[] for _ in srcs]
             for rep in range(REPEAT):
                 for i in trees if rep % 2 == 0 else reversed(trees):
-                    runs[i].append(seconds(srcs[i], var, size, setup, stmt))
-            for times, tree_runs in zip(best, runs):
-                times.append(min(tree_runs))
-        for out, times in zip(series, best):
-            out[layer] = {
-                var: list(sizes),
-                "seconds": [round(t, 4) for t in times],
-                "exponent": round(log_log_slope(dict(zip(sizes, times))), 2),
+                    by_tree[i].append(seconds(srcs[i], var, size, setup, stmt))
+            runs.append(by_tree)
+        out = {var: list(sizes), "trees": []}
+        for i in trees:
+            medians = [statistics.median(by_tree[i]) for by_tree in runs]
+            out["trees"].append({
+                "median_s": [round(t, 4) for t in medians],
+                "quartiles_s": [quartiles(by_tree[i]) for by_tree in runs],
+                "exponent": round(log_log_slope(dict(zip(sizes, medians))), 2),
+            })
+        if len(srcs) == 2:
+            ratios = [[b / a for a, b in zip(*by_tree)] for by_tree in runs]
+            out["ratio_change_over_parent"] = {
+                "median": [round(statistics.median(r), 3) for r in ratios],
+                "quartiles": [quartiles(r) for r in ratios],
+                "change_faster": [sum(x < 1 for x in r) for r in ratios],
             }
-    for out in series:
-        print(json.dumps(out))
+        record["layers"][layer] = out
+    print(json.dumps(record))
     return 0
 
 

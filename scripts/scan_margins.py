@@ -16,23 +16,17 @@ import sys
 from fractions import Fraction
 
 from grasshodge.exactmath import decimal_approx, format_rational
-from grasshodge.racah import _denominators, _racah_numerators, bound_scan
+from grasshodge.racah import bound_scan, racah_grid
 
 
 def interior_max(T):
-    """Largest |R_n(s, T)| = |num_n(s)| / |D_n| over 1 <= n <= s <= T-1 and
-    its (n, s), walking one engine column per s; among equal maxima the
-    first in (n, s) order wins."""
-    dens = [abs(den) for den in _denominators(T, T - 1)]
-    best_num, best_den, where = 0, 1, (T, T)
-    for s in range(1, T):
-        nums = _racah_numerators(s, T, s)
-        for n in range(1, s + 1):
-            num = abs(nums[n])
-            lhs, rhs = num * best_den, best_num * dens[n]
-            if lhs > rhs or (lhs == rhs and (n, s) < where):
-                best_num, best_den, where = num, dens[n], (n, s)
-    return Fraction(best_num, best_den), where
+    """Largest |R_n(s, T)| over 1 <= n <= s <= T-1 and its (n, s), read off
+    the full grid in (n, s) order, so among equal maxima the first wins."""
+    best, where = Fraction(0), None
+    for n, s, value in racah_grid(T):
+        if 1 <= n <= s and abs(value) > best:
+            best, where = abs(value), (n, s)
+    return best, where
 
 
 def main():

@@ -38,7 +38,6 @@ from .lefschetz import (
     SigmaVerdict,
     chain_constant,
     correction_op,
-    principal_weight,
     proj_commutator_check,
     proj_lower,
     proj_raise,
@@ -65,6 +64,7 @@ from .racah import (
     legendre_window_checks,
     n_below_log,
     orthogonality_profile,
+    principal_weight,
     racah_eval,
     rescale_factor,
 )

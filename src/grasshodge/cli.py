@@ -261,11 +261,7 @@ def cmd_scan_bound(args: argparse.Namespace, out: TextIO, err: TextIO) -> bool:
             raise UsageError(str(exc)) from None
     elif jobs < 1:
         raise UsageError("--jobs must be a positive integer")
-    try:
-        report = racah.bound_scan(t_lo, t_hi, jobs=jobs)
-    except racah.InexactStep as exc:
-        print(f"scan over T={t_lo}..{t_hi} FAILED: {exc}", file=err)
-        return False
+    report = racah.bound_scan(t_lo, t_hi, jobs=jobs)
     out.write(json.dumps(report.to_json_dict()) + "\n")
     print(
         f"scanned {report.rows_checked} rows over T={t_lo}..{t_hi} "
@@ -455,6 +451,10 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except racah.InexactStep as exc:
+        # a step of a principal-weight walk left a remainder: a value is corrupt
+        print(f"{args.command} FAILED: {exc}", file=sys.stderr)
+        return 1
     return 0 if ok else 1
 
 

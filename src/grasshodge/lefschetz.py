@@ -5,8 +5,8 @@ exact rational assembled in two independent ways: directly, by pairing
 hyperplane powers of the primitive class through the correction operator,
 and in closed form, as the principal weight times the margin of row
 n = N - 2k of the harmonic alternating inequality at T = N + 2, read off one
-Racah engine column.  The direct pipeline uses no Racah code, so the two
-stay independent; tests and the CLI compare them.
+row walk of the Racah values.  The direct pipeline uses no Racah code, so
+the two stay independent; tests and the CLI compare them.
 
 The module also carries a small model of projective n-space with one extra
 archimedean piece per codimension, used to check the commutator identity
@@ -26,8 +26,8 @@ from .chowring import (
     lefschetz_power,
     primitive_class,
 )
-from .exactmath import binomial, format_rational, harmonic_numerators, harmonic_sum
-from .racah import alternating_row
+from .exactmath import format_rational, harmonic_numerators, harmonic_sum
+from .racah import alternating_row, principal_weight
 
 _ZERO = Fraction(0)
 
@@ -106,12 +106,6 @@ def sigma_direct(inst: SigmaInstance) -> Fraction:
         right = correction_op(lefschetz_power(alpha, n + b))
         total += intersection_pairing(left, right)
     return total
-
-
-def principal_weight(n: int, T: int) -> int:
-    """Constant multiplying the alternating-inequality margin in the closed
-    certificate."""
-    return binomial(T - 1, n) * binomial(T + n, n)
 
 
 def sigma_closed(inst: SigmaInstance) -> Fraction:

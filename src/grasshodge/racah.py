@@ -8,12 +8,13 @@ The central object is the normalized Racah value
 the terminating 4F3 that defines the Racah polynomial with alpha = beta = 0,
 gamma = -T, delta = T in the variable s(s+1) (Wilson 1980; Koekoek, Lesky
 and Swarttouw, Hypergeometric Orthogonal Polynomials, section 9.2).  It is
-evaluated exactly, in integers, by the polynomial's three-term recurrence in
-n; the sum itself lives in the tests as the independent oracle.  Around it
-sit the Legendre comparison family, the lattice that links the two, the
-alternating inequality driven by a concave sequence, and the scan that
-checks |R_n(s, T)| <= 1 across a whole parameter range on a second, much
-smaller integer form of the same values.
+held exactly as one integer form, w_n(s) = P_n R_n(s, T) with the principal
+weight P_n = C(T-1, n) C(T+n, n), walked down a column by the three-term
+recurrence in n or along a row by the same recurrence in s; the sum itself
+lives in the tests as the independent oracle.  Around it sit the Legendre
+comparison family, the lattice that links the two, the alternating
+inequality driven by a concave sequence, and the scan that checks
+|R_n(s, T)| <= 1 across a whole parameter range.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, cos, factorial, gcd, lcm, pi, sin, sqrt
+from math import comb, cos, gcd, lcm, pi, sin, sqrt
+from operator import mul
 
 from .exactmath import (
     ConcaveSequence,
@@ -40,54 +42,110 @@ JOBS_ENV_VAR = "GRASSHODGE_JOBS"
 
 
 # ---------------------------------------------------------------------------
-# Exact evaluation.
+# Exact evaluation: one integer form, two walks.
 #
-# For a fixed T, R_n(s, T) = num_n(s) / D_n over the row denominators
-# D_n = prod_{m<=n} m^2 (T+m)(m-T), nonzero for n <= T-1 and the same for
-# every column s.  Clearing denominators in the Racah three-term recurrence
-# (Koekoek-Lesky-Swarttouw 9.2) gives, from num_(-1) = 0 and num_0 = 1,
+# Every value is held as the integer
 #
-#     num_(n+1) = (a_n + c_n + (2n+1)(2n+2) s(s+1)) num_n - k_n num_(n-1),
-#     a_n = (n+1)^2 (T+n+1)(n+1-T) = D_(n+1) / D_n,
-#     c_n = n (n+1)(n+T)(n-T),   k_n = c_n a_(n-1) = (n+1) n^3 (n^2-T^2)^2.
+#     w_n(s) = P_n R_n(s, T),   P_n = C(T-1, n) C(T+n, n) > 0,
 #
-# All three coefficients carry the factor n+1, and
-# (a_n + c_n + (2n+1)(2n+2) s(s+1)) / (n+1) = (n+1)^3 + n^3 + (2n+1)(2 s(s+1) - T^2).
-# Multiplying by n+1 last keeps the two products with the big numerators
-# down to small multipliers; there is no gcd and no Fraction.  The
-# recurrence is a polynomial identity in s(s+1), so a column may run past
-# s = T-1.  Single values normalize once at the end; the bound scan walks
-# the second integer form given with it below.
+# P_n being the principal weight of the closed certificate.  For n <= T-1,
+# w_n(s) is an integer at every s >= 0, since each term of the 4F3 sum is
+# integral once multiplied by P_n.  It is walked in two directions, each with
+# one exact division by a small integer per step.
+#
+# Down a column s (the three-term recurrence in the degree n, Koekoek-Lesky-
+# Swarttouw 9.2, brought over P_n), from w_0 = 1 and w_1 = T^2 - 1 - 2s(s+1):
+#
+#     w_(n+1) = -(n b_n w_n + (T^2-n^2)^2 w_(n-1)) / (n (n+1)^3),
+#     b_n = (n+1)^3 + n^3 + (2n+1)(2 s(s+1) - T^2).
+#
+# This is a polynomial identity in s(s+1), so a column may run past s = T-1,
+# and only the 2s(s+1) term depends on the column, so the coefficients are
+# built once per T.
+#
+# Along a row n (the same recurrence with n and s exchanged, by the
+# self-duality R_n(s) = R_s(n); P_n is constant along the row), from
+# w_n(-1) = 0 and w_n(0) = P_n:
+#
+#     w_n(s+1) = (b_s w_n(s) - s (s^2-T^2) w_n(s-1)) / ((s+1)((s+1)^2-T^2)),
+#     b_s = (s+1)^3 + s^3 + (2s+1)(2 n(n+1) - T^2),
+#
+# up to s + 1 = T-1, where the divisor is last nonzero.
+#
+# Both walks stay on small numbers: on the grid |w_n(s)| <= P_n wherever the
+# scan has checked the bound, and P_n has at most about 2.5 kbit at T = 1000.
+# Every division is exact; one that leaves a remainder means a corrupted
+# value, and it raises InexactStep instead of flooring.
 # ---------------------------------------------------------------------------
 
 
-def _racah_numerators(s: int, T: int, n_max: int) -> list[int]:
-    """num_n(s) = D_n R_n(s, T) for n = 0..n_max; needs n_max <= T-1."""
+class InexactStep(ArithmeticError):
+    """A principal-weight step left a remainder: a value in the walk is
+    corrupt, so nothing read from that walk is decided."""
+
+
+def principal_weight(n: int, T: int) -> int:
+    """P_n = C(T-1, n) C(T+n, n): the integer that clears every denominator
+    of R_n(s, T), and the constant multiplying the alternating-inequality
+    margin in the closed certificate."""
+    return comb(T - 1, n) * comb(T + n, n)
+
+
+def _principal_steps(T: int, n_max: int | None = None) -> list[tuple[int, int, int, int]]:
+    """Step coefficients (c, d, k, q) for n = 1..n_max-1, enough for columns
+    down to degree n_max (by default T-1), with
+    w_(n+1) = ((c + d v) w_n + k w_(n-1)) / q at v = 2 s(s+1):
+    c + d v = n b_n, k = (T^2-n^2)^2 and q = -n (n+1)^3."""
     T2 = T * T
-    u = 2 * s * (s + 1) - T2
-    prev, cur = 0, 1
-    nums = [1]
-    for n in range(n_max):
-        m = n + 1
-        e = n * (n * n - T2)
-        # (a_n + c_n + (2n+1)(2n+2) s(s+1)) / m and k_n / m
-        b, k = m * m * m + n * n * n + (2 * n + 1) * u, n * e * e
-        prev, cur = cur, m * (b * cur - k * prev)
-        nums.append(cur)
-    return nums
+    steps = []
+    for n in range(1, T - 1 if n_max is None else n_max):
+        m3 = (n + 1) ** 3
+        e = T2 - n * n
+        steps.append((n * (m3 + n * n * n - (2 * n + 1) * T2), n * (2 * n + 1), e * e, -n * m3))
+    return steps
 
 
-def _denominators(T: int, n_max: int) -> list[int]:
-    """Row denominators D_0..D_(n_max)."""
-    dens = [1]
-    for m in range(1, n_max + 1):
-        dens.append(dens[-1] * m * m * (T + m) * (m - T))
-    return dens
+def _principal_column(
+    s: int, T: int, steps: list[tuple[int, int, int, int]], n_max: int
+) -> list[int]:
+    """w_0(s) .. w_(n_max)(s) from the step table of T; needs
+    0 <= n_max <= T-1, while s may be any s >= 0."""
+    v = 2 * s * (s + 1)
+    column = [1]
+    if n_max:
+        prev, cur = 1, T * T - 1 - v
+        column.append(cur)
+        for c, d, k, q in steps[: n_max - 1]:
+            nxt, rem = divmod((c + d * v) * cur + k * prev, q)
+            if rem:
+                n = len(column) - 1
+                raise InexactStep(
+                    f"principal-weight step n={n} -> {n + 1} at T={T}, s={s} "
+                    f"leaves a remainder modulo {-q}"
+                )
+            prev, cur = cur, nxt
+            column.append(cur)
+    return column
 
 
-def _top_denominator(T: int) -> int:
-    """|D_(T-1)| = prod_{m<T} m^2 (T+m)(T-m) = (T-1)!^3 (2T-1)! / T!."""
-    return factorial(T - 1) ** 2 * factorial(2 * T - 1) // T
+def _principal_row(n: int, T: int) -> list[int]:
+    """w_n(0) .. w_n(T-1), walked along s; needs 0 <= n <= T-1."""
+    T2 = T * T
+    u = 2 * n * (n + 1) - T2
+    prev, cur = 0, principal_weight(n, T)
+    row = [cur]
+    for s in range(T - 1):
+        m = s + 1
+        b, q = m * m * m + s * s * s + (2 * s + 1) * u, m * (m * m - T2)
+        nxt, rem = divmod(b * cur - s * (s * s - T2) * prev, q)
+        if rem:
+            raise InexactStep(
+                f"principal-weight step s={s} -> {m} at T={T}, n={n} "
+                f"leaves a remainder modulo {-q}"
+            )
+        prev, cur = cur, nxt
+        row.append(cur)
+    return row
 
 
 def _validate_racah_args(n: int, s: int, T: int) -> None:
@@ -102,11 +160,16 @@ def _validate_racah_args(n: int, s: int, T: int) -> None:
 
 
 def racah_eval(n: int, s: int, T: int) -> Fraction:
-    """Exact value R_n(s, T); by the n <-> s symmetry one index may be >= T."""
+    """Exact value R_n(s, T); by the n <-> s symmetry one index may be >= T.
+
+    With m = min(n, s) and x = max(n, s), the value is w_m(x) / P_m, read off
+    the column at x walked down to degree m.
+    """
     _validate_racah_args(n, s, T)
-    steps = min(n, s)
-    num = _racah_numerators(max(n, s), T, steps)[-1]
-    return Fraction(num, _denominators(T, steps)[-1])
+    m = min(n, s)
+    return Fraction(
+        _principal_column(max(n, s), T, _principal_steps(T, m), m)[m], principal_weight(m, T)
+    )
 
 
 def racah_grid(T: int, n: int | None = None, s: int | None = None) -> Iterator[tuple]:
@@ -117,31 +180,34 @@ def racah_grid(T: int, n: int | None = None, s: int | None = None) -> Iterator[t
         raise ValueError(f"need T >= 3 and 0 <= n, s <= T-1, got T={T}, n={n}, s={s}")
     n_vals = range(T) if n is None else [n]
     s_vals = range(T) if s is None else [s]
-    columns = [_racah_numerators(c, T, max(n_vals)) for c in s_vals]
-    dens = _denominators(T, max(n_vals))
+    top = max(n_vals)
+    steps = _principal_steps(T, top)
+    columns = [_principal_column(c, T, steps, top) for c in s_vals]
     for row in n_vals:
+        weight = principal_weight(row, T)
         for c, column in zip(s_vals, columns):
-            yield row, c, Fraction(column[row], dens[row])
+            yield row, c, Fraction(column[row], weight)
 
 
 def _full_int_table(T: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-    """All numerators (row n, column s) and per-row denominators for one T,
-    built as T engine columns and transposed; nothing is cached."""
-    columns = [_racah_numerators(s, T, T - 1) for s in range(T)]
-    return tuple(zip(*columns)), tuple(_denominators(T, T - 1))
+    """Rows w_n(0..T-1) for n = 0..T-1 and the weights P_n for one T, built
+    as T principal columns and transposed; nothing is cached."""
+    steps = _principal_steps(T)
+    columns = [_principal_column(s, T, steps, T - 1) for s in range(T)]
+    return tuple(zip(*columns)), tuple(principal_weight(n, T) for n in range(T))
 
 
 def _content_reduced_table(T: int) -> tuple[list[list[int]], list[int]]:
-    """_full_int_table(T) with each row and its D_n divided by
-    g_n = gcd(D_n, num_n(0..T-1)); g_n > 0 because D_n != 0, so every value
-    num_n(s) / D_n and the sign of D_n are unchanged.  Each unreduced row is
-    released as its replacement is stored."""
-    rows, dens = map(list, _full_int_table(T))
+    """_full_int_table(T) with each row and its weight divided by
+    g_n = gcd(P_n, w_n(0..T-1)), so every value w_n(s) / P_n is unchanged and
+    every reduced weight stays positive.  Each unreduced row is released as
+    its replacement is stored."""
+    rows, weights = map(list, _full_int_table(T))
     for n, row in enumerate(rows):
-        g = gcd(dens[n], *row)
+        g = gcd(weights[n], *row)
         rows[n] = [a // g for a in row]
-        dens[n] //= g
-    return rows, dens
+        weights[n] //= g
+    return rows, weights
 
 
 def orthogonality_profile(T: int) -> tuple[int, bool]:
@@ -149,26 +215,25 @@ def orthogonality_profile(T: int) -> tuple[int, bool]:
 
     sum_s (2s+1) R_n R_m over s = 0..T-1 must equal T^2/(2n+1) when n = m
     and 0 otherwise.  On the integer table each pair is a single integer
-    identity: sum_s (2s+1) num_n num_m times (2n+1) must equal T^2 D_n^2 on
-    the diagonal and 0 off it.  Returns the pair count and whether every
-    pair matched.
+    identity: sum_s (2s+1) w_n w_m times (2n+1) must equal T^2 P_n^2 on the
+    diagonal and 0 off it.  Returns the pair count and whether every pair
+    matched.
 
     The identities run on the content-reduced table: an off-diagonal sum
     shrinks by g_n g_m and both sides of a diagonal identity by g_n^2, so
     every verdict is unchanged, while the T^3/2 products of the pair sums
-    run on numbers a fraction of the size (at T = 100, n = 99, D_n drops
-    from 2268 to 195 bits).
+    run on smaller numbers.
     """
     if T < 3:
         raise ValueError(f"need T >= 3, got {T}")
-    rows, dens = _content_reduced_table(T)
+    rows, weights = _content_reduced_table(T)
     pairs = 0
     ok = True
     T2 = T * T
     for n, row in enumerate(rows):
         weighted = [(2 * s + 1) * a for s, a in enumerate(row)]
         diagonal = sum(map(int.__mul__, weighted, row))
-        if diagonal * (2 * n + 1) != T2 * dens[n] * dens[n]:
+        if diagonal * (2 * n + 1) != T2 * weights[n] * weights[n]:
             ok = False
         for m in range(n + 1, T):
             if sum(map(int.__mul__, weighted, rows[m])):
@@ -276,41 +341,26 @@ def _sequence_values(seq, T: int) -> tuple[Fraction, ...]:
     return values[: T - 1]
 
 
-def _alternating_numerator(n: int, T: int, h) -> int:
-    """sum_s num_s(n) h[s] |D_(T-1) / D_s| over s = 1..T-1, by Horner steps
-    |D_s / D_(s-1)| = s^2 (T+s)(T-s) on the engine column at n."""
-    column = _racah_numerators(n, T, T - 1)
-    acc = 0
-    for s in range(1, T):
-        acc = acc * (s * s * (T + s) * (T - s)) + column[s] * h[s]
-    return acc
-
-
 def alternating_row(n: int, T: int, h, scale: int) -> Inequality:
     """Row n of the alternating inequality sum_s (-1)^(s+1) R_n(s,T) H_s <
     sum_s H_s over s = 1..T-1, from the integers h[s] = scale H_s (h[0] = 0).
 
-    R_n(s, T) = R_s(n, T) = num_s(n) / D_s, so the engine column at n gives
-    the whole row.  D_s has the sign (-1)^s, so the left side is
-    -sum_s num_s(n) h[s] / |D_s|, brought over |D_(T-1)|: one exact
-    division per row.
+    The row walk gives w_n(s) = P_n R_n(s, T) at every s, starting from
+    w_n(0) = P_n, so the left side is one integer sum over P_n scale.
     """
-    return Inequality(
-        Fraction(-_alternating_numerator(n, T, h), _top_denominator(T) * scale),
-        Fraction(sum(h[1:T]), scale),
-    )
+    row = _principal_row(n, T)
+    # odd s add, even s subtract
+    lhs = sum(map(mul, row[1:T:2], h[1:T:2])) - sum(map(mul, row[2:T:2], h[2:T:2]))
+    return Inequality(Fraction(lhs, row[0] * scale), Fraction(sum(h[1:T]), scale))
 
 
 def alternating_profile(seq, T: int) -> list[Inequality]:
     """alternating_row for every n = 0..T-1, with the sequence put over one
-    denominator and the right side and |D_(T-1)| built once; holds one
-    engine column at a time."""
+    denominator; holds one row at a time."""
     values = _sequence_values(seq, T)
     scale = lcm(*(v.denominator for v in values))
     h = [0] + [v.numerator * (scale // v.denominator) for v in values]
-    den = _top_denominator(T) * scale
-    rhs = Fraction(sum(h[1:T]), scale)
-    return [Inequality(Fraction(-_alternating_numerator(n, T, h), den), rhs) for n in range(T)]
+    return [alternating_row(n, T, h, scale) for n in range(T)]
 
 
 def n_below_log(n: int, T: int) -> bool:
@@ -382,31 +432,10 @@ def certify_alternating_bound(seq, T: int) -> list[BranchVerdict]:
 # ---------------------------------------------------------------------------
 # Bound scan: |R_n(s, T)| <= 1 over a whole T range.
 #
-# The scan walks a second integer form, the principal weights
-#
-#     w_n(s) = P_n R_n(s, T),   P_n = C(T-1, n) C(T+n, n) > 0,
-#
-# P_n being the principal weight of the closed certificate.  Bringing the
-# normalized recurrence over P_n gives, from w_0 = 1 and
-# w_1 = T^2 - 1 - 2s(s+1),
-#
-#     w_(n+1) = -(n b_n w_n + (T^2-n^2)^2 w_(n-1)) / (n (n+1)^3),
-#     b_n = (n+1)^3 + n^3 + (2n+1)(2 s(s+1) - T^2).
-#
-# The bound is then |w_n(s)| <= P_n, with no denominator.  The scan walks
-# this form, not the engine above, because w_n is tiny next to num_n (at
-# most 2.5 kbit against 36 kbit at T = 1000): one exact division by a small
-# integer per step costs far less than the engine's products on unreduced
-# numerators.  Only the 2s(s+1) term depends on the column, so the
-# coefficients are built once per T.  Every division was exact on T
-# 3..1000; one that leaves a remainder means a corrupted value, and it
-# raises InexactStep instead of flooring.
+# The scan walks each column s of the half grid down to n = s and compares
+# |w_n(s)| with P_n, so the bound needs no denominator.  Every division of
+# the column walk was exact on T 3..1000.
 # ---------------------------------------------------------------------------
-
-
-class InexactStep(ArithmeticError):
-    """A principal-weight step left a remainder: a value in the walk is
-    corrupt, so the scan decides nothing for that T."""
 
 
 @dataclass(frozen=True)
@@ -454,39 +483,6 @@ class ScanReport:
         }
 
 
-def _principal_steps(T: int) -> list[tuple[int, int, int, int]]:
-    """Step coefficients (c, d, k, q) for n = 1..T-2, with
-    w_(n+1) = ((c + d v) w_n + k w_(n-1)) / q at v = 2 s(s+1):
-    c + d v = n b_n, k = (T^2-n^2)^2 and q = -n (n+1)^3."""
-    T2 = T * T
-    steps = []
-    for n in range(1, T - 1):
-        m3 = (n + 1) ** 3
-        e = T2 - n * n
-        steps.append((n * (m3 + n * n * n - (2 * n + 1) * T2), n * (2 * n + 1), e * e, -n * m3))
-    return steps
-
-
-def _principal_column(s: int, T: int, steps: list[tuple[int, int, int, int]]) -> list[int]:
-    """w_0(s) .. w_s(s) from the step table of T; needs 0 <= s <= T-1."""
-    v = 2 * s * (s + 1)
-    column = [1]
-    if s:
-        prev, cur = 1, T * T - 1 - v
-        column.append(cur)
-        for c, d, k, q in steps[: s - 1]:
-            nxt, rem = divmod((c + d * v) * cur + k * prev, q)
-            if rem:
-                n = len(column) - 1
-                raise InexactStep(
-                    f"principal-weight step n={n} -> {n + 1} at T={T}, s={s} "
-                    f"leaves a remainder modulo {-q}"
-                )
-            prev, cur = cur, nxt
-            column.append(cur)
-    return column
-
-
 def _scan_one_T(T: int) -> tuple[int, list, list, int]:
     """Scan the half grid 0 <= n <= s <= T-1 for one T, column by column, on
     the principal weights: |w_n(s)| against P_n.
@@ -495,11 +491,11 @@ def _scan_one_T(T: int) -> tuple[int, list, list, int]:
     pool): violations carry the exact value as the pair (w_n(s), P_n).
     """
     steps = _principal_steps(T)
-    bounds = [comb(T - 1, n) * comb(T + n, n) for n in range(T)]
+    bounds = [principal_weight(n, T) for n in range(T)]
     violations = []
     equalities = []
     for s in range(T):
-        for n, (w, p) in enumerate(zip(_principal_column(s, T, steps), bounds)):
+        for n, (w, p) in enumerate(zip(_principal_column(s, T, steps, s), bounds)):
             size = abs(w)
             if size > p:
                 violations.append((T, n, s, w, p))

@@ -252,38 +252,37 @@ def test_fault_injection_scan(monkeypatch, capsys):
 
 
 def test_fault_injection_engine(monkeypatch, capsys):
-    # one principal weight of the scan's walk doubled past its bound:
+    # one principal weight of the column walk doubled past its bound:
     # R_2(4, 6) reads 2, and the scan must report exactly that point
     real_column = racah._principal_column
 
-    def corrupted_column(s, T, steps):
-        column = real_column(s, T, steps)
-        if (s, T) == (4, 6):
-            column[2] = 2 * lefschetz.principal_weight(2, 6)
+    def corrupted_column(s, T, steps, n_max):
+        column = real_column(s, T, steps, n_max)
+        if (s, T) == (4, 6) and n_max >= 2:
+            column[2] = 2 * racah.principal_weight(2, 6)
         return column
 
-    with monkeypatch.context() as patch:
-        patch.setattr(racah, "_principal_column", corrupted_column)
-        code, out, _ = run_cli(capsys, "scan-bound", "--Tmin", "3", "--Tmax", "8", "--jobs", "1")
+    monkeypatch.setattr(racah, "_principal_column", corrupted_column)
+    code, out, _ = run_cli(capsys, "scan-bound", "--Tmin", "3", "--Tmax", "8", "--jobs", "1")
     assert code == 1
     assert json.loads(out)["violations"] == [{"T": 6, "n": 2, "s": 4, "value": "2"}]
-    # one interior numerator of the Racah engine doubled past its row
-    # denominator: R_2(4, 6) reads 2 there too, and every consumer must notice
-    real = racah._racah_numerators
-    den = racah._denominators(6, 2)[2]
-
-    def corrupted(s, T, n_max):
-        nums = real(s, T, n_max)
-        if (s, T) == (4, 6) and n_max >= 2:
-            nums[2] = 2 * den
-        return nums
-
-    monkeypatch.setattr(racah, "_racah_numerators", corrupted)
+    # the orthogonality table is built from full columns, so it reads the
+    # same bad value
     code, out, _ = run_cli(capsys, "verify-ortho", "--T", "6")
     assert code == 1
     assert json.loads(out)["ok"] is False
-    # the closed certificate walks column n = 4 at T = 6, where the bad
-    # value is R_4(2, 6); the direct route reads no Racah code and disagrees
+    # the closed certificate walks row n = 4 at T = 6; the same kind of
+    # fault there, R_4(2, 6) read as 2, makes the direct route, which reads
+    # no Racah code, disagree
+    real_row = racah._principal_row
+
+    def corrupted_row(n, T):
+        row = real_row(n, T)
+        if (n, T) == (4, 6):
+            row[2] = 2 * row[0]
+        return row
+
+    monkeypatch.setattr(racah, "_principal_row", corrupted_row)
     code, out, err = run_cli(capsys, "verify-grassmannian", "--Nmax", "4", "--method", "both")
     assert code == 1
     rows = [json.loads(line) for line in out.splitlines()]
@@ -291,19 +290,24 @@ def test_fault_injection_engine(monkeypatch, capsys):
     assert "FAILED" in err
 
 
-def test_fault_injection_scan_remainder(monkeypatch, capsys):
-    # k of the step n = 2 -> 3 off by one at T = 6: the step adds w_1(s) to a
-    # multiple of 2 * 3^3 = 54, and w_1(3) = 11, so column s = 3 cannot divide
+def _corrupt_steps_at_6(monkeypatch):
+    # k of the step n = 2 -> 3 off by one at T = 6: the step adds w_1(s) to
+    # a multiple of 2 * 3^3 = 54, and no w_1(s) = 35 - 2s(s+1) is one
     real = racah._principal_steps
 
-    def corrupted(T):
-        steps = real(T)
+    def corrupted(T, *n_max):
+        steps = real(T, *n_max)
         if T == 6:
             c, d, k, q = steps[1]
             steps[1] = (c, d, k + 1, q)
         return steps
 
     monkeypatch.setattr(racah, "_principal_steps", corrupted)
+
+
+def test_fault_injection_scan_remainder(monkeypatch, capsys):
+    # the scan's columns first take that step at s = 3
+    _corrupt_steps_at_6(monkeypatch)
     code, out, err = run_cli(capsys, "scan-bound", "--Tmin", "3", "--Tmax", "8", "--jobs", "1")
     assert code == 1
     assert out == ""
@@ -313,42 +317,80 @@ def test_fault_injection_scan_remainder(monkeypatch, capsys):
         racah.bound_scan(6, 6, jobs=1)
 
 
-def test_fault_injection_top_denominator(monkeypatch, capsys):
-    # |D_(T-1)| doubled at T = 6 halves every alternating lhs there; each
-    # lhs at T = 6 is nonzero, so every closed certificate at N = 4 moves
-    real = racah._top_denominator
-    monkeypatch.setattr(racah, "_top_denominator", lambda T: real(T) * (2 if T == 6 else 1))
+def test_fault_injection_ortho_remainder(monkeypatch, capsys):
+    # the orthogonality table walks every column to n = T-1, so column
+    # s = 0 takes the corrupted step first
+    _corrupt_steps_at_6(monkeypatch)
+    code, out, err = run_cli(capsys, "verify-ortho", "--T", "6")
+    assert code == 1
+    assert out == ""
+    assert "FAILED" in err and "T=6, s=0" in err and "remainder" in err
+    assert "Traceback" not in err
+
+
+def test_fault_injection_row_remainder(monkeypatch, capsys):
+    # every row walk at T = 6 started from P_n + 1: row 0 stays exact (it is
+    # constant), but row 1's first step divides (1 + 4 - 36) * 36 by
+    # 1 - T^2 = -35
+    real = racah.principal_weight
+    monkeypatch.setattr(racah, "principal_weight", lambda n, T: real(n, T) + (T == 6))
+    code, out, err = run_cli(capsys, "verify-needed", "--T", "6")
+    assert code == 1
+    assert out == ""
+    assert "FAILED" in err and "T=6, n=1" in err and "remainder" in err
+    assert "Traceback" not in err
+
+
+def test_fault_injection_row_weight(monkeypatch, capsys):
+    # every row at T = 6 with its weight w_n(0) = P_n read as 1, as if the
+    # normalization were dropped: each alternating lhs there is multiplied
+    # by P_n, so every certificate at N = 4 with n > 0 moves, and the
+    # harmonic bound at T = 6 fails on the rows with a positive lhs
+    real = racah._principal_row
+
+    def corrupted(n, T):
+        row = real(n, T)
+        if T == 6:
+            row[0] = 1
+        return row
+
+    monkeypatch.setattr(racah, "_principal_row", corrupted)
     code, out, err = run_cli(capsys, "verify-grassmannian", "--Nmax", "4", "--method", "both")
     assert code == 1
     rows = [json.loads(line) for line in out.splitlines()]
-    assert [(r["N"], r["k"]) for r in rows if not r["agree"]] == [(4, 0), (4, 1), (4, 2)]
+    assert [(r["N"], r["k"]) for r in rows if not r["agree"]] == [(4, 0), (4, 1)]
+    assert "FAILED" in err
+    code, out, err = run_cli(capsys, "verify-needed", "--T", "6")
+    assert code == 1
+    holds = [json.loads(line)["holds"] for line in out.splitlines()]
+    assert holds == [True, True, False, True, False, True]
     assert "FAILED" in err
 
 
 @pytest.mark.parametrize(
     "corrupt",
     [
-        # one interior numerator off by 1: breaks the factor g_20
-        lambda s, num: num + 1 if s == 17 else num,
-        # one numerator negated: every diagonal identity still holds
-        lambda s, num: -num if s == 17 else num,
+        # one interior weight off by 1: breaks the factor g_20
+        lambda s, w: w + 1 if s == 17 else w,
+        # one weight negated: every diagonal identity still holds
+        lambda s, w: -w if s == 17 else w,
         # the whole row doubled: every off-diagonal sum is still 0
-        lambda s, num: 2 * num,
+        lambda s, w: 2 * w,
     ],
     ids=["plus-one", "negated", "row-doubled"],
 )
 def test_fault_injection_engine_reduced_rows(monkeypatch, capsys, corrupt):
-    # at T = 40 row 20 shares a 287-bit factor g_20 with D_20; a corrupted
+    # at T = 40 row 20 shares a 43-bit factor g_20 with P_20; a corrupted
     # row 20 must still fail the profile on content-reduced rows
-    real = racah._racah_numerators
+    real = racah._principal_column
 
-    def corrupted(s, T, n_max):
-        nums = real(s, T, n_max)
+    def corrupted(s, T, steps, n_max):
+        column = real(s, T, steps, n_max)
         if T == 40 and n_max >= 20:
-            nums[20] = corrupt(s, nums[20])
-        return nums
+            column[20] = corrupt(s, column[20])
+        return column
 
-    monkeypatch.setattr(racah, "_racah_numerators", corrupted)
+    monkeypatch.setattr(racah, "_principal_column", corrupted)
     assert racah.orthogonality_profile(40) == (820, False)
     code, out, _ = run_cli(capsys, "verify-ortho", "--T", "40")
     assert code == 1

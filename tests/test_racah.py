@@ -1,21 +1,18 @@
 import random
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from grasshodge import racah
 from grasshodge.exactmath import ConcaveSequence, random_concave
-from grasshodge.lefschetz import principal_weight
 from grasshodge.racah import (
     WindowSamples,
     _content_reduced_table,
-    _denominators,
     _principal_column,
+    _principal_row,
     _principal_steps,
-    _racah_numerators,
-    _top_denominator,
     alternating_profile,
     bound_scan,
     certify_alternating_bound,
@@ -25,6 +22,7 @@ from grasshodge.racah import (
     legendre_window_checks,
     n_below_log,
     orthogonality_profile,
+    principal_weight,
     racah_eval,
     racah_grid,
     rescale_factor,
@@ -42,21 +40,32 @@ from oracles import (
 
 
 def test_racah_matches_term_sum():
-    # the whole grid, through both the single-value and the engine-column route
-    for T in range(3, 26):
-        dens = _denominators(T, T - 1)
-        for s in range(T):
-            column = _racah_numerators(s, T, T - 1)
-            for n in range(T):
+    # the whole grid through both walks (full columns, past n = s, and full
+    # rows) and through the single-value route
+    for T in range(3, 31):
+        steps = _principal_steps(T)
+        columns = [_principal_column(s, T, steps, T - 1) for s in range(T)]
+        for n in range(T):
+            weight = principal_weight(n, T)
+            row = _principal_row(n, T)
+            for s in range(T):
                 expected = racah_sum(n, s, T)
-                assert Fraction(column[n], dens[n]) == expected, (T, n, s)
+                assert Fraction(columns[s][n], weight) == expected, (T, n, s)
+                assert Fraction(row[s], weight) == expected, (T, n, s)
                 assert racah_eval(n, s, T) == expected, (T, n, s)
 
 
-def test_top_denominator_closed_form():
-    # (T-1)!^3 (2T-1)! / T! against the product of the row factors
-    for T in range(3, 201):
-        assert _top_denominator(T) == abs(_denominators(T, T - 1)[-1]), T
+def test_principal_weights_termwise_integral():
+    # the r-th term of the 4F3 sum at degree m and any point x is
+    # (-1)^r C(m,r) C(m+r,r) C(x+r,2r) T / ((T-r) C(T+r,2r)); P_m times it is
+    # an integer for every x, so w_m(x) is integral at every x, x >= T
+    # included, and every step of either walk divides exactly
+    for T in range(3, 101):
+        dens = [(T - r) * comb(T + r, 2 * r) for r in range(T)]
+        for m in range(T):
+            scaled = principal_weight(m, T) * T
+            for r in range(m + 1):
+                assert scaled * comb(m, r) * comb(m + r, r) % dens[r] == 0, (T, m, r)
 
 
 def test_racah_grid_matches_single_values():
@@ -135,13 +144,12 @@ def test_orthogonality_profile_matches_pairwise():
 
 
 def test_content_reduced_table_keeps_every_value():
-    # the division by g_n is exact, keeps the sign of D_n and leaves rows
-    # with no common factor; the profile on the reduced rows still passes
+    # the division by g_n is exact, keeps every weight positive and leaves
+    # rows with no common factor; the profile on the reduced rows still passes
     for T in range(3, 31):
-        dens = _denominators(T, T - 1)
         reduced, reduced_dens = _content_reduced_table(T)
         for n in range(T):
-            assert reduced_dens[n] * dens[n] > 0
+            assert reduced_dens[n] > 0
             assert gcd(reduced_dens[n], *reduced[n]) == 1
             assert [Fraction(a, reduced_dens[n]) for a in reduced[n]] == [
                 racah_eval(n, s, T) for s in range(T)
@@ -160,16 +168,18 @@ def test_scan_small_range():
     assert report.rows_checked == sum(range(3, 21))
 
 
-def test_principal_column_matches_racah_eval():
-    # the scan's walk over P_n, the certificate's principal weight, at every
-    # half-grid point
-    for T in range(3, 41):
+def test_principal_column_matches_row_walk():
+    # the two walks share no coefficient and no divisor; they must give the
+    # same integers at every grid point, and the scan's truncated columns
+    # (n <= s) must be prefixes of the full ones
+    for T in range(3, 81):
         steps = _principal_steps(T)
+        rows = [_principal_row(n, T) for n in range(T)]
+        assert [row[0] for row in rows] == [principal_weight(n, T) for n in range(T)], T
         for s in range(T):
-            column = _principal_column(s, T, steps)
-            assert len(column) == s + 1, (T, s)
-            for n, w in enumerate(column):
-                assert Fraction(w, principal_weight(n, T)) == racah_eval(n, s, T), (T, n, s)
+            column = _principal_column(s, T, steps, T - 1)
+            assert column == [row[s] for row in rows], (T, s)
+            assert _principal_column(s, T, steps, s) == column[: s + 1], (T, s)
 
 
 def test_principal_column_matches_term_sum_sampled():
@@ -178,7 +188,7 @@ def test_principal_column_matches_term_sum_sampled():
         T = rng.randint(3, 60)
         s = rng.randint(0, T - 1)
         n = rng.randint(0, s)
-        w = _principal_column(s, T, _principal_steps(T))[n]
+        w = _principal_column(s, T, _principal_steps(T), s)[n]
         assert Fraction(w, principal_weight(n, T)) == racah_sum(n, s, T), (T, n, s)
 
 
@@ -201,8 +211,8 @@ def test_scan_classifies_values_at_and_just_past_the_bound(monkeypatch):
     # R_2(4, 6) one step past the bound and R_3(5, 6) on it, both interior
     real = racah._principal_column
 
-    def corrupted(s, T, steps):
-        column = real(s, T, steps)
+    def corrupted(s, T, steps, n_max):
+        column = real(s, T, steps, n_max)
         if (s, T) == (4, 6):
             column[2] = -(principal_weight(2, 6) + 1)
         if (s, T) == (5, 6):
