@@ -6,10 +6,10 @@ Times `sigma_direct` over every k of one N at N = 30, 60, 90, 120,
 `primitive_profile(N)` at N = 12, 24, 36, `sigma_closed` over every k of
 one N at N = 60, 120, 200, 300, `alternating_profile` of the harmonic
 sequence at T = 200, 400, `orthogonality_profile(T)` at T = 100, 200, 300,
-`proj_commutator_check(n)` at n = 30, 60, 120 and the serial scan of one T,
-`bound_scan(T, T, jobs=1)`, at T = 300, 600, 1000, each size in its own
-Python process with DIR (default: this checkout's src) first on sys.path
-and the import left out of the timing, REPEAT times.  Prints one JSON
+600, 1000, `proj_commutator_check(n)` at n = 30, 60, 120 and the serial
+scan of one T, `bound_scan(T, T, jobs=1)`, at T = 300, 600, 1000, each size
+in its own Python process with DIR (default: this checkout's src) first on
+sys.path and the import left out of the timing, REPEAT times.  Prints one JSON
 object: per layer and tree the median seconds per size, their quartiles,
 and the least-squares slope of log(median seconds) against log(size),
 fitted by perfbench's `log_log_slope`.
@@ -18,7 +18,9 @@ Given twice (parent, then change), the two trees are timed as pairs: each
 repeat runs both trees back to back, alternating which runs first, so
 host-load drift falls on both alike.  Per size the record then also gives
 the median and quartiles of the per-pair ratio change / parent, and in how
-many pairs the change ran faster.
+many pairs the change ran faster.  Sizes in CHANGE_ONLY, where the parent
+would take minutes to hours, run on the change alone; each tree's record
+lists the sizes it ran.
 """
 
 from __future__ import annotations
@@ -82,6 +84,8 @@ LAYERS = {
         "bound_scan(T, T, jobs=1)",
     ),
 }
+# layer: sizes timed on the last tree given only
+CHANGE_ONLY = {"orthogonality_profile": (600, 1000)}
 CHILD = """import sys, time
 sys.path.insert(0, {src!r})
 {setup}
@@ -112,25 +116,31 @@ def main(argv=None) -> int:
     trees = range(len(srcs))
     record = {"trees": srcs, "repeat": REPEAT, "layers": {}}
     for layer, (var, sizes, setup, stmt) in LAYERS.items():
-        # runs[size index][tree] lists one time per repeat, pairs aligned
+        all_sizes = sizes + CHANGE_ONLY.get(layer, ())
+        # runs[size index][tree] lists one time per repeat, pairs aligned;
+        # a tree that does not run a size keeps an empty list there
         runs = []
-        for size in sizes:
+        for size in all_sizes:
+            timed = trees if size in sizes else trees[-1:]
             by_tree = [[] for _ in srcs]
             for rep in range(REPEAT):
-                for i in trees if rep % 2 == 0 else reversed(trees):
+                for i in timed if rep % 2 == 0 else reversed(timed):
                     by_tree[i].append(seconds(srcs[i], var, size, setup, stmt))
             runs.append(by_tree)
-        out = {var: list(sizes), "trees": []}
+        out = {var: list(all_sizes), "trees": []}
         for i in trees:
-            medians = [statistics.median(by_tree[i]) for by_tree in runs]
+            ran = [(size, by_tree[i]) for size, by_tree in zip(all_sizes, runs) if by_tree[i]]
+            medians = {size: statistics.median(times) for size, times in ran}
             out["trees"].append({
-                "median_s": [round(t, 4) for t in medians],
-                "quartiles_s": [quartiles(by_tree[i]) for by_tree in runs],
-                "exponent": round(log_log_slope(dict(zip(sizes, medians))), 2),
+                var: list(medians),
+                "median_s": [round(t, 4) for t in medians.values()],
+                "quartiles_s": [quartiles(times) for _, times in ran],
+                "exponent": round(log_log_slope(medians), 2),
             })
         if len(srcs) == 2:
-            ratios = [[b / a for a, b in zip(*by_tree)] for by_tree in runs]
+            ratios = [[b / a for a, b in zip(*by_tree)] for by_tree in runs[: len(sizes)]]
             out["ratio_change_over_parent"] = {
+                var: list(sizes),
                 "median": [round(statistics.median(r), 3) for r in ratios],
                 "quartiles": [quartiles(r) for r in ratios],
                 "change_faster": [sum(x < 1 for x in r) for r in ratios],

@@ -27,7 +27,7 @@ from .chowring import (
     primitive_class,
 )
 from .exactmath import format_rational, harmonic_numerators, harmonic_sum
-from .racah import alternating_row, principal_weight
+from .racah import alternating_lhs, principal_weight
 
 _ZERO = Fraction(0)
 
@@ -113,8 +113,8 @@ def sigma_closed(inst: SigmaInstance) -> Fraction:
     margin rhs - lhs of row n of the alternating inequality for the harmonic
     numbers at T."""
     n, T = inst.n, inst.T
-    L, h, _ = _harmonic_table(T - 1)  # h[i] = L H_i
-    return principal_weight(n, T) * alternating_row(n, T, h, L).margin
+    L, h, column_sum = _harmonic_table(T - 1)  # h[i] = L H_i
+    return principal_weight(n, T) * (Fraction(column_sum, L) - alternating_lhs(n, T, h, L))
 
 
 @dataclass(frozen=True)

@@ -25,8 +25,8 @@ from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, cos, gcd, lcm, pi, sin, sqrt
-from operator import mul
+from math import comb, cos, lcm, pi, sin, sqrt
+from operator import add, mul
 
 from .exactmath import (
     ConcaveSequence,
@@ -71,6 +71,14 @@ JOBS_ENV_VAR = "GRASSHODGE_JOBS"
 #     b_s = (s+1)^3 + s^3 + (2s+1)(2 n(n+1) - T^2),
 #
 # up to s + 1 = T-1, where the divisor is last nonzero.
+#
+# Put as K w_n = 2n(n+1) D w_n, the row recurrence has K symmetric
+# tridiagonal, with off-diagonal alpha_s = (s+1)((s+1)^2-T^2), the divisor,
+# and diagonal -beta_s = 2n(n+1)(2s+1) - b_s, and D = diag(2s+1).  So
+# (lambda_n - lambda_m) w_m^T D w_n = w_m^T K w_n - w_n^T K w_m = 0 for the
+# distinct lambda_n = 2n(n+1): orthogonality_profile certifies all T(T+1)/2
+# row pairs from T^2 three-term identities and T norms, and its pair count
+# counts pairs certified, not pair sums formed.
 #
 # Both walks stay on small numbers: on the grid |w_n(s)| <= P_n wherever the
 # scan has checked the bound, and P_n has at most about 2.5 kbit at T = 1000.
@@ -197,49 +205,54 @@ def _full_int_table(T: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...
     return tuple(zip(*columns)), tuple(principal_weight(n, T) for n in range(T))
 
 
-def _content_reduced_table(T: int) -> tuple[list[list[int]], list[int]]:
-    """_full_int_table(T) with each row and its weight divided by
-    g_n = gcd(P_n, w_n(0..T-1)), so every value w_n(s) / P_n is unchanged and
-    every reduced weight stays positive.  Each unreduced row is released as
-    its replacement is stored."""
-    rows, weights = map(list, _full_int_table(T))
-    for n, row in enumerate(rows):
-        g = gcd(weights[n], *row)
-        rows[n] = [a // g for a in row]
-        weights[n] //= g
-    return rows, weights
+def _difference_operator(T: int) -> tuple[list[int], list[int]]:
+    """The symmetric tridiagonal K of the s-recurrence at T: off-diagonal
+    alpha_s = (s+1)((s+1)^2 - T^2) and diagonal -beta_s with
+    beta_s = (s+1)^3 + s^3 - (2s+1) T^2, for s = 0..T-1 (alpha_(T-1) = 0)."""
+    T2 = T * T
+    alpha = [(s + 1) * ((s + 1) ** 2 - T2) for s in range(T)]
+    beta = [(s + 1) ** 3 + s**3 - (2 * s + 1) * T2 for s in range(T)]
+    return alpha, beta
 
 
 def orthogonality_profile(T: int) -> tuple[int, bool]:
     """Weighted orthogonality of every unordered row pair n <= m at one T.
 
     sum_s (2s+1) R_n R_m over s = 0..T-1 must equal T^2/(2n+1) when n = m
-    and 0 otherwise.  On the integer table each pair is a single integer
-    identity: sum_s (2s+1) w_n w_m times (2n+1) must equal T^2 P_n^2 on the
-    diagonal and 0 off it.  Returns the pair count and whether every pair
-    matched.
+    and 0 otherwise.  Returns the number of pairs certified, T(T+1)/2, and
+    whether the certificate holds.  On the principal-weight table of
+    _full_int_table (the column walk, recurrence in n) it checks, as exact
+    integers:
 
-    The identities run on the content-reduced table: an off-diagonal sum
-    shrinks by g_n g_m and both sides of a diagonal identity by g_n^2, so
-    every verdict is unchanged, while the T^3/2 products of the pair sums
-    run on smaller numbers.
+    * the three-term identity in s, K w_n = lambda_n D w_n, at every n and
+      s = 0..T-1:  alpha_s w_n(s+1) - beta_s w_n(s) + alpha_(s-1) w_n(s-1)
+      = 2n(n+1) (2s+1) w_n(s), with alpha and beta from _difference_operator;
+      alpha_(-1) = alpha_(T-1) = 0, so no value off the grid is read;
+    * the T diagonal norms (2n+1) sum_s (2s+1) w_n(s)^2 = T^2 P_n^2.
+
+    K is symmetric, so (lambda_n - lambda_m) sum_s (2s+1) w_n w_m =
+    w_m^T K w_n - w_n^T K w_m = 0, and the eigenvalues lambda_n = 2n(n+1)
+    are distinct: every off-diagonal pair sum vanishes.  A table passes only
+    if the T(T+1)/2 pair sums would also pass, at O(T^2) products instead of
+    O(T^3).
     """
     if T < 3:
         raise ValueError(f"need T >= 3, got {T}")
-    rows, weights = _content_reduced_table(T)
-    pairs = 0
-    ok = True
+    rows, weights = _full_int_table(T)
+    alpha, beta = _difference_operator(T)
+    odd = range(1, 2 * T, 2)
     T2 = T * T
-    for n, row in enumerate(rows):
-        weighted = [(2 * s + 1) * a for s, a in enumerate(row)]
-        diagonal = sum(map(int.__mul__, weighted, row))
-        if diagonal * (2 * n + 1) != T2 * weights[n] * weights[n]:
-            ok = False
-        for m in range(n + 1, T):
-            if sum(map(int.__mul__, weighted, rows[m])):
-                ok = False
-        pairs += T - n
-    return pairs, ok
+    pairs = T * (T + 1) // 2
+    for n, (row, weight) in enumerate(zip(rows, weights)):
+        lam = 2 * n * (n + 1)
+        # alpha_s w_n(s+1) + alpha_(s-1) w_n(s-1) == (beta_s + lam (2s+1)) w_n(s)
+        up = [*map(mul, alpha, row[1:]), 0]
+        down = [0, *map(mul, alpha, row[:-1])]
+        if list(map(add, up, down)) != [(b + lam * o) * w for b, o, w in zip(beta, odd, row)]:
+            return pairs, False
+        if (2 * n + 1) * sum(map(mul, odd, map(mul, row, row))) != T2 * weight * weight:
+            return pairs, False
+    return pairs, True
 
 
 # ---------------------------------------------------------------------------
@@ -341,26 +354,30 @@ def _sequence_values(seq, T: int) -> tuple[Fraction, ...]:
     return values[: T - 1]
 
 
-def alternating_row(n: int, T: int, h, scale: int) -> Inequality:
-    """Row n of the alternating inequality sum_s (-1)^(s+1) R_n(s,T) H_s <
-    sum_s H_s over s = 1..T-1, from the integers h[s] = scale H_s (h[0] = 0).
+def alternating_lhs(n: int, T: int, h, scale: int) -> Fraction:
+    """Left side of row n of the alternating inequality,
+    sum_s (-1)^(s+1) R_n(s,T) H_s over s = 1..T-1, from the integers
+    h[s] = scale H_s (h[0] = 0).
 
     The row walk gives w_n(s) = P_n R_n(s, T) at every s, starting from
-    w_n(0) = P_n, so the left side is one integer sum over P_n scale.
+    w_n(0) = P_n, so the sum is one integer over P_n scale.
     """
     row = _principal_row(n, T)
     # odd s add, even s subtract
     lhs = sum(map(mul, row[1:T:2], h[1:T:2])) - sum(map(mul, row[2:T:2], h[2:T:2]))
-    return Inequality(Fraction(lhs, row[0] * scale), Fraction(sum(h[1:T]), scale))
+    return Fraction(lhs, row[0] * scale)
 
 
 def alternating_profile(seq, T: int) -> list[Inequality]:
-    """alternating_row for every n = 0..T-1, with the sequence put over one
-    denominator; holds one row at a time."""
+    """Row n of sum_s (-1)^(s+1) R_n(s,T) H_s < sum_s H_s over s = 1..T-1
+    for every n = 0..T-1, with the sequence put over one denominator and
+    the right side, which no row changes, built once; holds one row at a
+    time."""
     values = _sequence_values(seq, T)
     scale = lcm(*(v.denominator for v in values))
     h = [0] + [v.numerator * (scale // v.denominator) for v in values]
-    return [alternating_row(n, T, h, scale) for n in range(T)]
+    rhs = Fraction(sum(h), scale)
+    return [Inequality(alternating_lhs(n, T, h, scale), rhs) for n in range(T)]
 
 
 def n_below_log(n: int, T: int) -> bool:

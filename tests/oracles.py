@@ -2,16 +2,18 @@
 
 Each function here is the slow, definitional form of something the library
 computes by a faster route: the terminating 4F3 sum behind R_n(s, T), the
-pairwise orthogonality sums and the single-degree inequalities built on it,
-the top-row product of R, the coefficient recurrence of the Legendre
-polynomials, the binomial alternating sum (the Whipple bridge) and the
-box-coordinate double sum behind the correction weights of the closed
-certificate, hyperplane powers as sums of validated skew tableau counts,
-and the Poincare pairing as a plain sum of products.
+pairwise orthogonality sums (on fractions, and on the integer table that the
+library certifies by three-term identities instead), the single-degree
+inequalities built on it, the top-row product of R, the coefficient
+recurrence of the Legendre polynomials, the binomial alternating sum (the
+Whipple bridge) and the box-coordinate double sum behind the correction
+weights of the closed certificate, hyperplane powers as sums of validated
+skew tableau counts, and the Poincare pairing as a plain sum of products.
 """
 
 from fractions import Fraction
 
+from grasshodge import racah
 from grasshodge.chowring import ChowElement
 from grasshodge.exactmath import binomial, exp_compare
 from grasshodge.racah import Inequality
@@ -50,6 +52,24 @@ def orthogonality_check(T, n, m):
     )
     predicted = Fraction(T * T, 2 * n + 1) if n == m else 0
     return total, total == predicted
+
+
+def orthogonality_pairs(T):
+    """(pair count, verdict) of every unordered row pair n <= m of the
+    principal-weight table at T, one pair sum each: (2n+1) sum_s (2s+1)
+    w_n w_m must be T^2 P_n^2 when n = m and 0 otherwise."""
+    rows, weights = racah._full_int_table(T)
+    pairs = 0
+    ok = True
+    for n, row in enumerate(rows):
+        weighted = [(2 * s + 1) * a for s, a in enumerate(row)]
+        if (2 * n + 1) * sum(map(int.__mul__, weighted, row)) != T * T * weights[n] ** 2:
+            ok = False
+        for m in range(n + 1, T):
+            if sum(map(int.__mul__, weighted, rows[m])):
+                ok = False
+        pairs += T - n
+    return pairs, ok
 
 
 def alternating_bound(values, n, T):

@@ -14,6 +14,7 @@ import grasshodge
 from grasshodge import cli, lefschetz, racah
 from grasshodge.chowring import ChowElement
 from grasshodge.cli import UsageError, emit_table, load_sequence, main
+from oracles import orthogonality_pairs
 
 
 def run_cli(capsys, *argv):
@@ -370,18 +371,22 @@ def test_fault_injection_row_weight(monkeypatch, capsys):
 @pytest.mark.parametrize(
     "corrupt",
     [
-        # one interior weight off by 1: breaks the factor g_20
+        # one interior weight off by 1: breaks the three-term identities of
+        # row 20 at s = 16, 17 and 18
         lambda s, w: w + 1 if s == 17 else w,
-        # one weight negated: every diagonal identity still holds
+        # one weight negated: every diagonal norm still holds, the three-term
+        # identities around s = 17 do not
         lambda s, w: -w if s == 17 else w,
-        # the whole row doubled: every off-diagonal sum is still 0
+        # the whole row doubled: every three-term identity is linear and still
+        # holds, as does every off-diagonal sum; the diagonal norm of row 20
+        # reads 4 T^2 P_20^2
         lambda s, w: 2 * w,
     ],
     ids=["plus-one", "negated", "row-doubled"],
 )
 def test_fault_injection_engine_reduced_rows(monkeypatch, capsys, corrupt):
-    # at T = 40 row 20 shares a 43-bit factor g_20 with P_20; a corrupted
-    # row 20 must still fail the profile on content-reduced rows
+    # row 20 of the column walk at T = 40 corrupted three ways: the
+    # certificate, which reads no off-diagonal pair sum, must fail on each
     real = racah._principal_column
 
     def corrupted(s, T, steps, n_max):
@@ -395,6 +400,45 @@ def test_fault_injection_engine_reduced_rows(monkeypatch, capsys, corrupt):
     code, out, _ = run_cli(capsys, "verify-ortho", "--T", "40")
     assert code == 1
     assert json.loads(out)["ok"] is False
+
+
+@pytest.mark.parametrize("n, s", [(0, 0), (0, 39), (39, 0), (39, 39), (20, 39)])
+def test_fault_injection_ortho_table_entry(monkeypatch, capsys, n, s):
+    # one entry of the table the certificate reads off by 1 at T = 40, on the
+    # edges, where alpha_(-1) = alpha_(T-1) = 0 leave the fewest identities
+    # reading it; the pair sums of the same table fail as well
+    real = racah._full_int_table
+
+    def corrupted(T):
+        rows, weights = real(T)
+        if T == 40:
+            rows = [list(row) for row in rows]
+            rows[n][s] += 1
+        return rows, weights
+
+    monkeypatch.setattr(racah, "_full_int_table", corrupted)
+    assert orthogonality_pairs(40) == (820, False)
+    code, out, _ = run_cli(capsys, "verify-ortho", "--T", "40")
+    assert code == 1
+    assert json.loads(out)["ok"] is False
+
+
+@pytest.mark.parametrize("coefficient, s", [("alpha", 0), ("alpha", 7), ("beta", 9)])
+def test_fault_injection_ortho_coefficient(monkeypatch, capsys, coefficient, s):
+    # one step coefficient of the certificate off by 1 at T = 10 while the
+    # table is right: the three-term identities that read it fail
+    real = racah._difference_operator
+
+    def corrupted(T):
+        alpha, beta = real(T)
+        if T == 10:
+            {"alpha": alpha, "beta": beta}[coefficient][s] += 1
+        return alpha, beta
+
+    monkeypatch.setattr(racah, "_difference_operator", corrupted)
+    code, out, _ = run_cli(capsys, "verify-ortho", "--Tmin", "9", "--Tmax", "11")
+    assert code == 1
+    assert [json.loads(line)["ok"] for line in out.splitlines()] == [True, False, True]
 
 
 def test_fault_injection_correction_op(monkeypatch, capsys):

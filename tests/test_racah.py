@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import comb, gcd
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +9,6 @@ from grasshodge import racah
 from grasshodge.exactmath import ConcaveSequence, random_concave
 from grasshodge.racah import (
     WindowSamples,
-    _content_reduced_table,
     _principal_column,
     _principal_row,
     _principal_steps,
@@ -34,6 +33,7 @@ from oracles import (
     in_cauchy_range,
     legendre_coeffs,
     orthogonality_check,
+    orthogonality_pairs,
     racah_sum,
     racah_top_product,
 )
@@ -143,18 +143,10 @@ def test_orthogonality_profile_matches_pairwise():
                 assert orthogonality_check(T, n, m)[1]
 
 
-def test_content_reduced_table_keeps_every_value():
-    # the division by g_n is exact, keeps every weight positive and leaves
-    # rows with no common factor; the profile on the reduced rows still passes
-    for T in range(3, 31):
-        reduced, reduced_dens = _content_reduced_table(T)
-        for n in range(T):
-            assert reduced_dens[n] > 0
-            assert gcd(reduced_dens[n], *reduced[n]) == 1
-            assert [Fraction(a, reduced_dens[n]) for a in reduced[n]] == [
-                racah_eval(n, s, T) for s in range(T)
-            ]
-        assert orthogonality_profile(T) == (T * (T + 1) // 2, True)
+def test_orthogonality_certificate_matches_pair_sums():
+    # the three-term certificate against every pair sum of the same table
+    for T in range(3, 61):
+        assert orthogonality_profile(T) == orthogonality_pairs(T) == (T * (T + 1) // 2, True)
 
 
 # --- scan ---
