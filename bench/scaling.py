@@ -6,8 +6,10 @@ Times `sigma_direct` over every k of one N at N = 30, 60, 90, 120,
 `primitive_profile(N)` at N = 12, 24, 36, `sigma_closed` over every k of
 one N at N = 60, 120, 200, 300, `alternating_profile` of the harmonic
 sequence at T = 200, 400, `orthogonality_profile(T)` at T = 100, 200, 300,
-600, 1000, `proj_commutator_check(n)` at n = 30, 60, 120 and the serial
-scan of one T, `bound_scan(T, T, jobs=1)`, at T = 300, 600, 1000, each size
+600, 1000, `proj_commutator_check(n)` at n = 30, 60, 120, the serial
+scan of one T, `bound_scan(T, T, jobs=1)`, at T = 300, 600, 1000 and the
+CLI's `table --kind racah --T T` with stdout sent to devnull at T = 60,
+120, 200, each size
 in its own Python process with DIR (default: this checkout's src) first on
 sys.path and the import left out of the timing, REPEAT times.  Prints one JSON
 object: per layer and tree the median seconds per size, their quartiles,
@@ -82,6 +84,14 @@ LAYERS = {
         (300, 600, 1000),
         "from grasshodge.racah import bound_scan",
         "bound_scan(T, T, jobs=1)",
+    ),
+    "table_racah_T": (
+        "T",
+        (60, 120, 200),
+        "import contextlib, os\n"
+        "from grasshodge import cli\n"
+        "sink = open(os.devnull, 'w')",
+        "with contextlib.redirect_stdout(sink): cli.main(['table', '--kind', 'racah', '--T', str(T)])",
     ),
 }
 # layer: sizes timed on the last tree given only

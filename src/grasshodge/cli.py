@@ -37,6 +37,12 @@ class UsageError(Exception):
 
 
 def _csv_cell(value) -> str:
+    # the common cells first, by exact type: bool is a subclass of int
+    kind = type(value)
+    if kind is str:
+        return value
+    if kind is int:
+        return str(value)
     if value is None:
         return ""
     if isinstance(value, bool):

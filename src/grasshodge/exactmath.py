@@ -2,7 +2,8 @@
 
 Everything here works over Python's Fraction type.  Nothing in this module
 touches floating point; callers that want decimal output go through
-decimal_approx, which rounds an exact rational.
+decimal_approx, which rounds an exact rational in integers from its
+numerator and denominator.
 """
 
 from __future__ import annotations
@@ -141,11 +142,17 @@ def random_concave(m: int, seed: int) -> ConcaveSequence:
 
 
 def format_rational(q) -> str:
-    """Canonical text form: "p/q" in lowest terms, or "p" when q = 1."""
-    q = Fraction(q)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+    """Canonical text form: "p/q" in lowest terms, or "p" when q = 1.
+
+    An int or a Fraction already holds its lowest terms; anything else
+    goes through Fraction first.
+    """
+    if not isinstance(q, (int, Fraction)):
+        q = Fraction(q)
+    num, den = q.numerator, q.denominator
+    if den == 1:
+        return str(num)
+    return f"{num}/{den}"
 
 
 def parse_rational(text: str) -> Fraction:
@@ -162,10 +169,18 @@ def decimal_approx(q, places: int = 12) -> str:
     Rounding is round-half-even on the exact value, so output is
     deterministic and accurate to 10**-places.
     """
-    q = Fraction(q)
-    scaled = round(q * 10**places)
+    if not isinstance(q, (int, Fraction)):
+        q = Fraction(q)
+    num, den = q.numerator, q.denominator
+    unit = 10**places
+    scaled, rem = divmod(num * unit, den)
+    # floor division leaves 0 <= rem < den; round up past the half, and at
+    # the exact half only when that makes scaled even
+    twice = 2 * rem
+    if twice > den or (twice == den and scaled & 1):
+        scaled += 1
     sign = "-" if scaled < 0 else ""
-    whole, frac = divmod(abs(scaled), 10**places)
+    whole, frac = divmod(abs(scaled), unit)
     return f"{sign}{whole}.{str(frac).zfill(places)}"
 
 

@@ -433,6 +433,11 @@ def certify_alternating_bound(seq, T: int) -> list[BranchVerdict]:
     square_sum = sum((h * h / (2 * s + 1) for s, h in enumerate(values, 1)), _ZERO)
     mean = sum(values, _ZERO) / T
     mean_sq = mean * mean
+    # e^n < T fails from some n on, so one count of the n below it serves all
+    below_log = 0
+    if T >= 90:
+        while n_below_log(below_log, T):
+            below_log += 1
     out = []
     for n in range(T):
         branches = []
@@ -440,7 +445,7 @@ def certify_alternating_bound(seq, T: int) -> list[BranchVerdict]:
             branches.append("cauchy")
         if n <= 3 or n == T - 1:
             branches.append("closed-form")
-        if T >= 90 and n_below_log(n, T):
+        if n < below_log:
             branches.append("legendre")
         out.append(BranchVerdict(T, n, profile[n], tuple(branches), concave))
     return out

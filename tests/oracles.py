@@ -8,7 +8,8 @@ inequalities built on it, the top-row product of R, the coefficient
 recurrence of the Legendre polynomials, the binomial alternating sum (the
 Whipple bridge) and the box-coordinate double sum behind the correction
 weights of the closed certificate, hyperplane powers as sums of validated
-skew tableau counts, and the Poincare pairing as a plain sum of products.
+skew tableau counts, the Poincare pairing as a plain sum of products, and
+the decimal and "p/q" renderings of a rational by Fraction arithmetic.
 """
 
 from fractions import Fraction
@@ -212,3 +213,24 @@ def naive_pairing(x, y):
     N = x.N
     return sum(c * y.coeff(N - b, N - a) for (a, b), c in x.terms.items()
                if (N - b, N - a) in y.terms)
+
+
+def fraction_format_rational(q) -> str:
+    """Canonical text form: "p/q" in lowest terms, or "p" when q = 1."""
+    q = Fraction(q)
+    if q.denominator == 1:
+        return str(q.numerator)
+    return f"{q.numerator}/{q.denominator}"
+
+
+def fraction_decimal_approx(q, places: int = 12) -> str:
+    """Decimal rendering of an exact rational, rounded to `places` digits.
+
+    Rounding is round-half-even on the exact value, so output is
+    deterministic and accurate to 10**-places.
+    """
+    q = Fraction(q)
+    scaled = round(q * 10**places)
+    sign = "-" if scaled < 0 else ""
+    whole, frac = divmod(abs(scaled), 10**places)
+    return f"{sign}{whole}.{str(frac).zfill(places)}"

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -502,6 +503,25 @@ def test_table_racah_filters_match_full_table(capsys):
                 assert table(T, "--n", n, "--s", s) == [full[0], row[(T, n, s)]]
             assert table(T, "--n", n)[1:] == [row[(T, n, s)] for s in range(T)]
         assert table(T, "--s", 1)[1:] == [row[(T, n, 1)] for n in range(T)]
+
+
+# sha256 of stdout for commands whose every row carries exact values and
+# their decimal renderings; any change to a printed byte shows here
+STDOUT_PINS = [
+    ("table --kind racah --T 40", "cbdb26c6e3913d0b6033b1b8aac1bc9ca6df45b45d63d1c6750ed09537ab9278"),
+    ("table --kind racah --T 40 --format json", "7294c6263752a56f4b65ee5c27fc4d4fda41813e6c1960dfa7cbaa3dc83ff3bc"),
+    ("verify-needed --T 100", "bfbaa6f6ed4f8148dc849036f033382fb7e515efed867db8bcb37afe62efc764"),
+    ("verify-needed --T 60 --sequence random --seed 7", "cdde2ebb8e5f8f148ab99f9d0b05738d39222ef9e915af58f324cb727a364ad8"),
+    ("verify-grassmannian --Nmax 20 --method both", "d030c84a453aa23043391a7d6c5e72be4b9fe2945717042fe55c819590c9de0f"),
+    ("verify-pn --nmax 30", "b3f830cc0bcaac75ac7abd3486bc624a644cd6243a37ed02e7c41e2f354e105d"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", STDOUT_PINS, ids=[a for a, _ in STDOUT_PINS])
+def test_stdout_pinned(capsys, argv, digest):
+    code, out, _ = run_cli(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_emit_table_empty_rows_gives_header_only():

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,7 @@ from grasshodge.exactmath import (
     random_concave,
     validate_concave,
 )
-from oracles import pochhammer
+from oracles import fraction_decimal_approx, fraction_format_rational, pochhammer
 
 
 def test_binomial_matches_math_comb():
@@ -134,6 +135,56 @@ def test_decimal_approx_rounding():
     # round half to even, like the decimal module
     assert decimal_approx(Fraction(1, 8), 2) == "0.12"
     assert decimal_approx(Fraction(3, 8), 2) == "0.38"
+
+
+# P_n = C(T-1, n) C(T+n, n) at T = 1000 runs to about 2.5 kbit
+_BIG = 2**2500
+
+
+def _exact_ties(places):
+    """Odd m over 2 * 10**places: exactly halfway between two roundings."""
+    return st.integers(-(10**20), 10**20).map(
+        lambda m: Fraction(2 * m + 1, 2 * 10**places)
+    )
+
+
+_places = st.integers(0, 15)
+_rationals = st.one_of(
+    st.integers(),
+    st.booleans(),
+    st.fractions(),
+    st.integers(-_BIG, _BIG),
+    st.builds(Fraction, st.integers(-_BIG, _BIG), st.integers(1, _BIG)),
+)
+
+
+@given(_rationals, _places)
+def test_decimal_approx_matches_fraction_rounding(q, places):
+    assert decimal_approx(q, places) == fraction_decimal_approx(q, places)
+    assert decimal_approx(q) == fraction_decimal_approx(q)
+
+
+@given(_places.flatmap(lambda p: st.tuples(st.just(p), _exact_ties(p))))
+def test_decimal_approx_exact_ties_round_half_even(case):
+    places, q = case
+    text = decimal_approx(q, places)
+    assert text == fraction_decimal_approx(q, places)
+    # the last digit kept is even at every exact tie (places = 0 still
+    # prints one fractional zero)
+    kept = text[-1] if places else text.split(".")[0]
+    assert int(kept) % 2 == 0
+
+
+@given(_rationals)
+def test_format_rational_matches_fraction_form(q):
+    assert format_rational(q) == fraction_format_rational(q)
+
+
+def test_rendering_other_rationals_goes_through_fraction():
+    for q in (Decimal("-2.5"), Decimal("0.125"), "22/7", 0.375):
+        assert format_rational(q) == fraction_format_rational(q)
+        for places in (0, 2, 12):
+            assert decimal_approx(q, places) == fraction_decimal_approx(q, places)
 
 
 def test_exp_compare_against_known_points():

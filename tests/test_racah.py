@@ -415,6 +415,27 @@ def test_certify_covers_harmonic():
     assert labels == {"cauchy", "closed-form", "legendre"}
 
 
+def test_certify_branches_match_per_degree_rules():
+    # the legendre cutoff is found once per T; every n must still get the
+    # labels that the per-degree rules give, n_below_log(n, T) included
+    for T in range(85, 131):
+        values = ConcaveSequence.harmonic(T - 1).values
+        square_sum = sum(h * h / (2 * s + 1) for s, h in enumerate(values, 1))
+        mean_sq = (sum(values) / T) ** 2
+        verdicts = certify_alternating_bound(values, T)
+        assert [v.n for v in verdicts] == list(range(T))
+        for v in verdicts:
+            n = v.n
+            want = []
+            if square_sum < (2 * n + 1) * mean_sq:
+                want.append("cauchy")
+            if n <= 3 or n == T - 1:
+                want.append("closed-form")
+            if T >= 90 and n_below_log(n, T):
+                want.append("legendre")
+            assert v.branches == tuple(want), (T, n)
+
+
 def test_certify_flags_non_concave_input():
     values = [Fraction(1), Fraction(5), Fraction(6)]  # increasing, not concave
     verdicts = certify_alternating_bound(values, 4)
