@@ -2,19 +2,20 @@
 
     python3 bench/scaling.py [--src DIR [--src DIR2]]
 
-Times `sigma_direct` over every k of one N at N = 30, 60, 90, 120,
-`primitive_profile(N)` at N = 12, 24, 36, `sigma_closed` over every k of
-one N at N = 60, 120, 200, 300, `alternating_profile` of the harmonic
-sequence at T = 200, 400, `orthogonality_profile(T)` at T = 100, 200, 300,
-600, 1000, `proj_commutator_check(n)` at n = 30, 60, 120, the serial
-scan of one T, `bound_scan(T, T, jobs=1)`, at T = 300, 600, 1000 and the
-CLI's `table --kind racah --T T` with stdout sent to devnull at T = 60,
-120, 200, each size
-in its own Python process with DIR (default: this checkout's src) first on
-sys.path and the import left out of the timing, REPEAT times.  Prints one JSON
-object: per layer and tree the median seconds per size, their quartiles,
-and the least-squares slope of log(median seconds) against log(size),
-fitted by perfbench's `log_log_slope`.
+Times the direct certificate as the CLI runs it,
+`sigma_verdict(SigmaInstance(N, k), "direct")`, over every k of one N at
+N = 30, 60, 90, 120, 200, `primitive_profile(N)` at N = 12, 24, 36,
+`sigma_closed` over every k of one N at N = 60, 120, 200, 300,
+`alternating_profile` of the harmonic sequence at T = 200, 400,
+`orthogonality_profile(T)` at T = 100, 200, 300, 600, 1000,
+`proj_commutator_check(n)` at n = 30, 60, 120, the serial scan of one T,
+`bound_scan(T, T, jobs=1)`, at T = 300, 600, 1000 and the CLI's
+`table --kind racah --T T` with stdout sent to devnull at T = 60, 120, 200,
+each size in its own Python process with DIR (default: this checkout's src)
+first on sys.path and the import left out of the timing, REPEAT times.
+Prints one JSON object: per layer and tree the median seconds per size,
+their quartiles, and the least-squares slope of log(median seconds) against
+log(size), fitted by perfbench's `log_log_slope`.
 
 Given twice (parent, then change), the two trees are timed as pairs: each
 repeat runs both trees back to back, alternating which runs first, so
@@ -45,8 +46,8 @@ LAYERS = {
     "sigma_direct_all_k": (
         "N",
         (30, 60, 90, 120),
-        "from grasshodge.lefschetz import SigmaInstance, sigma_direct",
-        "for k in range(N // 2 + 1): sigma_direct(SigmaInstance(N, k))",
+        "from grasshodge.lefschetz import SigmaInstance, sigma_verdict",
+        "for k in range(N // 2 + 1): sigma_verdict(SigmaInstance(N, k), 'direct')",
     ),
     "primitive_profile": (
         "N",
@@ -95,7 +96,7 @@ LAYERS = {
     ),
 }
 # layer: sizes timed on the last tree given only
-CHANGE_ONLY = {"orthogonality_profile": (600, 1000)}
+CHANGE_ONLY = {"sigma_direct_all_k": (200,), "orthogonality_profile": (600, 1000)}
 CHILD = """import sys, time
 sys.path.insert(0, {src!r})
 {setup}

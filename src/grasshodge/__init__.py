@@ -45,6 +45,7 @@ from .lefschetz import (
     sigma_closed,
     sigma_direct,
     sigma_verdict,
+    sigma_walk,
 )
 from .racah import (
     ApproxReport,

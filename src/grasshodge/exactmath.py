@@ -167,8 +167,11 @@ def decimal_approx(q, places: int = 12) -> str:
     """Decimal rendering of an exact rational, rounded to `places` digits.
 
     Rounding is round-half-even on the exact value, so output is
-    deterministic and accurate to 10**-places.
+    deterministic and accurate to 10**-places.  With places = 0 the result
+    is the rounded integer, with no decimal point.
     """
+    if places < 0:
+        raise ValueError(f"decimal_approx needs places >= 0, got {places}")
     if not isinstance(q, (int, Fraction)):
         q = Fraction(q)
     num, den = q.numerator, q.denominator
@@ -180,6 +183,8 @@ def decimal_approx(q, places: int = 12) -> str:
     if twice > den or (twice == den and scaled & 1):
         scaled += 1
     sign = "-" if scaled < 0 else ""
+    if not places:
+        return f"{sign}{abs(scaled)}"
     whole, frac = divmod(abs(scaled), unit)
     return f"{sign}{whole}.{str(frac).zfill(places)}"
 

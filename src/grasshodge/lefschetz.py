@@ -1,12 +1,17 @@
 """Arithmetic correction operator and the positivity certificate it drives.
 
 The certificate for a box of width N and primitive codimension 2k is an
-exact rational assembled in two independent ways: directly, by pairing
-hyperplane powers of the primitive class through the correction operator,
-and in closed form, as the principal weight times the margin of row
-n = N - 2k of the harmonic alternating inequality at T = N + 2, read off one
-row walk of the Racah values.  The direct pipeline uses no Racah code, so
-the two stay independent; tests and the CLI compare them.
+exact rational assembled in two independent ways.  Directly, it pairs the
+lower hyperplane powers L^(n-b) alpha of the primitive class with the
+corrected upper powers C(L^(n+b) alpha), b = 0..n; sigma_walk gets all of
+them from one walk L^0 alpha, ..., L^(2n) alpha on integer coefficient
+vectors, one two-term Pieri step per power, and contracts each lower power
+with the integer staircase of the correction operator.  In closed form, it
+is the principal weight times the margin of row n = N - 2k of the harmonic
+alternating inequality at T = N + 2, read off one row walk of the Racah
+values.  The direct route uses no Racah code, so the two stay independent;
+tests and the CLI compare them, and sigma_direct, the same pairing on whole
+Chow classes, is the definitional reference for the walk.
 
 The module also carries a small model of projective n-space with one extra
 archimedean piece per codimension, used to check the commutator identity
@@ -66,6 +71,19 @@ class SigmaInstance:
         return self.N + 2
 
 
+def _staircase(N: int, b: int) -> list[int]:
+    """L C(s(N, b)) as integers: the coefficients g[i] on s(N - i, b + i),
+    i = 0..(N - b) // 2, with L = lcm(1, ..., N + 1).
+
+    g[0] = sum_i L H_i - L H_(N-b+1) and g[i] = L H_i - L H_(N-b+1-i) for
+    i >= 1; every entry is nonzero (g[0] > 0 > g[i]).
+    """
+    _, h, column_sum = _harmonic_table(N + 1)  # h[i] = L H_i
+    g = [h[i] - h[N - b + 1 - i] for i in range((N - b) // 2 + 1)]
+    g[0] += column_sum
+    return g
+
+
 def correction_op(x: ChowElement) -> ChowElement:
     """Degree-preserving correction operator on the box of width N.
 
@@ -78,26 +96,28 @@ def correction_op(x: ChowElement) -> ChowElement:
     the second sum running over 0 <= i <= (N - b) // 2.
 
     Every H_i with i <= N + 1 is an integer over L = lcm(1, ..., N + 1), so
-    the sums run on the integers L H_i and each output coefficient becomes
-    one Fraction over L at the end.
+    the staircase runs on the integers L H_i and each output coefficient
+    becomes one Fraction over L at the end.
     """
     N = x.N
-    L, h, column_sum = _harmonic_table(N + 1)  # h[i] = L H_i
-    acc: dict[Partition2, int | Fraction] = {}
+    L = _harmonic_table(N + 1)[0]
+    terms: dict[Partition2, Fraction] = {}
     for (a, b), c in x.terms.items():
         if a < N:
             continue
-        acc[(N, b)] = acc.get((N, b), 0) + c * column_sum
-        for i in range((N - b) // 2 + 1):
-            key = (N - i, b + i)
-            acc[key] = acc.get(key, 0) - c * (h[N - b + 1 - i] - h[i])
-    # no two source terms share a target and every harmonic weight above is
-    # positive, so no coefficient cancels
-    return ChowElement._trusted(N, {ab: Fraction(v, L) for ab, v in acc.items()})
+        # no two source terms share a target and no staircase weight is 0,
+        # so every coefficient is set once and none cancels
+        for i, g in enumerate(_staircase(N, b)):
+            terms[(N - i, b + i)] = Fraction(c * g, L)
+    return ChowElement._trusted(N, terms)
 
 
 def sigma_direct(inst: SigmaInstance) -> Fraction:
-    """Certificate assembled term by term through the correction operator."""
+    """Certificate assembled term by term through the correction operator.
+
+    The definitional reference for sigma_walk: 2(n + 1) hyperplane powers,
+    n + 1 corrections and n + 1 pairings on whole Chow classes.
+    """
     alpha = primitive_class(inst.N, inst.k)
     n = inst.n
     total = _ZERO
@@ -106,6 +126,48 @@ def sigma_direct(inst: SigmaInstance) -> Fraction:
         right = correction_op(lefschetz_power(alpha, n + b))
         total += intersection_pairing(left, right)
     return total
+
+
+def _pieri_step(v: list[int], w: int, N: int) -> list[int]:
+    """One hyperplane step on the weight-w coefficients v[j] of s(w - j, j).
+
+    s(a, j) goes to s(a + 1, j) + s(a, j + 1), so s(w + 1 - j, j) collects
+    v[j] + v[j - 1].  Two steps leave the box: s(j, j) -> s(j, j + 1), which
+    the slice of v leaves out, and s(N, j) -> s(N + 1, j), which is cleared.
+    Entries j < w - N, below the box, stay 0.
+    """
+    out = [x + y for x, y in zip(v + [0], [0] + v[: (w + 1) // 2])]
+    if w >= N:
+        out[w - N] = 0
+    return out
+
+
+def sigma_walk(inst: SigmaInstance) -> Fraction:
+    """The direct certificate from one integer walk L^0 alpha, ..., L^(2n) alpha.
+
+    The walk holds the coefficients v[j] of s(w - j, j) at weight
+    w = 2k + r, one Pieri step per power.  The upper power L^(n+b) alpha
+    meets the correction operator only through its top-row term
+    t_b s(N, b), t_b = v[b] at r = n + b, and C(s(N, b)) pairs s(N - i, b + i)
+    with s(N - b - i, i) of the lower power L^(n-b) alpha, the coefficient
+    v[i] at r = n - b.  So the certificate is sum_b t_b S_b / L, where
+    L = lcm(1, ..., N + 1) and S_b = sum_i g_b[i] v[i] contracts the lower
+    power with the integer staircase g_b = L C(s(N, b)).
+    """
+    N, k, n = inst.N, inst.k, inst.n
+    L = _harmonic_table(N + 1)[0]
+    alpha = primitive_class(N, k)
+    v = [alpha.coeff(2 * k - j, j) for j in range(k + 1)]
+    lower = [0] * (n + 1)  # S_b, stored at r = n - b until r = n + b reads it
+    total = 0
+    for r in range(2 * n + 1):
+        if r <= n:
+            lower[n - r] = sum(g * c for g, c in zip(_staircase(N, n - r), v))
+        if r >= n:
+            total += v[r - n] * lower[r - n]
+        if r < 2 * n:
+            v = _pieri_step(v, 2 * k + r, N)
+    return Fraction(total, L)
 
 
 def sigma_closed(inst: SigmaInstance) -> Fraction:
@@ -149,12 +211,12 @@ def sigma_verdict(inst: SigmaInstance, method: str = "both") -> SigmaVerdict:
         raise ValueError(f"unknown method {method!r}")
     agree = True
     if method == "direct":
-        value = sigma_direct(inst)
+        value = sigma_walk(inst)
     elif method == "closed":
         value = sigma_closed(inst)
     else:
         value = sigma_closed(inst)
-        agree = sigma_direct(inst) == value
+        agree = sigma_walk(inst) == value
     return SigmaVerdict(
         N=inst.N,
         k=inst.k,

@@ -227,10 +227,13 @@ def fraction_decimal_approx(q, places: int = 12) -> str:
     """Decimal rendering of an exact rational, rounded to `places` digits.
 
     Rounding is round-half-even on the exact value, so output is
-    deterministic and accurate to 10**-places.
+    deterministic and accurate to 10**-places; places = 0 gives the rounded
+    integer alone.
     """
     q = Fraction(q)
     scaled = round(q * 10**places)
+    if not places:
+        return str(scaled)
     sign = "-" if scaled < 0 else ""
     whole, frac = divmod(abs(scaled), 10**places)
     return f"{sign}{whole}.{str(frac).zfill(places)}"

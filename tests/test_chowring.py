@@ -6,7 +6,7 @@ from itertools import combinations, permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from grasshodge import chowring
+from grasshodge import chowring, lefschetz
 from grasshodge.chowring import (
     ChowElement,
     betti,
@@ -22,7 +22,7 @@ from grasshodge.chowring import (
     zero,
 )
 from grasshodge.cli import main
-from grasshodge.lefschetz import correction_op
+from grasshodge.lefschetz import SigmaInstance, correction_op, sigma_verdict
 from oracles import naive_pairing, skew_count_power, skew_syt_count
 
 
@@ -411,20 +411,41 @@ def _verify_grassmannian(capsys):
 
 
 def test_fault_injection_binomial_row(monkeypatch, capsys):
-    # every third power's binomial row reads C(3, 1) as 4: both the
-    # certificate cross-check and the power oracles must see it
+    # a count off by one in both power routes: the reference powers read
+    # C(3, 1) as 4 off every third binomial row, and the certificate walk's
+    # Pieri step into weight 3 collects s(2, 1) once too often; the
+    # certificate cross-check and the power oracles must each see theirs
     real = chowring.comb
     monkeypatch.setattr(chowring, "comb", lambda r, j: real(r, j) + (r == 3 and j == 1))
+    real_step = lefschetz._pieri_step
+
+    def corrupted(v, w, N):
+        out = real_step(v, w, N)
+        if w == 2:
+            out[1] += 1
+        return out
+
+    monkeypatch.setattr(lefschetz, "_pieri_step", corrupted)
     code, rows = _verify_grassmannian(capsys)
     assert code == 1
     assert any(not row["agree"] for row in rows)
+    assert sigma_verdict(SigmaInstance(4, 0), "both").agree is False
     assert _power_mismatches(10)
 
 
 def test_fault_injection_pairing_denominator(monkeypatch, capsys):
-    # the one Fraction each pairing builds gets its denominator off by 1
-    real = chowring.Fraction
-    monkeypatch.setattr(chowring, "Fraction", lambda num, den=1: real(num, den + 1))
+    # the one Fraction the certificate walk builds, its sum over L, gets its
+    # denominator off by 1
+    real = lefschetz.Fraction
+    real_walk = lefschetz.sigma_walk
+
+    def corrupted(inst):
+        with monkeypatch.context() as m:
+            m.setattr(lefschetz, "Fraction", lambda num, den=1: real(num, den + 1))
+            return real_walk(inst)
+
+    monkeypatch.setattr(lefschetz, "sigma_walk", corrupted)
     code, rows = _verify_grassmannian(capsys)
     assert code == 1
     assert any(not row["agree"] for row in rows)
+    assert sigma_verdict(SigmaInstance(6, 1), "both").agree is False

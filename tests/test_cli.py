@@ -13,7 +13,6 @@ import pytest
 
 import grasshodge
 from grasshodge import cli, lefschetz, racah
-from grasshodge.chowring import ChowElement
 from grasshodge.cli import UsageError, emit_table, load_sequence, main
 from oracles import orthogonality_pairs
 
@@ -443,26 +442,26 @@ def test_fault_injection_ortho_coefficient(monkeypatch, capsys, coefficient, s):
 
 
 def test_fault_injection_correction_op(monkeypatch, capsys):
-    # one corrected coefficient off by 1 at N = 5: the direct pipeline must
-    # disagree with the closed form on exactly those rows
-    real = lefschetz.correction_op
+    # one staircase weight off by 1 at N = 5, the weight of the top-row class
+    # s(5, b) in L C(s(5, b)): the direct pipeline must disagree with the
+    # closed form on exactly those rows
+    real = lefschetz._staircase
 
-    def corrupted(x):
-        y = real(x)
-        if x.N != 5:
-            return y
-        terms = dict(y.terms)
-        top = max(terms)  # the top-row class s(5, b)
-        terms[top] += 1
-        return ChowElement(x.N, terms)
+    def corrupted(N, b):
+        g = real(N, b)
+        if N == 5:
+            g[0] += 1
+        return g
 
-    monkeypatch.setattr(lefschetz, "correction_op", corrupted)
+    monkeypatch.setattr(lefschetz, "_staircase", corrupted)
     code, out, err = run_cli(capsys, "verify-grassmannian", "--Nmax", "6", "--method", "both")
     assert code == 1
     rows = [json.loads(line) for line in out.splitlines()]
     assert {r["N"] for r in rows if not r["agree"]} == {5}
     assert all(not r["agree"] for r in rows if r["N"] == 5)
     assert "FAILED" in err
+    for k in range(3):
+        assert lefschetz.sigma_verdict(lefschetz.SigmaInstance(5, k), "both").agree is False
     code, _, _ = run_cli(capsys, "verify-grassmannian", "--Nmax", "6", "--method", "closed")
     assert code == 0
 

@@ -137,6 +137,17 @@ def test_decimal_approx_rounding():
     assert decimal_approx(Fraction(3, 8), 2) == "0.38"
 
 
+def test_decimal_approx_zero_places_prints_the_integer():
+    assert decimal_approx(Fraction(5, 2), 0) == "2"
+    assert decimal_approx(Fraction(7, 2), 0) == "4"
+    assert decimal_approx(Fraction(-5, 2), 0) == "-2"
+    assert decimal_approx(Fraction(-2, 5), 0) == "0"
+    assert decimal_approx(7, 0) == "7"
+    assert decimal_approx(Fraction(-7), 0) == "-7"
+    with pytest.raises(ValueError, match="places >= 0"):
+        decimal_approx(Fraction(1, 3), -1)
+
+
 # P_n = C(T-1, n) C(T+n, n) at T = 1000 runs to about 2.5 kbit
 _BIG = 2**2500
 
@@ -169,10 +180,8 @@ def test_decimal_approx_exact_ties_round_half_even(case):
     places, q = case
     text = decimal_approx(q, places)
     assert text == fraction_decimal_approx(q, places)
-    # the last digit kept is even at every exact tie (places = 0 still
-    # prints one fractional zero)
-    kept = text[-1] if places else text.split(".")[0]
-    assert int(kept) % 2 == 0
+    # the last digit kept is even at every exact tie
+    assert int(text[-1]) % 2 == 0
 
 
 @given(_rationals)

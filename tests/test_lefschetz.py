@@ -10,6 +10,7 @@ from grasshodge.chowring import (
     primitive_class,
     schubert,
 )
+from grasshodge import lefschetz
 from grasshodge.exactmath import binomial, harmonic, harmonic_numerators
 from grasshodge.lefschetz import (
     ProjElement,
@@ -24,6 +25,7 @@ from grasshodge.lefschetz import (
     sigma_closed,
     sigma_direct,
     sigma_verdict,
+    sigma_walk,
 )
 from grasshodge.racah import racah_eval
 from oracles import correction_weight, correction_weight_box, overlap_sum, top_coefficient
@@ -51,6 +53,36 @@ def test_pipelines_agree_small():
         for k in range(N // 2 + 1):
             inst = SigmaInstance(N, k)
             assert sigma_direct(inst) == sigma_closed(inst), (N, k)
+
+
+def test_pieri_steps_match_reference_powers():
+    # the walk's vector at weight w is the whole box class sum_j v[j] s(w - j, j):
+    # steps from each Schubert class past the top weight equal the ballot-count
+    # powers, terms leaving the box included
+    for N in range(1, 11):
+        for p in range(2 * N + 1):
+            for a, b in box_partitions(N, p):
+                v = [int(j == b) for j in range(p // 2 + 1)]
+                for r in range(2 * N - p + 2):
+                    w = p + r
+                    power = lefschetz_power(schubert(N, a, b), r)
+                    assert v == [power.coeff(w - j, j) for j in range(w // 2 + 1)], (N, a, b, r)
+                    v = lefschetz._pieri_step(v, w, N)
+
+
+def test_walk_matches_direct_reference():
+    # the walk against 2(n + 1) whole powers, corrections and pairings
+    for N in range(1, 25):
+        for k in range(N // 2 + 1):
+            inst = SigmaInstance(N, k)
+            assert sigma_walk(inst) == sigma_direct(inst), (N, k)
+
+
+def test_walk_matches_closed_form():
+    for N in range(1, 61):
+        for k in range(N // 2 + 1):
+            inst = SigmaInstance(N, k)
+            assert sigma_walk(inst) == sigma_closed(inst), (N, k)
 
 
 def test_sigma_closed_matches_weighted_harmonic_sum():
@@ -85,6 +117,20 @@ def test_correction_top_row_structure():
     # the sweep walks down the antidiagonal with harmonic differences
     assert x.coeff(N - 1, 2) == -(harmonic(3) - harmonic(1))
     assert x.coeff(N - 2, 3) == 0  # floor((N-b)/2) = 1 stops the walk
+
+
+def test_correction_staircase_matches_harmonic_numbers():
+    # the operator reads the same integer staircase as the certificate walk;
+    # here every top-row image is rebuilt from harmonic numbers in Fraction
+    for N in range(1, 13):
+        column = sum(harmonic(i) for i in range(N + 2))
+        for b in range(N + 1):
+            want = {
+                (N - i, b + i): harmonic(i) - harmonic(N - b + 1 - i)
+                for i in range((N - b) // 2 + 1)
+            }
+            want[(N, b)] += column
+            assert correction_op(schubert(N, N, b)).terms == want, (N, b)
 
 
 def test_principal_weight_examples():
@@ -176,6 +222,7 @@ def test_certificate_pipelines_never_give_floats():
                 lower = lefschetz_power(alpha, 2 * inst.n - r)
                 assert _exact(intersection_pairing(lower, corrected)), (N, k, r)
             assert _exact(sigma_direct(inst)) and _exact(sigma_closed(inst)), (N, k)
+            assert _exact(sigma_walk(inst)), (N, k)
 
 
 # --- projective-space model ---
