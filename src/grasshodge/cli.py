@@ -138,15 +138,15 @@ def _resolve_sequence(
 # ---------------------------------------------------------------------------
 
 
-def _sigma_rows(args: argparse.Namespace) -> Iterator[dict]:
-    """Output row for each (N, k) in the range, in (N, k) order.
+def _sigma_rows(args: argparse.Namespace, method: str) -> Iterator[dict]:
+    """Output row for each (N, k) in the range, in (N, k) order, by method.
 
     The range is checked on the call, before any row is computed.
     """
     if args.Nmax is None or not 1 <= args.Nmin <= args.Nmax:
         raise UsageError("need 1 <= Nmin <= Nmax")
     verdicts = (
-        lefschetz.sigma_verdict(lefschetz.SigmaInstance(N, k), method=args.method)
+        lefschetz.sigma_verdict(lefschetz.SigmaInstance(N, k), method=method)
         for N in range(args.Nmin, args.Nmax + 1)
         for k in range(N // 2 + 1)
         if args.k_set is None or k in args.k_set
@@ -155,7 +155,7 @@ def _sigma_rows(args: argparse.Namespace) -> Iterator[dict]:
 
 
 def cmd_verify_grassmannian(args: argparse.Namespace, out: TextIO, err: TextIO) -> bool:
-    rows = _Tally(_sigma_rows(args), lambda row: row["positive"] and row["agree"])
+    rows = _Tally(_sigma_rows(args, args.method), lambda row: row["positive"] and row["agree"])
     # some N <= Nmax holds a k with 2k <= N exactly when the smallest k fits
     if args.k_set is not None and 2 * min(args.k_set) > args.Nmax:
         raise UsageError("no (N, k) instances in the requested range")
@@ -305,7 +305,7 @@ def _racah_rows(args: argparse.Namespace, t_lo: int, t_hi: int) -> Iterator[dict
 
 def cmd_table(args: argparse.Namespace, out: TextIO, err: TextIO) -> bool:
     if args.kind == "sigma":
-        rows = _Tally(_sigma_rows(args))
+        rows = _Tally(_sigma_rows(args, "closed"))
         columns = ["N", "k", "n", "T", "sigma", "sigma_approx", "positive"]
     elif args.kind == "racah":
         t_lo, t_hi = _t_range(args)
@@ -439,7 +439,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--Nmax", type=int, default=None)
     p.add_argument("--Nmin", type=int, default=1)
     p.add_argument("--kset", dest="k_set", type=_parse_k_set, default=None)
-    p.add_argument("--method", choices=("direct", "closed", "both"), default="closed")
     p.add_argument("--T", type=int, default=None)
     p.add_argument("--Tmin", type=int, default=None)
     p.add_argument("--Tmax", type=int, default=None)

@@ -25,6 +25,7 @@ from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, cos, lcm, pi, sin, sqrt
 from operator import add, mul
 
@@ -63,22 +64,19 @@ JOBS_ENV_VAR = "GRASSHODGE_JOBS"
 # and only the 2s(s+1) term depends on the column, so the coefficients are
 # built once per T.
 #
-# Along a row n (the same recurrence with n and s exchanged, by the
-# self-duality R_n(s) = R_s(n); P_n is constant along the row), from
-# w_n(-1) = 0 and w_n(0) = P_n:
-#
-#     w_n(s+1) = (b_s w_n(s) - s (s^2-T^2) w_n(s-1)) / ((s+1)((s+1)^2-T^2)),
-#     b_s = (s+1)^3 + s^3 + (2s+1)(2 n(n+1) - T^2),
-#
-# up to s + 1 = T-1, where the divisor is last nonzero.
-#
-# Put as K w_n = 2n(n+1) D w_n, the row recurrence has K symmetric
-# tridiagonal, with off-diagonal alpha_s = (s+1)((s+1)^2-T^2), the divisor,
-# and diagonal -beta_s = 2n(n+1)(2s+1) - b_s, and D = diag(2s+1).  So
-# (lambda_n - lambda_m) w_m^T D w_n = w_m^T K w_n - w_n^T K w_m = 0 for the
-# distinct lambda_n = 2n(n+1): orthogonality_profile certifies all T(T+1)/2
-# row pairs from T^2 three-term identities and T norms, and its pair count
-# counts pairs certified, not pair sums formed.
+# Along a row n the recurrence is the same with n and s exchanged, by the
+# self-duality R_n(s) = R_s(n) (P_n is constant along the row).  Put as
+# K w_n = lambda_n D w_n, lambda_n = 2n(n+1), D = diag(2s+1), it has K
+# symmetric tridiagonal (_difference_operator): off-diagonal
+# alpha_s = (s+1)((s+1)^2-T^2) and diagonal -beta_s,
+# beta_s = (s+1)^3 + s^3 - (2s+1) T^2.  The row walk solves
+# K w_n = lambda_n D w_n forward from w_n(-1) = 0, w_n(0) = P_n, dividing by
+# alpha_s up to s + 1 = T-1, where alpha_s is last nonzero.  K is symmetric,
+# so (lambda_n - lambda_m) w_m^T D w_n = w_m^T K w_n - w_n^T K w_m = 0 for
+# the distinct lambda_n: orthogonality_profile certifies all T(T+1)/2 row
+# pairs from T^2 three-term identities and T norms, on the alpha and beta the
+# row walk steps with, and its pair count counts pairs certified, not pair
+# sums formed.
 #
 # Both walks stay on small numbers: on the grid |w_n(s)| <= P_n wherever the
 # scan has checked the bound, and P_n has at most about 2.5 kbit at T = 1000.
@@ -136,20 +134,31 @@ def _principal_column(
     return column
 
 
-def _principal_row(n: int, T: int) -> list[int]:
-    """w_n(0) .. w_n(T-1), walked along s; needs 0 <= n <= T-1."""
+@lru_cache(maxsize=1)
+def _difference_operator(T: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The symmetric tridiagonal K of the s-recurrence at T: off-diagonal
+    alpha_s = (s+1)((s+1)^2 - T^2) and diagonal -beta_s with
+    beta_s = (s+1)^3 + s^3 - (2s+1) T^2, for s = 0..T-1 (alpha_(T-1) = 0);
+    every row of one T reads it, so the last T's tuples are kept."""
     T2 = T * T
-    u = 2 * n * (n + 1) - T2
+    alpha = tuple((s + 1) * ((s + 1) ** 2 - T2) for s in range(T))
+    beta = tuple((s + 1) ** 3 + s**3 - (2 * s + 1) * T2 for s in range(T))
+    return alpha, beta
+
+
+def _principal_row(n: int, T: int) -> list[int]:
+    """w_n(0) .. w_n(T-1), walked along s with the coefficients of
+    _difference_operator(T); needs 0 <= n <= T-1."""
+    alpha, beta = _difference_operator(T)
+    lam = 2 * n * (n + 1)
     prev, cur = 0, principal_weight(n, T)
     row = [cur]
-    for s in range(T - 1):
-        m = s + 1
-        b, q = m * m * m + s * s * s + (2 * s + 1) * u, m * (m * m - T2)
-        nxt, rem = divmod(b * cur - s * (s * s - T2) * prev, q)
+    for s, down, up, b in zip(range(T - 1), (0, *alpha), alpha, beta):
+        nxt, rem = divmod((b + lam * (2 * s + 1)) * cur - down * prev, up)
         if rem:
             raise InexactStep(
-                f"principal-weight step s={s} -> {m} at T={T}, n={n} "
-                f"leaves a remainder modulo {-q}"
+                f"principal-weight step s={s} -> {s + 1} at T={T}, n={n} "
+                f"leaves a remainder modulo {-up}"
             )
         prev, cur = cur, nxt
         row.append(cur)
@@ -203,16 +212,6 @@ def _full_int_table(T: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...
     steps = _principal_steps(T)
     columns = [_principal_column(s, T, steps, T - 1) for s in range(T)]
     return tuple(zip(*columns)), tuple(principal_weight(n, T) for n in range(T))
-
-
-def _difference_operator(T: int) -> tuple[list[int], list[int]]:
-    """The symmetric tridiagonal K of the s-recurrence at T: off-diagonal
-    alpha_s = (s+1)((s+1)^2 - T^2) and diagonal -beta_s with
-    beta_s = (s+1)^3 + s^3 - (2s+1) T^2, for s = 0..T-1 (alpha_(T-1) = 0)."""
-    T2 = T * T
-    alpha = [(s + 1) * ((s + 1) ** 2 - T2) for s in range(T)]
-    beta = [(s + 1) ** 3 + s**3 - (2 * s + 1) * T2 for s in range(T)]
-    return alpha, beta
 
 
 def orthogonality_profile(T: int) -> tuple[int, bool]:
@@ -336,16 +335,14 @@ class Inequality:
     def holds(self) -> bool:
         return self.lhs < self.rhs
 
-    @property
-    def margin(self) -> Fraction:
-        return self.rhs - self.lhs
-
     def __bool__(self) -> bool:
         return self.holds
 
 
 def _sequence_values(seq, T: int) -> tuple[Fraction, ...]:
-    """First T-1 values H_1..H_(T-1) out of a sequence-like argument."""
+    """First T-1 values H_1..H_(T-1) of a sequence-like argument, T >= 3."""
+    if T < 3:
+        raise ValueError(f"need T >= 3, got {T}")
     values = seq.values if isinstance(seq, ConcaveSequence) else tuple(
         Fraction(v) for v in seq
     )
@@ -505,7 +502,7 @@ class ScanReport:
         }
 
 
-def _scan_one_T(T: int) -> tuple[int, list, list, int]:
+def _scan_one_T(T: int) -> tuple[int, list, list]:
     """Scan the half grid 0 <= n <= s <= T-1 for one T, column by column, on
     the principal weights: |w_n(s)| against P_n.
 
@@ -525,10 +522,10 @@ def _scan_one_T(T: int) -> tuple[int, list, list, int]:
                 equalities.append((T, n, s))
     violations.sort()
     equalities.sort()
-    return T, violations, equalities, T
+    return T, violations, equalities
 
 
-def _scan_batch(ts: range) -> list[tuple[int, list, list, int]]:
+def _scan_batch(ts: range) -> list[tuple[int, list, list]]:
     """_scan_one_T for every T of one pool task."""
     return [_scan_one_T(T) for T in ts]
 
@@ -578,10 +575,10 @@ def bound_scan(T_min: int, T_max: int, jobs: int | None = None) -> ScanReport:
     violations = []
     equalities = []
     rows_checked = 0
-    for _, viol, eq, rows in results:
+    for T, viol, eq in results:
         violations.extend(ScanHit(T, n, s, Fraction(w, p)) for (T, n, s, w, p) in viol)
         equalities.extend(ScanHit(T, n, s, _ONE) for (T, n, s) in eq)
-        rows_checked += rows
+        rows_checked += T
     elapsed_ms = int((time.monotonic() - start) * 1000)
     return ScanReport(
         T_min=T_min,

@@ -167,6 +167,15 @@ def test_table_sigma_json(capsys):
     assert rows[1]["sigma"] == "129"
 
 
+def test_table_sigma_has_no_method_flag(capsys):
+    # sigma tables take the closed route; the two routes are cross-checked
+    # by verify-grassmannian, whose exit code reports a disagreement
+    with pytest.raises(SystemExit) as exc:
+        main(["table", "--kind", "sigma", "--Nmax", "2", "--method", "both"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_table_out_of_range_filter(capsys):
     code, _, err = run_cli(capsys, "table", "--kind", "racah", "--T", "5", "--n", "9")
     assert code == 2
@@ -430,7 +439,7 @@ def test_fault_injection_ortho_coefficient(monkeypatch, capsys, coefficient, s):
     real = racah._difference_operator
 
     def corrupted(T):
-        alpha, beta = real(T)
+        alpha, beta = map(list, real(T))
         if T == 10:
             {"alpha": alpha, "beta": beta}[coefficient][s] += 1
         return alpha, beta
@@ -439,6 +448,31 @@ def test_fault_injection_ortho_coefficient(monkeypatch, capsys, coefficient, s):
     code, out, _ = run_cli(capsys, "verify-ortho", "--Tmin", "9", "--Tmax", "11")
     assert code == 1
     assert [json.loads(line)["ok"] for line in out.splitlines()] == [True, False, True]
+
+
+def test_fault_injection_operator_coefficient(monkeypatch, capsys):
+    # beta_2 off by 1 at T = 6: the row walk steps with the operator the
+    # orthogonality certificate checks, so the alternating rows, the closed
+    # certificates at N = 4 and the certificate itself all fail on it
+    real = racah._difference_operator
+
+    def corrupted(T):
+        alpha, beta = map(list, real(T))
+        if T == 6:
+            beta[2] += 1
+        return alpha, beta
+
+    monkeypatch.setattr(racah, "_difference_operator", corrupted)
+    code, out, err = run_cli(capsys, "verify-needed", "--T", "6")
+    assert (code, out) == (1, "")
+    assert "FAILED" in err and "s=2 -> 3 at T=6, n=0" in err and "remainder" in err
+    code, out, err = run_cli(capsys, "verify-grassmannian", "--Nmax", "4", "--method", "both")
+    assert code == 1
+    assert [json.loads(line)["N"] for line in out.splitlines()] == [1, 2, 2, 3, 3]
+    assert "FAILED" in err and "T=6, n=4" in err
+    code, out, _ = run_cli(capsys, "verify-ortho", "--T", "6")
+    assert code == 1
+    assert json.loads(out)["ok"] is False
 
 
 def test_fault_injection_correction_op(monkeypatch, capsys):

@@ -449,3 +449,11 @@ def test_sequence_length_checked():
         alternating_profile([Fraction(1)], 4)
     with pytest.raises(ValueError):
         certify_alternating_bound([Fraction(1)], 4)
+
+
+@pytest.mark.parametrize("T", [2, 1, 0, -1])
+def test_alternating_rejects_small_T(T):
+    values = ConcaveSequence.harmonic(5).values
+    for check in (alternating_profile, certify_alternating_bound):
+        with pytest.raises(ValueError, match=f"need T >= 3, got {T}"):
+            check(values, T)
