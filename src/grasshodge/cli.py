@@ -141,13 +141,15 @@ def _resolve_sequence(
 def _sigma_rows(args: argparse.Namespace, method: str) -> Iterator[dict]:
     """Output row for each (N, k) in the range, in (N, k) order, by method.
 
-    The range is checked on the call, before any row is computed.
+    The range is checked on the call, before any row is computed; an unset
+    Nmin is 1.
     """
-    if args.Nmax is None or not 1 <= args.Nmin <= args.Nmax:
+    n_lo = 1 if args.Nmin is None else args.Nmin
+    if args.Nmax is None or not 1 <= n_lo <= args.Nmax:
         raise UsageError("need 1 <= Nmin <= Nmax")
     verdicts = (
         lefschetz.sigma_verdict(lefschetz.SigmaInstance(N, k), method=method)
-        for N in range(args.Nmin, args.Nmax + 1)
+        for N in range(n_lo, args.Nmax + 1)
         for k in range(N // 2 + 1)
         if args.k_set is None or k in args.k_set
     )
@@ -269,9 +271,12 @@ def cmd_scan_bound(args: argparse.Namespace, out: TextIO, err: TextIO) -> bool:
         raise UsageError("--jobs must be a positive integer")
     report = racah.bound_scan(t_lo, t_hi, jobs=jobs)
     out.write(json.dumps(report.to_json_dict()) + "\n")
+    half_grid = sum(T * (T + 1) // 2 for T in range(t_lo, t_hi + 1))
     print(
         f"scanned {report.rows_checked} rows over T={t_lo}..{t_hi} "
-        f"in {report.elapsed_ms} ms ({jobs} workers)",
+        f"in {report.elapsed_ms} ms ({jobs} workers); "
+        f"{report.points_walked} of {half_grid} half-grid points walked; "
+        "the rest are strictly inside by the orthogonality norm",
         file=err,
     )
     return report.ok
@@ -303,7 +308,18 @@ def _racah_rows(args: argparse.Namespace, t_lo: int, t_hi: int) -> Iterator[dict
             }
 
 
+# flag: argparse dest, per table kind
+_TABLE_FLAGS = {
+    "sigma": {"--Nmax": "Nmax", "--Nmin": "Nmin", "--kset": "k_set"},
+    "racah": {"--T": "T", "--Tmin": "Tmin", "--Tmax": "Tmax", "--n": "n", "--s": "s"},
+}
+
+
 def cmd_table(args: argparse.Namespace, out: TextIO, err: TextIO) -> bool:
+    other = _TABLE_FLAGS["racah" if args.kind == "sigma" else "sigma"]
+    stray = [flag for flag, dest in other.items() if getattr(args, dest) is not None]
+    if stray:
+        raise UsageError(f"--kind {args.kind} takes no {', '.join(stray)}")
     if args.kind == "sigma":
         rows = _Tally(_sigma_rows(args, "closed"))
         columns = ["N", "k", "n", "T", "sigma", "sigma_approx", "positive"]
@@ -437,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_table)
     p.add_argument("--kind", choices=("sigma", "racah"), required=True)
     p.add_argument("--Nmax", type=int, default=None)
-    p.add_argument("--Nmin", type=int, default=1)
+    p.add_argument("--Nmin", type=int, default=None, help="default 1")
     p.add_argument("--kset", dest="k_set", type=_parse_k_set, default=None)
     p.add_argument("--T", type=int, default=None)
     p.add_argument("--Tmin", type=int, default=None)

@@ -451,8 +451,12 @@ def certify_alternating_bound(seq, T: int) -> list[BranchVerdict]:
 # ---------------------------------------------------------------------------
 # Bound scan: |R_n(s, T)| <= 1 over a whole T range.
 #
-# The scan walks each column s of the half grid down to n = s and compares
-# |w_n(s)| with P_n, so the bound needs no denominator.  Every division of
+# The scan walks each column s of the half grid down to n_s (_scan_depths)
+# and compares |w_n(s)| with P_n, so the bound needs no denominator.  The
+# deeper points are decided by Wilson's orthogonality, which verify-ortho
+# certifies for each T: by the self-duality R_n(s) = R_s(n) the column norm
+# sum_m (2m+1) R_m(s)^2 is T^2/(2s+1), so its terms m = 0 and m = n >= 1
+# give |R_n(s)| < 1 strictly once T^2 < (2n+2)(2s+1).  Every division of
 # the column walk was exact on T 3..1000.
 # ---------------------------------------------------------------------------
 
@@ -483,6 +487,7 @@ class ScanReport:
     equality_cases: tuple[ScanHit, ...]
     rows_checked: int
     elapsed_ms: int
+    points_walked: int
 
     @property
     def strictness_exceptions(self) -> tuple[ScanHit, ...]:
@@ -502,19 +507,31 @@ class ScanReport:
         }
 
 
-def _scan_one_T(T: int) -> tuple[int, list, list]:
+def _scan_depths(T: int) -> list[int]:
+    """n_s = min(s, T^2 // (2(2s+1)) - 1), at least 0, for s = 0..T-1:
+    the deepest n that column s of the scan walks."""
+    T2 = T * T
+    return [min(s, max(0, T2 // (4 * s + 2) - 1)) for s in range(T)]
+
+
+def _scan_one_T(T: int) -> tuple[int, list, list, int]:
     """Scan the half grid 0 <= n <= s <= T-1 for one T, column by column, on
     the principal weights: |w_n(s)| against P_n.
 
-    Returns plain tuples in (n, s) order (kept picklable for the process
-    pool): violations carry the exact value as the pair (w_n(s), P_n).
+    Column s stops at n_s; below it Wilson's orthogonality, which
+    verify-ortho certifies, decides.  Returns T, the violations and the
+    equality cases as plain tuples in (n, s) order (kept picklable for the
+    process pool), violations carrying the exact value as the pair
+    (w_n(s), P_n), and the number of points walked.
     """
-    steps = _principal_steps(T)
-    bounds = [principal_weight(n, T) for n in range(T)]
+    depths = _scan_depths(T)
+    deepest = max(depths)
+    steps = _principal_steps(T, deepest)
+    bounds = [principal_weight(n, T) for n in range(deepest + 1)]
     violations = []
     equalities = []
-    for s in range(T):
-        for n, (w, p) in enumerate(zip(_principal_column(s, T, steps, s), bounds)):
+    for s, depth in enumerate(depths):
+        for n, (w, p) in enumerate(zip(_principal_column(s, T, steps, depth), bounds)):
             size = abs(w)
             if size > p:
                 violations.append((T, n, s, w, p))
@@ -522,10 +539,10 @@ def _scan_one_T(T: int) -> tuple[int, list, list]:
                 equalities.append((T, n, s))
     violations.sort()
     equalities.sort()
-    return T, violations, equalities
+    return T, violations, equalities, T + sum(depths)
 
 
-def _scan_batch(ts: range) -> list[tuple[int, list, list]]:
+def _scan_batch(ts: range) -> list[tuple[int, list, list, int]]:
     """_scan_one_T for every T of one pool task."""
     return [_scan_one_T(T) for T in ts]
 
@@ -556,6 +573,8 @@ def bound_scan(T_min: int, T_max: int, jobs: int | None = None) -> ScanReport:
     round-robin into 4 * jobs pool tasks (task i gets T_max - i,
     T_max - i - 4 * jobs, ...): few round trips, a similar share of the
     cost (about T^3 per T) per task, and no large T left alone at the end.
+    Each T walks about 0.6 of its half grid (points_walked); Wilson's
+    orthogonality, which verify-ortho certifies, decides the rest.
     Raises InexactStep when a step of the walk leaves a remainder.
     """
     if not 3 <= T_min <= T_max:
@@ -575,10 +594,12 @@ def bound_scan(T_min: int, T_max: int, jobs: int | None = None) -> ScanReport:
     violations = []
     equalities = []
     rows_checked = 0
-    for T, viol, eq in results:
+    points_walked = 0
+    for T, viol, eq, walked in results:
         violations.extend(ScanHit(T, n, s, Fraction(w, p)) for (T, n, s, w, p) in viol)
         equalities.extend(ScanHit(T, n, s, _ONE) for (T, n, s) in eq)
         rows_checked += T
+        points_walked += walked
     elapsed_ms = int((time.monotonic() - start) * 1000)
     return ScanReport(
         T_min=T_min,
@@ -587,6 +608,7 @@ def bound_scan(T_min: int, T_max: int, jobs: int | None = None) -> ScanReport:
         equality_cases=tuple(equalities),
         rows_checked=rows_checked,
         elapsed_ms=elapsed_ms,
+        points_walked=points_walked,
     )
 
 

@@ -4,12 +4,14 @@ Each function here is the slow, definitional form of something the library
 computes by a faster route: the terminating 4F3 sum behind R_n(s, T), the
 pairwise orthogonality sums (on fractions, and on the integer table that the
 library certifies by three-term identities instead), the single-degree
-inequalities built on it, the top-row product of R, the coefficient
-recurrence of the Legendre polynomials, the binomial alternating sum (the
-Whipple bridge) and the box-coordinate double sum behind the correction
-weights of the closed certificate, hyperplane powers as sums of validated
-skew tableau counts, the Poincare pairing as a plain sum of products, and
-the decimal and "p/q" renderings of a rational by Fraction arithmetic.
+inequalities built on it, the top-row product of R, the bound scan walked
+over the whole half grid (the library leaves part of it to the orthogonality
+norm), the coefficient recurrence of the Legendre polynomials, the binomial
+alternating sum (the Whipple bridge) and the box-coordinate double sum
+behind the correction weights of the closed certificate, hyperplane powers
+as sums of validated skew tableau counts, the Poincare pairing as a plain
+sum of products, and the decimal and "p/q" renderings of a rational by
+Fraction arithmetic.
 """
 
 from fractions import Fraction
@@ -71,6 +73,24 @@ def orthogonality_pairs(T):
                 ok = False
         pairs += T - n
     return pairs, ok
+
+
+def scan_half_grid(T):
+    """The bound scan of one T walked over the whole half grid: every column
+    s down to n = s, with no point left to the orthogonality norm.  Returns
+    the verdicts of racah._scan_one_T: (T, violations as
+    (T, n, s, w_n(s), P_n), equality cases as (T, n, s)), each in (n, s)
+    order."""
+    steps = racah._principal_steps(T)
+    violations, equalities = [], []
+    for s in range(T):
+        for n, w in enumerate(racah._principal_column(s, T, steps, s)):
+            p = racah.principal_weight(n, T)
+            if abs(w) > p:
+                violations.append((T, n, s, w, p))
+            elif abs(w) == p:
+                equalities.append((T, n, s))
+    return T, sorted(violations), sorted(equalities)
 
 
 def alternating_bound(values, n, T):

@@ -14,7 +14,7 @@ import pytest
 import grasshodge
 from grasshodge import cli, lefschetz, racah
 from grasshodge.cli import UsageError, emit_table, load_sequence, main
-from oracles import orthogonality_pairs
+from oracles import orthogonality_pairs, scan_half_grid
 
 
 def run_cli(capsys, *argv):
@@ -55,6 +55,27 @@ def test_scan_bound_single_T_flag(capsys):
     code, out, _ = run_cli(capsys, "scan-bound", "--T", "7", "--jobs", "1")
     assert code == 0
     assert json.loads(out)["T_range"] == [7, 7]
+
+
+def test_scan_bound_reports_pruning_on_stderr_only(capsys):
+    # stdout is what the walk over the whole half grid gives; stderr counts
+    # the points walked, sum over T and s of n_s + 1, against the half grid
+    code, out, err = run_cli(capsys, "scan-bound", "--Tmin", "3", "--Tmax", "20", "--jobs", "1")
+    assert code == 0
+    results = [scan_half_grid(T) for T in range(3, 21)]
+    expected = {
+        "T_range": [3, 20],
+        "violations": [],
+        "equality_cases": [{"T": T, "n": n, "s": s} for _, _, eq in results for T, n, s in eq],
+        "rows_checked": sum(range(3, 21)),
+    }
+    assert out == json.dumps(expected) + "\n"
+    walked = sum(
+        min(s, max(0, T * T // (2 * (2 * s + 1)) - 1)) + 1 for T in range(3, 21) for s in range(T)
+    )
+    half_grid = sum(T * (T + 1) // 2 for T in range(3, 21))
+    assert f"; {walked} of {half_grid} half-grid points walked; " in err
+    assert "strictly inside by the orthogonality norm" in err
 
 
 def test_verify_needed_harmonic(capsys):
@@ -176,6 +197,18 @@ def test_table_sigma_has_no_method_flag(capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_table_racah_rejects_sigma_flags(capsys):
+    code, out, err = run_cli(capsys, "table", "--kind", "racah", "--T", "3", "--Nmax", "5", "--kset", "1")
+    assert (code, out) == (2, "")
+    assert err == "error: --kind racah takes no --Nmax, --kset\n"
+
+
+def test_table_sigma_rejects_racah_flags(capsys):
+    code, out, err = run_cli(capsys, "table", "--kind", "sigma", "--Nmax", "2", "--T", "99", "--n", "5")
+    assert (code, out) == (2, "")
+    assert err == "error: --kind sigma takes no --T, --n\n"
+
+
 def test_table_out_of_range_filter(capsys):
     code, _, err = run_cli(capsys, "table", "--kind", "racah", "--T", "5", "--n", "9")
     assert code == 2
@@ -253,6 +286,7 @@ def test_fault_injection_scan(monkeypatch, capsys):
             equality_cases=report.equality_cases,
             rows_checked=report.rows_checked,
             elapsed_ms=report.elapsed_ms,
+            points_walked=report.points_walked,
         )
 
     monkeypatch.setattr(racah, "bound_scan", corrupted)
@@ -261,23 +295,30 @@ def test_fault_injection_scan(monkeypatch, capsys):
     assert json.loads(out)["violations"] == [{"T": 3, "n": 1, "s": 2, "value": "9/8"}]
 
 
-def test_fault_injection_engine(monkeypatch, capsys):
+def _double_weight_at(monkeypatch, n, s, T):
     # one principal weight of the column walk doubled past its bound:
-    # R_2(4, 6) reads 2, and the scan must report exactly that point
-    real_column = racah._principal_column
+    # R_n(s, T) reads 2 in every column walk that reaches it
+    real = racah._principal_column
 
-    def corrupted_column(s, T, steps, n_max):
-        column = real_column(s, T, steps, n_max)
-        if (s, T) == (4, 6) and n_max >= 2:
-            column[2] = 2 * racah.principal_weight(2, 6)
+    def corrupted(s_, T_, steps, n_max):
+        column = real(s_, T_, steps, n_max)
+        if (s_, T_) == (s, T) and n_max >= n:
+            column[n] = 2 * racah.principal_weight(n, T)
         return column
 
-    monkeypatch.setattr(racah, "_principal_column", corrupted_column)
+    monkeypatch.setattr(racah, "_principal_column", corrupted)
+
+
+def test_fault_injection_engine(monkeypatch, capsys):
+    # R_2(2, 6) read as 2, on a point the scan walks: the scan must report
+    # exactly that point
+    _double_weight_at(monkeypatch, 2, 2, 6)
     code, out, _ = run_cli(capsys, "scan-bound", "--Tmin", "3", "--Tmax", "8", "--jobs", "1")
     assert code == 1
-    assert json.loads(out)["violations"] == [{"T": 6, "n": 2, "s": 4, "value": "2"}]
-    # the orthogonality table is built from full columns, so it reads the
-    # same bad value
+    assert json.loads(out)["violations"] == [{"T": 6, "n": 2, "s": 2, "value": "2"}]
+    # the orthogonality table is built from full columns, so it reads a bad
+    # value anywhere, R_2(4, 6) among them
+    _double_weight_at(monkeypatch, 2, 4, 6)
     code, out, _ = run_cli(capsys, "verify-ortho", "--T", "6")
     assert code == 1
     assert json.loads(out)["ok"] is False
@@ -300,14 +341,29 @@ def test_fault_injection_engine(monkeypatch, capsys):
     assert "FAILED" in err
 
 
-def _corrupt_steps_at_6(monkeypatch):
-    # k of the step n = 2 -> 3 off by one at T = 6: the step adds w_1(s) to
-    # a multiple of 2 * 3^3 = 54, and no w_1(s) = 35 - 2s(s+1) is one
+def test_pruned_point_is_left_to_the_orthogonality_certificate(monkeypatch, capsys):
+    # R_2(4, 6) lies below the deepest point the scan walks in column 4
+    # (36 // 18 - 1 = 1), where the column norm decides it, so the scan
+    # never reads the corrupted value; verify-ortho, which certifies that
+    # norm, fails on it
+    _double_weight_at(monkeypatch, 2, 4, 6)
+    code, out, _ = run_cli(capsys, "scan-bound", "--T", "6", "--jobs", "1")
+    assert code == 0
+    assert json.loads(out)["violations"] == []
+    code, out, _ = run_cli(capsys, "verify-ortho", "--T", "6")
+    assert code == 1
+    assert json.loads(out)["ok"] is False
+
+
+def _corrupt_steps_at(monkeypatch, T_bad):
+    # k of the step n = 2 -> 3 off by one at T_bad: the step adds w_1(s) to
+    # a multiple of 2 * 3^3 = 54, and at T = 6 and T = 8 no
+    # w_1(s) = T^2 - 1 - 2s(s+1) is one
     real = racah._principal_steps
 
     def corrupted(T, *n_max):
         steps = real(T, *n_max)
-        if T == 6:
+        if T == T_bad:
             c, d, k, q = steps[1]
             steps[1] = (c, d, k + 1, q)
         return steps
@@ -316,21 +372,23 @@ def _corrupt_steps_at_6(monkeypatch):
 
 
 def test_fault_injection_scan_remainder(monkeypatch, capsys):
-    # the scan's columns first take that step at s = 3
-    _corrupt_steps_at_6(monkeypatch)
+    # at T = 8 the scan's columns first take that step at s = 3, which is
+    # walked down to n = 64 // 14 - 1 = 3 (at T = 6 no scanned column
+    # reaches n = 3)
+    _corrupt_steps_at(monkeypatch, 8)
     code, out, err = run_cli(capsys, "scan-bound", "--Tmin", "3", "--Tmax", "8", "--jobs", "1")
     assert code == 1
     assert out == ""
-    assert "FAILED" in err and "T=6, s=3" in err and "remainder" in err
+    assert "FAILED" in err and "T=8, s=3" in err and "remainder" in err
     assert "Traceback" not in err
     with pytest.raises(racah.InexactStep):
-        racah.bound_scan(6, 6, jobs=1)
+        racah.bound_scan(8, 8, jobs=1)
 
 
 def test_fault_injection_ortho_remainder(monkeypatch, capsys):
     # the orthogonality table walks every column to n = T-1, so column
     # s = 0 takes the corrupted step first
-    _corrupt_steps_at_6(monkeypatch)
+    _corrupt_steps_at(monkeypatch, 6)
     code, out, err = run_cli(capsys, "verify-ortho", "--T", "6")
     assert code == 1
     assert out == ""
@@ -547,6 +605,9 @@ STDOUT_PINS = [
     ("verify-needed --T 60 --sequence random --seed 7", "cdde2ebb8e5f8f148ab99f9d0b05738d39222ef9e915af58f324cb727a364ad8"),
     ("verify-grassmannian --Nmax 20 --method both", "d030c84a453aa23043391a7d6c5e72be4b9fe2945717042fe55c819590c9de0f"),
     ("verify-pn --nmax 30", "b3f830cc0bcaac75ac7abd3486bc624a644cd6243a37ed02e7c41e2f354e105d"),
+    # taken from the walk over the whole half grid, before the scan left the
+    # deepest points of each column to the orthogonality norm
+    ("scan-bound --Tmin 3 --Tmax 120 --jobs 1", "bce88d8f095a3fece3c6eba1af0d985cd38cbb41a90c070c02ad62301511c90c"),
 ]
 
 

@@ -36,6 +36,7 @@ from oracles import (
     orthogonality_pairs,
     racah_sum,
     racah_top_product,
+    scan_half_grid,
 )
 
 
@@ -162,8 +163,9 @@ def test_scan_small_range():
 
 def test_principal_column_matches_row_walk():
     # the two walks share no coefficient and no divisor; they must give the
-    # same integers at every grid point, and the scan's truncated columns
-    # (n <= s) must be prefixes of the full ones
+    # same integers at every grid point, and a column walked only to n = s
+    # (as deep as the scan could go; it stops at n_s <= s) must be a prefix
+    # of the full one
     for T in range(3, 81):
         steps = _principal_steps(T)
         rows = [_principal_row(n, T) for n in range(T)]
@@ -200,22 +202,54 @@ def test_scan_validation():
 
 
 def test_scan_classifies_values_at_and_just_past_the_bound(monkeypatch):
-    # R_2(4, 6) one step past the bound and R_3(5, 6) on it, both interior
+    # R_2(2, 6) one step past the bound and R_1(3, 6) on it, both interior
+    # and both on points the scan walks
     real = racah._principal_column
 
     def corrupted(s, T, steps, n_max):
         column = real(s, T, steps, n_max)
-        if (s, T) == (4, 6):
+        if (s, T) == (2, 6):
             column[2] = -(principal_weight(2, 6) + 1)
-        if (s, T) == (5, 6):
-            column[3] = principal_weight(3, 6)
+        if (s, T) == (3, 6):
+            column[1] = principal_weight(1, 6)
         return column
 
     monkeypatch.setattr(racah, "_principal_column", corrupted)
     report = bound_scan(6, 6, jobs=1)
-    assert [(h.n, h.s, h.value) for h in report.violations] == [(2, 4, Fraction(-281, 280))]
-    assert [(h.n, h.s) for h in report.strictness_exceptions] == [(3, 5)]
+    assert [(h.n, h.s, h.value) for h in report.violations] == [(2, 2, Fraction(-281, 280))]
+    assert [(h.n, h.s) for h in report.strictness_exceptions] == [(1, 3)]
     assert not report.ok
+
+
+def test_scan_walks_only_what_the_norm_leaves_open():
+    # the walk stops at n_s = min(s, T^2 // (2(2s+1)) - 1) in column s; every
+    # point below it has (2n+2)(2s+1) > T^2, so the column norm
+    # sum_m (2m+1) R_m(s)^2 = T^2/(2s+1) puts it strictly inside, and the
+    # whole-half-grid walk must give the same violations and equality cases
+    assert racah._scan_depths(6) == [0, 1, 2, 1, 1, 0]
+    for T in range(3, 151):
+        assert racah._scan_one_T(T)[:3] == scan_half_grid(T), T
+        for s, depth in enumerate(racah._scan_depths(T)):
+            for n in range(depth + 1, s + 1):
+                assert (2 * n + 2) * (2 * s + 1) > T * T, (T, n, s)
+
+
+def test_scan_reports_the_points_it_walked(monkeypatch):
+    # points_walked is the sum over T and s of n_s + 1, the entries of the
+    # columns the scan really walks, and it changes nothing on stdout
+    walked = []
+    real = racah._principal_column
+
+    def counted(s, T, steps, n_max):
+        column = real(s, T, steps, n_max)
+        walked.append(len(column))
+        return column
+
+    monkeypatch.setattr(racah, "_principal_column", counted)
+    report = bound_scan(3, 20, jobs=1)
+    tops = [min(s, max(0, T * T // (2 * (2 * s + 1)) - 1)) for T in range(3, 21) for s in range(T)]
+    assert report.points_walked == sum(walked) == sum(top + 1 for top in tops)
+    assert "points_walked" not in report.to_json_dict()
 
 
 def test_scan_report_classifies_edges():
