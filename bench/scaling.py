@@ -14,7 +14,8 @@ N = 30, 60, 90, 120, 200, `primitive_profile(N)` at N = 12, 24, 36,
 each size in its own Python process with DIR (default: this checkout's src)
 first on sys.path and the import left out of the timing, REPEAT times.
 Prints one JSON object: per layer and tree the median seconds per size,
-their quartiles, and the least-squares slope of log(median seconds) against
+their quartiles, the median peak RSS of the process (its ru_maxrss, import
+included) and the least-squares slope of log(median seconds) against
 log(size), fitted by perfbench's `log_log_slope`.
 
 Given twice (parent, then change), the two trees are timed as pairs: each
@@ -70,7 +71,7 @@ LAYERS = {
     ),
     "orthogonality_profile": (
         "T",
-        (100, 200, 300),
+        (100, 200, 300, 600, 1000),
         "from grasshodge.racah import orthogonality_profile",
         "orthogonality_profile(T)",
     ),
@@ -96,21 +97,23 @@ LAYERS = {
     ),
 }
 # layer: sizes timed on the last tree given only
-CHANGE_ONLY = {"sigma_direct_all_k": (200,), "orthogonality_profile": (600, 1000)}
-CHILD = """import sys, time
+CHANGE_ONLY = {"sigma_direct_all_k": (200,)}
+CHILD = """import resource, sys, time
 sys.path.insert(0, {src!r})
 {setup}
 {var} = {size}
 start = time.perf_counter()
 {stmt}
-print(time.perf_counter() - start)
+print(time.perf_counter() - start, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 """
 
 
-def seconds(src: str, var: str, size: int, setup: str, stmt: str) -> float:
+def measure(src: str, var: str, size: int, setup: str, stmt: str) -> tuple[float, float]:
+    """Seconds of the statement and peak RSS of its process in MB."""
     code = CHILD.format(src=src, setup=setup, var=var, size=size, stmt=stmt)
     out = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True, text=True)
-    return float(out.stdout)
+    secs, rss_kb = out.stdout.split()
+    return float(secs), int(rss_kb) / 1024
 
 
 def quartiles(values: list[float]) -> list[float]:
@@ -128,28 +131,33 @@ def main(argv=None) -> int:
     record = {"trees": srcs, "repeat": REPEAT, "layers": {}}
     for layer, (var, sizes, setup, stmt) in LAYERS.items():
         all_sizes = sizes + CHANGE_ONLY.get(layer, ())
-        # runs[size index][tree] lists one time per repeat, pairs aligned;
-        # a tree that does not run a size keeps an empty list there
+        # runs[size index][tree] lists one (seconds, MB) per repeat, pairs
+        # aligned; a tree that does not run a size keeps an empty list there
         runs = []
         for size in all_sizes:
             timed = trees if size in sizes else trees[-1:]
             by_tree = [[] for _ in srcs]
             for rep in range(REPEAT):
                 for i in timed if rep % 2 == 0 else reversed(timed):
-                    by_tree[i].append(seconds(srcs[i], var, size, setup, stmt))
+                    by_tree[i].append(measure(srcs[i], var, size, setup, stmt))
             runs.append(by_tree)
         out = {var: list(all_sizes), "trees": []}
         for i in trees:
             ran = [(size, by_tree[i]) for size, by_tree in zip(all_sizes, runs) if by_tree[i]]
-            medians = {size: statistics.median(times) for size, times in ran}
+            medians = {size: statistics.median(t for t, _ in pairs) for size, pairs in ran}
             out["trees"].append({
                 var: list(medians),
                 "median_s": [round(t, 4) for t in medians.values()],
-                "quartiles_s": [quartiles(times) for _, times in ran],
+                "quartiles_s": [quartiles([t for t, _ in pairs]) for _, pairs in ran],
+                "median_peak_rss_mb": [
+                    round(statistics.median(m for _, m in pairs), 1) for _, pairs in ran
+                ],
                 "exponent": round(log_log_slope(medians), 2),
             })
         if len(srcs) == 2:
-            ratios = [[b / a for a, b in zip(*by_tree)] for by_tree in runs[: len(sizes)]]
+            ratios = [
+                [b / a for (a, _), (b, _) in zip(*by_tree)] for by_tree in runs[: len(sizes)]
+            ]
             out["ratio_change_over_parent"] = {
                 var: list(sizes),
                 "median": [round(statistics.median(r), 3) for r in ratios],

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, TextIO
@@ -261,20 +262,14 @@ def cmd_verify_needed(args: argparse.Namespace, out: TextIO, err: TextIO) -> boo
 
 def cmd_scan_bound(args: argparse.Namespace, out: TextIO, err: TextIO) -> bool:
     t_lo, t_hi = _t_range(args)
-    jobs = args.jobs
-    if jobs is None:
-        try:
-            jobs = racah.default_jobs()
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
-    elif jobs < 1:
+    if args.jobs < 1:
         raise UsageError("--jobs must be a positive integer")
-    report = racah.bound_scan(t_lo, t_hi, jobs=jobs)
+    report = racah.bound_scan(t_lo, t_hi, jobs=args.jobs)
     out.write(json.dumps(report.to_json_dict()) + "\n")
     half_grid = sum(T * (T + 1) // 2 for T in range(t_lo, t_hi + 1))
     print(
         f"scanned {report.rows_checked} rows over T={t_lo}..{t_hi} "
-        f"in {report.elapsed_ms} ms ({jobs} workers); "
+        f"in {report.elapsed_ms} ms ({args.jobs} workers); "
         f"{report.points_walked} of {half_grid} half-grid points walked; "
         "the rest are strictly inside by the orthogonality norm",
         file=err,
@@ -439,8 +434,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--jobs",
         type=int,
-        default=None,
-        help=f"worker processes (default: ${racah.JOBS_ENV_VAR} or the CPU count)",
+        default=os.cpu_count() or 1,
+        help="worker processes (default: the CPU count)",
     )
 
     p = sub.add_parser("sigma", help="one certificate value, exact")

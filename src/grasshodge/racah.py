@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, cos, lcm, pi, sin, sqrt
-from operator import add, mul
+from operator import mul
 
 from .exactmath import (
     ConcaveSequence,
@@ -38,8 +38,6 @@ from .exactmath import (
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-
-JOBS_ENV_VAR = "GRASSHODGE_JOBS"
 
 
 # ---------------------------------------------------------------------------
@@ -191,27 +189,19 @@ def racah_eval(n: int, s: int, T: int) -> Fraction:
 
 def racah_grid(T: int, n: int | None = None, s: int | None = None) -> Iterator[tuple]:
     """(n, s, R_n(s, T)) in (n, s) order over n, s = 0..T-1, or at the
-    selected n and/or s; only the selected columns are walked, each down to
-    the largest selected row."""
+    selected n and/or s.  By the self-duality R_n(s) = R_s(n), row n is read
+    off column n, w_s(n) = P_s R_n(s), walked down to the largest selected s;
+    one column is held at a time."""
     if T < 3 or not all(0 <= i < T for i in (n, s) if i is not None):
         raise ValueError(f"need T >= 3 and 0 <= n, s <= T-1, got T={T}, n={n}, s={s}")
-    n_vals = range(T) if n is None else [n]
     s_vals = range(T) if s is None else [s]
-    top = max(n_vals)
+    top = max(s_vals)
     steps = _principal_steps(T, top)
-    columns = [_principal_column(c, T, steps, top) for c in s_vals]
-    for row in n_vals:
-        weight = principal_weight(row, T)
-        for c, column in zip(s_vals, columns):
-            yield row, c, Fraction(column[row], weight)
-
-
-def _full_int_table(T: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-    """Rows w_n(0..T-1) for n = 0..T-1 and the weights P_n for one T, built
-    as T principal columns and transposed; nothing is cached."""
-    steps = _principal_steps(T)
-    columns = [_principal_column(s, T, steps, T - 1) for s in range(T)]
-    return tuple(zip(*columns)), tuple(principal_weight(n, T) for n in range(T))
+    weights = [principal_weight(c, T) for c in s_vals]
+    for row in range(T) if n is None else [n]:
+        column = _principal_column(row, T, steps, top)
+        for c, weight in zip(s_vals, weights):
+            yield row, c, Fraction(column[c], weight)
 
 
 def orthogonality_profile(T: int) -> tuple[int, bool]:
@@ -219,39 +209,44 @@ def orthogonality_profile(T: int) -> tuple[int, bool]:
 
     sum_s (2s+1) R_n R_m over s = 0..T-1 must equal T^2/(2n+1) when n = m
     and 0 otherwise.  Returns the number of pairs certified, T(T+1)/2, and
-    whether the certificate holds.  On the principal-weight table of
-    _full_int_table (the column walk, recurrence in n) it checks, as exact
-    integers:
+    whether the certificate holds.  It walks the principal columns
+    s = 0..T-1 in order, holding three, and checks as exact integers:
 
     * the three-term identity in s, K w_n = lambda_n D w_n, at every n and
-      s = 0..T-1:  alpha_s w_n(s+1) - beta_s w_n(s) + alpha_(s-1) w_n(s-1)
+      s:  alpha_s w_n(s+1) - beta_s w_n(s) + alpha_(s-1) w_n(s-1)
       = 2n(n+1) (2s+1) w_n(s), with alpha and beta from _difference_operator;
       alpha_(-1) = alpha_(T-1) = 0, so no value off the grid is read;
-    * the T diagonal norms (2n+1) sum_s (2s+1) w_n(s)^2 = T^2 P_n^2.
+    * the T diagonal norms (2n+1) sum_s (2s+1) w_n(s)^2 = T^2 P_n^2, summed
+      as the columns pass.
 
     K is symmetric, so (lambda_n - lambda_m) sum_s (2s+1) w_n w_m =
     w_m^T K w_n - w_n^T K w_m = 0, and the eigenvalues lambda_n = 2n(n+1)
-    are distinct: every off-diagonal pair sum vanishes.  A table passes only
+    are distinct: every off-diagonal pair sum vanishes.  The values pass only
     if the T(T+1)/2 pair sums would also pass, at O(T^2) products instead of
     O(T^3).
     """
     if T < 3:
         raise ValueError(f"need T >= 3, got {T}")
-    rows, weights = _full_int_table(T)
+    steps = _principal_steps(T)
     alpha, beta = _difference_operator(T)
-    odd = range(1, 2 * T, 2)
-    T2 = T * T
+    lams = [2 * n * (n + 1) for n in range(T)]
     pairs = T * (T + 1) // 2
-    for n, (row, weight) in enumerate(zip(rows, weights)):
-        lam = 2 * n * (n + 1)
+    norms = prev = [0] * T
+    cur = _principal_column(0, T, steps, T - 1)
+    for s, (up, down, b) in enumerate(zip(alpha, (0, *alpha), beta)):
+        nxt = _principal_column(s + 1, T, steps, T - 1) if s < T - 1 else [0] * T
+        o = 2 * s + 1
         # alpha_s w_n(s+1) + alpha_(s-1) w_n(s-1) == (beta_s + lam (2s+1)) w_n(s)
-        up = [*map(mul, alpha, row[1:]), 0]
-        down = [0, *map(mul, alpha, row[:-1])]
-        if list(map(add, up, down)) != [(b + lam * o) * w for b, o, w in zip(beta, odd, row)]:
+        if [up * x + down * y for x, y in zip(nxt, prev)] != [
+            (b + lam * o) * w for lam, w in zip(lams, cur)
+        ]:
             return pairs, False
-        if (2 * n + 1) * sum(map(mul, odd, map(mul, row, row))) != T2 * weight * weight:
-            return pairs, False
-    return pairs, True
+        # w * w first: CPython squares an int times itself faster
+        norms = [acc + w * w * o for acc, w in zip(norms, cur)]
+        prev, cur = cur, nxt
+    return pairs, all(
+        (2 * n + 1) * acc == T * T * principal_weight(n, T) ** 2 for n, acc in enumerate(norms)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -547,32 +542,16 @@ def _scan_batch(ts: range) -> list[tuple[int, list, list, int]]:
     return [_scan_one_T(T) for T in ts]
 
 
-def default_jobs() -> int:
-    """Worker count: the jobs environment variable, else the CPU count.
-
-    A variable that is set but not a positive integer raises ValueError.
-    """
-    env = os.environ.get(JOBS_ENV_VAR, "")
-    if not env.strip():
-        return os.cpu_count() or 1
-    try:
-        jobs = int(env)
-    except ValueError:
-        jobs = None
-    if jobs is None or jobs < 1:
-        raise ValueError(f"{JOBS_ENV_VAR} must be a positive integer, got {env!r}")
-    return jobs
-
-
 def bound_scan(T_min: int, T_max: int, jobs: int | None = None) -> ScanReport:
     """Check |R_n(s, T)| <= 1 on the half grid n <= s for every T in range.
 
-    Work is split by T across worker processes (each T is one self-contained
-    chunk of rows) and merged back in T order, so the report is identical
-    whatever the worker count.  The T values, largest first, are dealt
-    round-robin into 4 * jobs pool tasks (task i gets T_max - i,
-    T_max - i - 4 * jobs, ...): few round trips, a similar share of the
-    cost (about T^3 per T) per task, and no large T left alone at the end.
+    Work is split by T across jobs worker processes (default: the CPU
+    count), each T one self-contained chunk of rows, and merged back in T
+    order, so the report is identical whatever the worker count.  The T
+    values, largest first, are dealt round-robin into 4 * jobs pool tasks
+    (task i gets T_max - i, T_max - i - 4 * jobs, ...): few round trips, a
+    similar share of the cost (about T^3 per T) per task, and no large T
+    left alone at the end.
     Each T walks about 0.6 of its half grid (points_walked); Wilson's
     orthogonality, which verify-ortho certifies, decides the rest.
     Raises InexactStep when a step of the walk leaves a remainder.
@@ -580,7 +559,7 @@ def bound_scan(T_min: int, T_max: int, jobs: int | None = None) -> ScanReport:
     if not 3 <= T_min <= T_max:
         raise ValueError(f"need 3 <= T_min <= T_max, got {T_min}..{T_max}")
     if jobs is None:
-        jobs = default_jobs()
+        jobs = os.cpu_count() or 1
     start = time.monotonic()
     ts = range(T_max, T_min - 1, -1)
     if jobs <= 1 or T_max == T_min:

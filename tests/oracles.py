@@ -59,9 +59,12 @@ def orthogonality_check(T, n, m):
 
 def orthogonality_pairs(T):
     """(pair count, verdict) of every unordered row pair n <= m of the
-    principal-weight table at T, one pair sum each: (2n+1) sum_s (2s+1)
-    w_n w_m must be T^2 P_n^2 when n = m and 0 otherwise."""
-    rows, weights = racah._full_int_table(T)
+    principal-weight table at T, built here from the T columns of the
+    library's column walk, one pair sum each: (2n+1) sum_s (2s+1) w_n w_m
+    must be T^2 P_n^2 when n = m and 0 otherwise."""
+    steps = racah._principal_steps(T)
+    rows = list(zip(*(racah._principal_column(s, T, steps, T - 1) for s in range(T))))
+    weights = [racah.principal_weight(n, T) for n in range(T)]
     pairs = 0
     ok = True
     for n, row in enumerate(rows):

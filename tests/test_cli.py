@@ -225,6 +225,7 @@ def test_infeasible_ranges(capsys):
         ("table", "--kind", "sigma", "--Nmax", "0"),
         ("verify-grassmannian", "--Nmax", "4", "--kset", "3"),
         ("table", "--kind", "racah", "--Tmin", "3", "--Tmax", "9", "--n", "5"),
+        ("scan-bound", "--T", "5", "--jobs", "0"),
     ]
     for argv in cases:
         code, out, err = run_cli(capsys, *argv)
@@ -233,17 +234,25 @@ def test_infeasible_ranges(capsys):
 
 
 def test_table_rows_stream():
-    # the whole T 3..40 table held as rows peaks near 7 MB traced; written
-    # as computed, only one T's columns are alive at a time
-    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
-        tracemalloc.start()
-        try:
-            code = main(["table", "--kind", "racah", "--Tmin", "3", "--Tmax", "40"])
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-    assert code == 0
-    assert peak < 2 * 2**20
+    cases = [
+        # the whole T 3..40 table held as rows peaks near 7 MB traced;
+        # written as computed, only one T is alive at a time
+        (["table", "--kind", "racah", "--Tmin", "3", "--Tmax", "40"], 2 * 2**20),
+        # within one T, one column at a time (the whole grid held: 3.5 MiB)
+        (["table", "--kind", "racah", "--T", "200"], 2**20),
+        # three columns and T running norms (the whole grid held: 3.7 MiB)
+        (["verify-ortho", "--T", "200"], 2**20),
+    ]
+    for argv, bound in cases:
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+            tracemalloc.start()
+            try:
+                code = main(argv)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert code == 0, argv
+        assert peak < bound, (argv, peak)
 
 
 def test_usage_error_from_argparse():
@@ -316,8 +325,8 @@ def test_fault_injection_engine(monkeypatch, capsys):
     code, out, _ = run_cli(capsys, "scan-bound", "--Tmin", "3", "--Tmax", "8", "--jobs", "1")
     assert code == 1
     assert json.loads(out)["violations"] == [{"T": 6, "n": 2, "s": 2, "value": "2"}]
-    # the orthogonality table is built from full columns, so it reads a bad
-    # value anywhere, R_2(4, 6) among them
+    # the orthogonality certificate walks every column to n = T-1, so it
+    # reads a bad value anywhere, R_2(4, 6) among them
     _double_weight_at(monkeypatch, 2, 4, 6)
     code, out, _ = run_cli(capsys, "verify-ortho", "--T", "6")
     assert code == 1
@@ -386,8 +395,8 @@ def test_fault_injection_scan_remainder(monkeypatch, capsys):
 
 
 def test_fault_injection_ortho_remainder(monkeypatch, capsys):
-    # the orthogonality table walks every column to n = T-1, so column
-    # s = 0 takes the corrupted step first
+    # the orthogonality certificate walks the columns in order of s, each to
+    # n = T-1, so column s = 0 takes the corrupted step first
     _corrupt_steps_at(monkeypatch, 6)
     code, out, err = run_cli(capsys, "verify-ortho", "--T", "6")
     assert code == 1
@@ -471,19 +480,18 @@ def test_fault_injection_engine_reduced_rows(monkeypatch, capsys, corrupt):
 
 @pytest.mark.parametrize("n, s", [(0, 0), (0, 39), (39, 0), (39, 39), (20, 39)])
 def test_fault_injection_ortho_table_entry(monkeypatch, capsys, n, s):
-    # one entry of the table the certificate reads off by 1 at T = 40, on the
-    # edges, where alpha_(-1) = alpha_(T-1) = 0 leave the fewest identities
-    # reading it; the pair sums of the same table fail as well
-    real = racah._full_int_table
+    # entry n of column s off by 1 at T = 40, on the edges, where
+    # alpha_(-1) = alpha_(T-1) = 0 leave the fewest identities reading it;
+    # the pair sums over the same columns fail as well
+    real = racah._principal_column
 
-    def corrupted(T):
-        rows, weights = real(T)
-        if T == 40:
-            rows = [list(row) for row in rows]
-            rows[n][s] += 1
-        return rows, weights
+    def corrupted(s_, T, steps, n_max):
+        column = real(s_, T, steps, n_max)
+        if (s_, T) == (s, 40) and n_max >= n:
+            column[n] += 1
+        return column
 
-    monkeypatch.setattr(racah, "_full_int_table", corrupted)
+    monkeypatch.setattr(racah, "_principal_column", corrupted)
     assert orthogonality_pairs(40) == (820, False)
     code, out, _ = run_cli(capsys, "verify-ortho", "--T", "40")
     assert code == 1
@@ -644,25 +652,6 @@ def test_load_sequence_blank_lines_ok(tmp_path):
         load_sequence(str(empty))
     with pytest.raises(UsageError):
         load_sequence(str(tmp_path / "missing.txt"))
-
-
-def test_default_jobs_env_override(monkeypatch):
-    monkeypatch.setenv(racah.JOBS_ENV_VAR, "3")
-    assert racah.default_jobs() == 3
-    for bad in ("zero?", "0", "-3"):
-        monkeypatch.setenv(racah.JOBS_ENV_VAR, bad)
-        with pytest.raises(ValueError):
-            racah.default_jobs()
-    monkeypatch.delenv(racah.JOBS_ENV_VAR)
-    assert racah.default_jobs() >= 1
-
-
-def test_scan_bound_rejects_bad_jobs_env(monkeypatch, capsys):
-    for value in ("abc", "0"):
-        monkeypatch.setenv(racah.JOBS_ENV_VAR, value)
-        code, out, err = run_cli(capsys, "scan-bound", "--T", "5")
-        assert (code, out) == (2, "")
-        assert err == f"error: {racah.JOBS_ENV_VAR} must be a positive integer, got {value!r}\n"
 
 
 def test_module_entry_point_runs():

@@ -15,7 +15,6 @@ def run_script(name, *argv):
     env = {
         **os.environ,
         "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
-        "GRASSHODGE_JOBS": "1",
     }
     return subprocess.run(
         [sys.executable, str(SCRIPTS / name), *argv],
