@@ -1,6 +1,6 @@
 """Serial scaling series per library layer, one fresh process per size.
 
-    python3 bench/scaling.py [--src DIR [--src DIR2]]
+    python3 bench/scaling.py [--src DIR [--src DIR2]] [--layer NAME [--layer NAME2]]
 
 Times the direct certificate as the CLI runs it,
 `sigma_verdict(SigmaInstance(N, k), "direct")`, over every k of one N at
@@ -10,9 +10,11 @@ N = 30, 60, 90, 120, 200, `primitive_profile(N)` at N = 12, 24, 36,
 `orthogonality_profile(T)` at T = 100, 200, 300, 600, 1000,
 `proj_commutator_check(n)` at n = 30, 60, 120, the serial scan of one T,
 `bound_scan(T, T, jobs=1)`, at T = 300, 600, 1000 and the CLI's
-`table --kind racah --T T` with stdout sent to devnull at T = 60, 120, 200,
-each size in its own Python process with DIR (default: this checkout's src)
-first on sys.path and the import left out of the timing, REPEAT times.
+`table --kind racah --T T` with stdout sent to devnull at T = 60, 120, 200
+and its lone last column, `--s T-1`, at T = 200, 600, 1000, each size in
+its own Python process with DIR (default: this checkout's src) first on
+sys.path and the import left out of the timing, REPEAT times.  --layer
+picks layers by name (default: all).
 Prints one JSON object: per layer and tree the median seconds per size,
 their quartiles, the median peak RSS of the process (its ru_maxrss, import
 included) and the least-squares slope of log(median seconds) against
@@ -95,6 +97,15 @@ LAYERS = {
         "sink = open(os.devnull, 'w')",
         "with contextlib.redirect_stdout(sink): cli.main(['table', '--kind', 'racah', '--T', str(T)])",
     ),
+    "table_racah_lone_s": (
+        "T",
+        (200, 600, 1000),
+        "import contextlib, os\n"
+        "from grasshodge import cli\n"
+        "sink = open(os.devnull, 'w')",
+        "with contextlib.redirect_stdout(sink):\n"
+        "    cli.main(['table', '--kind', 'racah', '--T', str(T), '--s', str(T - 1)])",
+    ),
 }
 # layer: sizes timed on the last tree given only
 CHANGE_ONLY = {"sigma_direct_all_k": (200,)}
@@ -125,11 +136,13 @@ def quartiles(values: list[float]) -> list[float]:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", action="append", help="source tree; default: this checkout's src")
+    parser.add_argument("--layer", action="append", choices=LAYERS, help="time only these; default: all")
     args = parser.parse_args(argv)
     srcs = args.src or [str(SRC)]
     trees = range(len(srcs))
     record = {"trees": srcs, "repeat": REPEAT, "layers": {}}
-    for layer, (var, sizes, setup, stmt) in LAYERS.items():
+    for layer in args.layer or LAYERS:
+        var, sizes, setup, stmt = LAYERS[layer]
         all_sizes = sizes + CHANGE_ONLY.get(layer, ())
         # runs[size index][tree] lists one (seconds, MB) per repeat, pairs
         # aligned; a tree that does not run a size keeps an empty list there

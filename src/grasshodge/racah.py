@@ -191,9 +191,15 @@ def racah_grid(T: int, n: int | None = None, s: int | None = None) -> Iterator[t
     """(n, s, R_n(s, T)) in (n, s) order over n, s = 0..T-1, or at the
     selected n and/or s.  By the self-duality R_n(s) = R_s(n), row n is read
     off column n, w_s(n) = P_s R_n(s), walked down to the largest selected s;
-    one column is held at a time."""
+    one column is held at a time.  A lone s reads column s alone."""
     if T < 3 or not all(0 <= i < T for i in (n, s) if i is not None):
         raise ValueError(f"need T >= 3 and 0 <= n, s <= T-1, got T={T}, n={n}, s={s}")
+    if n is None and s is not None:
+        # a lone s: the one column s, as w_n(s) / P_n
+        column = _principal_column(s, T, _principal_steps(T), T - 1)
+        for row, w in enumerate(column):
+            yield row, s, Fraction(w, principal_weight(row, T))
+        return
     s_vals = range(T) if s is None else [s]
     top = max(s_vals)
     steps = _principal_steps(T, top)
@@ -202,6 +208,15 @@ def racah_grid(T: int, n: int | None = None, s: int | None = None) -> Iterator[t
         column = _principal_column(row, T, steps, top)
         for c, weight in zip(s_vals, weights):
             yield row, c, Fraction(column[c], weight)
+
+
+def _full_int_table(T: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """Rows w_n(0..T-1) and weights P_n for n = 0..T-1, as T principal
+    columns transposed.  No library code calls it: it stays only while
+    perfbench's span list names it."""
+    steps = _principal_steps(T)
+    columns = [_principal_column(s, T, steps, T - 1) for s in range(T)]
+    return tuple(zip(*columns)), tuple(principal_weight(n, T) for n in range(T))
 
 
 def orthogonality_profile(T: int) -> tuple[int, bool]:

@@ -238,10 +238,12 @@ def test_table_rows_stream():
         # the whole T 3..40 table held as rows peaks near 7 MB traced;
         # written as computed, only one T is alive at a time
         (["table", "--kind", "racah", "--Tmin", "3", "--Tmax", "40"], 2 * 2**20),
-        # within one T, one column at a time (the whole grid held: 3.5 MiB)
-        (["table", "--kind", "racah", "--T", "200"], 2**20),
-        # three columns and T running norms (the whole grid held: 3.7 MiB)
-        (["verify-ortho", "--T", "200"], 2**20),
+        # within one T, one column at a time: 0.23 MiB (the whole grid
+        # held: 0.81 MiB)
+        (["table", "--kind", "racah", "--T", "100"], 0.4 * 2**20),
+        # three columns and T running norms: 0.12 MiB (the whole grid
+        # held: 0.72 MiB)
+        (["verify-ortho", "--T", "100"], 0.4 * 2**20),
     ]
     for argv, bound in cases:
         with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):

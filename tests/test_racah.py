@@ -82,6 +82,20 @@ def test_racah_grid_matches_single_values():
             list(racah_grid(**bad))
 
 
+def test_racah_grid_walks_one_column_per_lone_selection(monkeypatch):
+    walked = []
+
+    def spy(s, *rest):
+        walked.append(s)
+        return _principal_column(s, *rest)
+
+    monkeypatch.setattr(racah, "_principal_column", spy)
+    for selection, columns in (({"n": 3}, [3]), ({"s": 5}, [5]), ({"n": 3, "s": 5}, [3])):
+        walked.clear()
+        list(racah_grid(9, **selection))
+        assert walked == columns, selection
+
+
 @settings(max_examples=60)
 @given(st.integers(3, 150), st.data())
 def test_racah_matches_term_sum_sampled(T, data):
