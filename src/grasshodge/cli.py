@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, TextIO
@@ -434,8 +433,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--jobs",
         type=int,
-        default=os.cpu_count() or 1,
-        help="worker processes (default: the CPU count)",
+        default=racah.default_jobs(),
+        help="worker processes (default: the CPUs this process may run on)",
     )
 
     p = sub.add_parser("sigma", help="one certificate value, exact")

@@ -19,10 +19,10 @@ inequality driven by a concave sequence, and the scan that checks
 
 from __future__ import annotations
 
+import marshal
 import os
 import time
-from collections.abc import Iterator
-from concurrent.futures import ProcessPoolExecutor
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -530,9 +530,9 @@ def _scan_one_T(T: int) -> tuple[int, list, list, int]:
 
     Column s stops at n_s; below it Wilson's orthogonality, which
     verify-ortho certifies, decides.  Returns T, the violations and the
-    equality cases as plain tuples in (n, s) order (kept picklable for the
-    process pool), violations carrying the exact value as the pair
-    (w_n(s), P_n), and the number of points walked.
+    equality cases as plain tuples in (n, s) order (ints only, which
+    _fork_map's marshal carries), violations carrying the exact value as
+    the pair (w_n(s), P_n), and the number of points walked.
     """
     depths = _scan_depths(T)
     deepest = max(depths)
@@ -553,20 +553,89 @@ def _scan_one_T(T: int) -> tuple[int, list, list, int]:
 
 
 def _scan_batch(ts: range) -> list[tuple[int, list, list, int]]:
-    """_scan_one_T for every T of one pool task."""
+    """_scan_one_T for every T of one worker's share."""
     return [_scan_one_T(T) for T in ts]
+
+
+def default_jobs() -> int:
+    """The worker count when none is given: the CPUs this process may run
+    on (its affinity mask, which a cpuset-limited container narrows), or
+    the CPU count where the mask cannot be read."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _fork_child(func: Callable, share, write_end: int) -> None:
+    """In a forked child: write marshal(func(share)) to the pipe and exit 0,
+    or the message of an InexactStep (exit 1) or of another error (exit 2).
+    It leaves only by os._exit, so no buffer it inherited is flushed."""
+    code = 2
+    try:
+        try:
+            payload, status = marshal.dumps(func(share)), 0
+        except InexactStep as exc:
+            payload, status = str(exc).encode(), 1
+        except Exception as exc:
+            payload, status = repr(exc).encode(), 2
+        with open(write_end, "wb") as pipe:
+            pipe.write(payload)
+        code = status
+    finally:
+        os._exit(code)
+
+
+def _fork_map(func: Callable, shares: list) -> list:
+    """[func(share) for share in shares], each share after the first run by
+    a forked child while this process runs the first.
+
+    Results come back by marshal, so they hold only ints, tuples and lists.
+    A child's InexactStep is raised here again; any other child failure
+    raises RuntimeError with its exit status.  On every path, interrupts
+    included, children still running are killed and all are reaped.  Needs
+    os.fork and a process without threads (grasshodge starts none).
+    """
+    children = []  # (pid, read end of its pipe), not yet reaped
+    try:
+        for share in shares[1:]:
+            read_end, write_end = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _fork_child(func, share, write_end)
+            os.close(write_end)
+            children.append((pid, open(read_end, "rb")))
+        results = [func(shares[0])]
+        while children:
+            pid, pipe = children[0]
+            with pipe:
+                payload = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            children.pop(0)
+            if code == 1:
+                raise InexactStep(payload.decode())
+            if code:
+                detail = f": {payload.decode()}" if payload else ""
+                raise RuntimeError(f"worker {pid} exited with status {code}{detail}")
+            results.append(marshal.loads(payload))
+        return results
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            os.kill(pid, 9)  # SIGKILL, without importing signal and its enums
+            os.waitpid(pid, 0)
 
 
 def bound_scan(T_min: int, T_max: int, jobs: int | None = None) -> ScanReport:
     """Check |R_n(s, T)| <= 1 on the half grid n <= s for every T in range.
 
-    Work is split by T across jobs worker processes (default: the CPU
-    count), each T one self-contained chunk of rows, and merged back in T
-    order, so the report is identical whatever the worker count.  The T
-    values, largest first, are dealt round-robin into 4 * jobs pool tasks
-    (task i gets T_max - i, T_max - i - 4 * jobs, ...): few round trips, a
-    similar share of the cost (about T^3 per T) per task, and no large T
-    left alone at the end.
+    Work is split by T across jobs processes (default: default_jobs()),
+    each T one self-contained chunk of rows, and merged back in T order, so
+    the report is identical whatever the worker count.  The T values,
+    largest first, are dealt round-robin into jobs shares (share i gets
+    T_max - i, T_max - i - jobs, ...), so each share carries a similar part
+    of the cost (about T^2.5 per T); this process walks the first share
+    while one forked child walks each other (_fork_map).  Without os.fork
+    every share runs here.
     Each T walks about 0.6 of its half grid (points_walked); Wilson's
     orthogonality, which verify-ortho certifies, decides the rest.
     Raises InexactStep when a step of the walk leaves a remainder.
@@ -574,16 +643,14 @@ def bound_scan(T_min: int, T_max: int, jobs: int | None = None) -> ScanReport:
     if not 3 <= T_min <= T_max:
         raise ValueError(f"need 3 <= T_min <= T_max, got {T_min}..{T_max}")
     if jobs is None:
-        jobs = os.cpu_count() or 1
+        jobs = default_jobs()
     start = time.monotonic()
     ts = range(T_max, T_min - 1, -1)
-    if jobs <= 1 or T_max == T_min:
+    if jobs <= 1 or not hasattr(os, "fork"):
         results = _scan_batch(ts)
     else:
-        width = 4 * jobs
-        tasks = [ts[i::width] for i in range(min(width, len(ts)))]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = [result for batch in pool.map(_scan_batch, tasks) for result in batch]
+        shares = [ts[i::jobs] for i in range(min(jobs, len(ts)))]
+        results = [result for batch in _fork_map(_scan_batch, shares) for result in batch]
     results.sort(key=lambda item: item[0])
     violations = []
     equalities = []

@@ -396,6 +396,20 @@ def test_fault_injection_scan_remainder(monkeypatch, capsys):
         racah.bound_scan(8, 8, jobs=1)
 
 
+@pytest.mark.parametrize("t_max", ["8", "9"], ids=["in-parent-share", "in-child-share"])
+def test_fault_injection_scan_remainder_across_workers(monkeypatch, capsys, t_max):
+    # T values are dealt largest first into two shares: T = 8 falls to the
+    # share this process walks for 3..8, and to the forked child's for 3..9
+    _corrupt_steps_at(monkeypatch, 8)
+    code, out, err = run_cli(capsys, "scan-bound", "--Tmin", "3", "--Tmax", t_max, "--jobs", "2")
+    assert code == 1
+    assert out == ""
+    assert "FAILED" in err and "T=8, s=3" in err and "remainder" in err
+    assert "Traceback" not in err
+    with pytest.raises(ChildProcessError):  # every child reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_fault_injection_ortho_remainder(monkeypatch, capsys):
     # the orthogonality certificate walks the columns in order of s, each to
     # n = T-1, so column s = 0 takes the corrupted step first
@@ -668,6 +682,35 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["sigma"] == "3"
+
+
+def test_start_up_imports_no_process_pool():
+    # the scan forks its workers itself, so no command pays for importing
+    # a pool (and logging, sockets, subprocess with it) at start-up
+    src = str(Path(grasshodge.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = (
+        "import sys, grasshodge, grasshodge.cli; "
+        "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+def test_default_jobs_counts_the_cpus_this_process_may_run_on(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    assert racah.default_jobs() == 3
+    assert cli.build_parser().parse_args(["scan-bound", "--T", "5"]).jobs == 3
+    # bound_scan(jobs=None) reads the same count: one CPU, so no fork
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked with one CPU allowed"))
+    assert racah.bound_scan(3, 8).ok
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert racah.default_jobs() == 64
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert racah.default_jobs() == 1
 
 
 def test_parser_owns_the_defaults(capsys):

@@ -1,4 +1,6 @@
+import os
 import random
+import time
 from fractions import Fraction
 from math import comb
 
@@ -201,11 +203,45 @@ def test_principal_column_matches_term_sum_sampled():
 
 
 def test_scan_workers_agree():
-    # 5..7 has fewer T values than the 4 * jobs pool tasks
+    # 5..7 has fewer T values than four workers have shares
     for T_min, T_max in ((3, 30), (5, 14), (5, 7)):
         solo = bound_scan(T_min, T_max, jobs=1).to_json_dict()
-        for jobs in (2, 3):
+        for jobs in (2, 3, 4):
             assert bound_scan(T_min, T_max, jobs=jobs).to_json_dict() == solo, (T_min, T_max, jobs)
+    with pytest.raises(ChildProcessError):  # every worker reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _split_scan_batch(monkeypatch, in_parent, in_child):
+    # _scan_batch is in_parent in this process and in_child in a forked worker
+    parent = os.getpid()
+    monkeypatch.setattr(
+        racah, "_scan_batch", lambda ts: (in_parent if os.getpid() == parent else in_child)(ts)
+    )
+
+
+def test_scan_raises_when_a_worker_dies(monkeypatch):
+    # a worker that exits without a result fails the scan, never shrinks it
+    _split_scan_batch(monkeypatch, racah._scan_batch, lambda ts: os._exit(3))
+    with pytest.raises(RuntimeError, match="exited with status 3"):
+        bound_scan(3, 12, jobs=2)
+    with pytest.raises(ChildProcessError):  # every child reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _interrupt(ts):
+    raise KeyboardInterrupt
+
+
+def test_scan_interrupt_leaves_no_worker(monkeypatch):
+    # workers that would sleep for a minute are killed, not awaited
+    _split_scan_batch(monkeypatch, _interrupt, lambda ts: time.sleep(60))
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        bound_scan(3, 12, jobs=3)
+    assert time.monotonic() - start < 30
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_scan_validation():
