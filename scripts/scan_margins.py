@@ -40,7 +40,11 @@ def main():
 
     report = bound_scan(args.Tmin, args.Tmax)
     if report.violations:
-        print(f"bound violated: {report.violations[:5]}", file=sys.stderr)
+        hits = ", ".join(
+            f"({T}, {n}, {s}, {format_rational(Fraction(w, p))})"
+            for T, n, s, w, p in report.violations[:5]
+        )
+        print(f"bound violated at (T, n, s, value): {hits}", file=sys.stderr)
         return 1
 
     rows = []

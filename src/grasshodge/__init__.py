@@ -52,7 +52,6 @@ from .racah import (
     BranchVerdict,
     Inequality,
     InexactStep,
-    ScanHit,
     ScanReport,
     WindowReport,
     WindowSamples,

@@ -268,7 +268,7 @@ def cmd_scan_bound(args: argparse.Namespace, out: TextIO, err: TextIO) -> bool:
     half_grid = sum(T * (T + 1) // 2 for T in range(t_lo, t_hi + 1))
     print(
         f"scanned {report.rows_checked} rows over T={t_lo}..{t_hi} "
-        f"in {report.elapsed_ms} ms ({args.jobs} workers); "
+        f"in {report.elapsed_ms} ms ({min(args.jobs, t_hi - t_lo + 1)} workers); "
         f"{report.points_walked} of {half_grid} half-grid points walked; "
         "the rest are strictly inside by the orthogonality norm",
         file=err,

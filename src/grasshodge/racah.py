@@ -467,52 +467,41 @@ def certify_alternating_bound(seq, T: int) -> list[BranchVerdict]:
 # certifies for each T: by the self-duality R_n(s) = R_s(n) the column norm
 # sum_m (2m+1) R_m(s)^2 is T^2/(2s+1), so its terms m = 0 and m = n >= 1
 # give |R_n(s)| < 1 strictly once T^2 < (2n+2)(2s+1).  Every division of
-# the column walk was exact on T 3..1000.
+# the column walk was exact on T 3..1000.  The edge row n = 0 is R_0 = 1 by
+# definition, so the walk reports equality cases for n >= 1 only and the
+# report prints the edge row from that definition.
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class ScanHit:
-    """One (T, n, s) point flagged by the scan."""
-
-    T: int
-    n: int
-    s: int
-    value: Fraction
-
-    def to_json_dict(self, with_value: bool = False) -> dict:
-        d = {"T": self.T, "n": self.n, "s": self.s}
-        if with_value:
-            d["value"] = format_rational(self.value)
-        return d
-
-
-@dataclass(frozen=True)
 class ScanReport:
-    """Outcome of a bound scan over T_min..T_max."""
+    """Outcome of a bound scan over T_min..T_max, in (T, n, s) order: violations
+    as (T, n, s, w_n(s), P_n), interior equality cases (n >= 1) as (T, n, s)."""
 
     T_min: int
     T_max: int
-    violations: tuple[ScanHit, ...]
-    equality_cases: tuple[ScanHit, ...]
+    violations: tuple[tuple[int, int, int, int, int], ...]
+    exceptions: tuple[tuple[int, int, int], ...]
     rows_checked: int
     elapsed_ms: int
     points_walked: int
 
     @property
-    def strictness_exceptions(self) -> tuple[ScanHit, ...]:
-        """Equality cases away from the trivial edges n = 0 and s = 0."""
-        return tuple(h for h in self.equality_cases if h.n != 0 and h.s != 0)
-
-    @property
     def ok(self) -> bool:
-        return not self.violations and not self.strictness_exceptions
+        return not self.violations and not self.exceptions
 
     def to_json_dict(self) -> dict:
+        """The scan-bound JSON line, with the edge row (T, 0, s) of R_0 = 1."""
+        edges = [(T, 0, s) for T in range(self.T_min, self.T_max + 1) for s in range(T)]
         return {
             "T_range": [self.T_min, self.T_max],
-            "violations": [h.to_json_dict(with_value=True) for h in self.violations],
-            "equality_cases": [h.to_json_dict() for h in self.equality_cases],
+            "violations": [
+                {"T": T, "n": n, "s": s, "value": format_rational(Fraction(w, p))}
+                for T, n, s, w, p in self.violations
+            ],
+            "equality_cases": [
+                {"T": T, "n": n, "s": s} for T, n, s in sorted(edges + list(self.exceptions))
+            ],
             "rows_checked": self.rows_checked,
         }
 
@@ -530,9 +519,9 @@ def _scan_one_T(T: int) -> tuple[int, list, list, int]:
 
     Column s stops at n_s; below it Wilson's orthogonality, which
     verify-ortho certifies, decides.  Returns T, the violations and the
-    equality cases as plain tuples in (n, s) order (ints only, which
-    _fork_map's marshal carries), violations carrying the exact value as
-    the pair (w_n(s), P_n), and the number of points walked.
+    interior equality cases (n >= 1) as plain tuples in (n, s) order (ints
+    only, which _fork_map's marshal carries), violations carrying the exact
+    value as the pair (w_n(s), P_n), and the number of points walked.
     """
     depths = _scan_depths(T)
     deepest = max(depths)
@@ -545,7 +534,7 @@ def _scan_one_T(T: int) -> tuple[int, list, list, int]:
             size = abs(w)
             if size > p:
                 violations.append((T, n, s, w, p))
-            elif size == p:
+            elif size == p and n:
                 equalities.append((T, n, s))
     violations.sort()
     equalities.sort()
@@ -634,8 +623,8 @@ def bound_scan(T_min: int, T_max: int, jobs: int | None = None) -> ScanReport:
     largest first, are dealt round-robin into jobs shares (share i gets
     T_max - i, T_max - i - jobs, ...), so each share carries a similar part
     of the cost (about T^2.5 per T); this process walks the first share
-    while one forked child walks each other (_fork_map).  Without os.fork
-    every share runs here.
+    while one forked child walks each other (_fork_map), so one share forks
+    nothing.  Without os.fork the one share is every T.
     Each T walks about 0.6 of its half grid (points_walked); Wilson's
     orthogonality, which verify-ortho certifies, decides the rest.
     Raises InexactStep when a step of the walk leaves a remainder.
@@ -644,32 +633,22 @@ def bound_scan(T_min: int, T_max: int, jobs: int | None = None) -> ScanReport:
         raise ValueError(f"need 3 <= T_min <= T_max, got {T_min}..{T_max}")
     if jobs is None:
         jobs = default_jobs()
+    if jobs < 1:
+        raise ValueError(f"need jobs >= 1, got {jobs}")
     start = time.monotonic()
     ts = range(T_max, T_min - 1, -1)
-    if jobs <= 1 or not hasattr(os, "fork"):
-        results = _scan_batch(ts)
-    else:
-        shares = [ts[i::jobs] for i in range(min(jobs, len(ts)))]
-        results = [result for batch in _fork_map(_scan_batch, shares) for result in batch]
-    results.sort(key=lambda item: item[0])
-    violations = []
-    equalities = []
-    rows_checked = 0
-    points_walked = 0
-    for T, viol, eq, walked in results:
-        violations.extend(ScanHit(T, n, s, Fraction(w, p)) for (T, n, s, w, p) in viol)
-        equalities.extend(ScanHit(T, n, s, _ONE) for (T, n, s) in eq)
-        rows_checked += T
-        points_walked += walked
+    jobs = min(jobs, len(ts)) if hasattr(os, "fork") else 1
+    shares = [ts[i::jobs] for i in range(jobs)]
+    results = sorted(result for batch in _fork_map(_scan_batch, shares) for result in batch)
     elapsed_ms = int((time.monotonic() - start) * 1000)
     return ScanReport(
         T_min=T_min,
         T_max=T_max,
-        violations=tuple(violations),
-        equality_cases=tuple(equalities),
-        rows_checked=rows_checked,
+        violations=tuple(hit for _, viol, _, _ in results for hit in viol),
+        exceptions=tuple(hit for _, _, eq, _ in results for hit in eq),
+        rows_checked=sum(T for T, _, _, _ in results),
         elapsed_ms=elapsed_ms,
-        points_walked=points_walked,
+        points_walked=sum(walked for _, _, _, walked in results),
     )
 
 

@@ -96,6 +96,22 @@ def scan_half_grid(T):
     return T, sorted(violations), sorted(equalities)
 
 
+def scan_json(T_min, T_max):
+    """The JSON line of scan-bound over T_min..T_max as scan_half_grid walks
+    it, every equality case, the edge row n = 0 included, read off the walk."""
+    results = [scan_half_grid(T) for T in range(T_min, T_max + 1)]
+    return {
+        "T_range": [T_min, T_max],
+        "violations": [
+            {"T": T, "n": n, "s": s, "value": fraction_format_rational(Fraction(w, p))}
+            for _, viol, _ in results
+            for T, n, s, w, p in viol
+        ],
+        "equality_cases": [{"T": T, "n": n, "s": s} for _, _, eq in results for T, n, s in eq],
+        "rows_checked": sum(range(T_min, T_max + 1)),
+    }
+
+
 def alternating_bound(values, n, T):
     """sum_s (-1)^(s+1) R_n(s,T) H_s < sum_s H_s over s = 1..T-1, for one n."""
     lhs = rhs = Fraction(0)

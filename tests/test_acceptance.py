@@ -108,10 +108,11 @@ def test_06_closed_form_rows_through_T40():
 def test_07_bound_scan_clean_through_T100():
     report = bound_scan(3, 100, jobs=2)
     assert report.violations == ()
-    assert report.strictness_exceptions == ()
-    assert all(h.n == 0 or h.s == 0 for h in report.equality_cases)
+    assert report.exceptions == ()
+    cases = report.to_json_dict()["equality_cases"]
+    assert all(case["n"] == 0 or case["s"] == 0 for case in cases)
     # the known equality wall is really there: every (0, s) appears
-    seen = {(h.T, h.s) for h in report.equality_cases if h.n == 0}
+    seen = {(case["T"], case["s"]) for case in cases if case["n"] == 0}
     assert all((T, s) in seen for T in range(3, 101) for s in range(T))
     _report(7, f"|R| <= 1 scan clean over 3 <= T <= 100 "
                f"({report.rows_checked} rows, {report.elapsed_ms} ms, 2 workers); "

@@ -14,7 +14,7 @@ import pytest
 import grasshodge
 from grasshodge import cli, lefschetz, racah
 from grasshodge.cli import UsageError, emit_table, load_sequence, main
-from oracles import orthogonality_pairs, scan_half_grid
+from oracles import orthogonality_pairs, scan_json
 
 
 def run_cli(capsys, *argv):
@@ -52,9 +52,12 @@ def test_scan_bound_clean_range(capsys):
 
 
 def test_scan_bound_single_T_flag(capsys):
-    code, out, _ = run_cli(capsys, "scan-bound", "--T", "7", "--jobs", "1")
-    assert code == 0
-    assert json.loads(out)["T_range"] == [7, 7]
+    # one T value is one share, so one process walks it whatever --jobs asks
+    for jobs in ("1", "4"):
+        code, out, err = run_cli(capsys, "scan-bound", "--T", "7", "--jobs", jobs)
+        assert code == 0
+        assert json.loads(out)["T_range"] == [7, 7]
+        assert "(1 workers)" in err
 
 
 def test_scan_bound_reports_pruning_on_stderr_only(capsys):
@@ -62,13 +65,8 @@ def test_scan_bound_reports_pruning_on_stderr_only(capsys):
     # the points walked, sum over T and s of n_s + 1, against the half grid
     code, out, err = run_cli(capsys, "scan-bound", "--Tmin", "3", "--Tmax", "20", "--jobs", "1")
     assert code == 0
-    results = [scan_half_grid(T) for T in range(3, 21)]
-    expected = {
-        "T_range": [3, 20],
-        "violations": [],
-        "equality_cases": [{"T": T, "n": n, "s": s} for _, _, eq in results for T, n, s in eq],
-        "rows_checked": sum(range(3, 21)),
-    }
+    expected = scan_json(3, 20)
+    assert expected["violations"] == []
     assert out == json.dumps(expected) + "\n"
     walked = sum(
         min(s, max(0, T * T // (2 * (2 * s + 1)) - 1)) + 1 for T in range(3, 21) for s in range(T)
@@ -289,12 +287,11 @@ def test_fault_injection_scan(monkeypatch, capsys):
 
     def corrupted(T_min, T_max, jobs=None):
         report = real(T_min, T_max, jobs=jobs)
-        hit = racah.ScanHit(T=T_min, n=1, s=2, value=Fraction(9, 8))
         return racah.ScanReport(
             T_min=report.T_min,
             T_max=report.T_max,
-            violations=(hit,),
-            equality_cases=report.equality_cases,
+            violations=((T_min, 1, 2, 9, 8),),
+            exceptions=report.exceptions,
             rows_checked=report.rows_checked,
             elapsed_ms=report.elapsed_ms,
             points_walked=report.points_walked,

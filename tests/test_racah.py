@@ -38,7 +38,7 @@ from oracles import (
     orthogonality_pairs,
     racah_sum,
     racah_top_product,
-    scan_half_grid,
+    scan_json,
 )
 
 
@@ -173,7 +173,7 @@ def test_scan_small_range():
     report = bound_scan(3, 20, jobs=1)
     assert report.ok
     assert not report.violations
-    assert all(h.n == 0 for h in report.equality_cases)
+    assert all(case["n"] == 0 for case in report.to_json_dict()["equality_cases"])
     assert report.rows_checked == sum(range(3, 21))
 
 
@@ -210,6 +210,16 @@ def test_scan_workers_agree():
             assert bound_scan(T_min, T_max, jobs=jobs).to_json_dict() == solo, (T_min, T_max, jobs)
     with pytest.raises(ChildProcessError):  # every worker reaped
         os.waitpid(-1, os.WNOHANG)
+
+
+def test_one_share_scan_never_forks(monkeypatch):
+    pooled = bound_scan(3, 12, jobs=2).to_json_dict()
+
+    def no_fork():
+        raise AssertionError("forked for a single share")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert bound_scan(3, 12, jobs=1).to_json_dict() == pooled
 
 
 def _split_scan_batch(monkeypatch, in_parent, in_child):
@@ -249,6 +259,8 @@ def test_scan_validation():
         bound_scan(2, 10)
     with pytest.raises(ValueError):
         bound_scan(10, 5)
+    with pytest.raises(ValueError):
+        bound_scan(3, 5, jobs=0)
 
 
 def test_scan_classifies_values_at_and_just_past_the_bound(monkeypatch):
@@ -266,8 +278,10 @@ def test_scan_classifies_values_at_and_just_past_the_bound(monkeypatch):
 
     monkeypatch.setattr(racah, "_principal_column", corrupted)
     report = bound_scan(6, 6, jobs=1)
-    assert [(h.n, h.s, h.value) for h in report.violations] == [(2, 2, Fraction(-281, 280))]
-    assert [(h.n, h.s) for h in report.strictness_exceptions] == [(1, 3)]
+    assert [(n, s, Fraction(w, p)) for _, n, s, w, p in report.violations] == [
+        (2, 2, Fraction(-281, 280))
+    ]
+    assert [(n, s) for _, n, s in report.exceptions] == [(1, 3)]
     assert not report.ok
 
 
@@ -275,10 +289,11 @@ def test_scan_walks_only_what_the_norm_leaves_open():
     # the walk stops at n_s = min(s, T^2 // (2(2s+1)) - 1) in column s; every
     # point below it has (2n+2)(2s+1) > T^2, so the column norm
     # sum_m (2m+1) R_m(s)^2 = T^2/(2s+1) puts it strictly inside, and the
-    # whole-half-grid walk must give the same violations and equality cases
+    # whole-half-grid walk must give the same violations and equality cases,
+    # the edge row n = 0 that the report prints by definition included
     assert racah._scan_depths(6) == [0, 1, 2, 1, 1, 0]
     for T in range(3, 151):
-        assert racah._scan_one_T(T)[:3] == scan_half_grid(T), T
+        assert bound_scan(T, T, jobs=1).to_json_dict() == scan_json(T, T), T
         for s, depth in enumerate(racah._scan_depths(T)):
             for n in range(depth + 1, s + 1):
                 assert (2 * n + 2) * (2 * s + 1) > T * T, (T, n, s)
@@ -304,8 +319,9 @@ def test_scan_reports_the_points_it_walked(monkeypatch):
 
 def test_scan_report_classifies_edges():
     report = bound_scan(4, 4, jobs=1)
-    assert {(h.n, h.s) for h in report.equality_cases} == {(0, s) for s in range(4)}
-    assert report.strictness_exceptions == ()
+    cases = report.to_json_dict()["equality_cases"]
+    assert {(case["n"], case["s"]) for case in cases} == {(0, s) for s in range(4)}
+    assert report.exceptions == ()
 
 
 # --- Legendre family and lattice ---
