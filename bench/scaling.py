@@ -1,4 +1,4 @@
-"""Serial scaling series per library layer, one fresh process per size.
+"""Scaling series per library layer, one fresh process per size.
 
     python3 bench/scaling.py [--src DIR [--src DIR2]] [--layer NAME [--layer NAME2]]
 
@@ -11,7 +11,9 @@ N = 30, 60, 90, 120, 200, `primitive_profile(N)` at N = 12, 24, 36,
 `proj_commutator_check(n)` at n = 30, 60, 120, the serial scan of one T,
 `bound_scan(T, T, jobs=1)`, at T = 300, 600, 1000 and the CLI's
 `table --kind racah --T T` with stdout sent to devnull at T = 60, 120, 200
-and its lone last column, `--s T-1`, at T = 200, 600, 1000, each size in
+and its lone last column, `--s T-1`, at T = 200, 600, 1000, and the CLI's
+`scan-bound --Tmin 3 --Tmax T --jobs 2` with stdout sent to devnull at
+T = 100, 300, 400, each size in
 its own Python process with DIR (default: this checkout's src) first on
 sys.path and the import left out of the timing, REPEAT times.  --layer
 picks layers by name (default: all).
@@ -105,6 +107,15 @@ LAYERS = {
         "sink = open(os.devnull, 'w')",
         "with contextlib.redirect_stdout(sink):\n"
         "    cli.main(['table', '--kind', 'racah', '--T', str(T), '--s', str(T - 1)])",
+    ),
+    "scan_bound_cli": (
+        "T",
+        (100, 300, 400),
+        "import contextlib, os\n"
+        "from grasshodge import cli\n"
+        "sink = open(os.devnull, 'w')",
+        "with contextlib.redirect_stdout(sink):\n"
+        "    cli.main(['scan-bound', '--Tmin', '3', '--Tmax', str(T), '--jobs', '2'])",
     ),
 }
 # layer: sizes timed on the last tree given only

@@ -15,7 +15,7 @@ import csv
 import sys
 from fractions import Fraction
 
-from grasshodge.exactmath import decimal_approx, format_rational
+from grasshodge.exactmath import decimal_approx, format_ratio, format_rational
 from grasshodge.racah import bound_scan, racah_grid
 
 
@@ -23,9 +23,9 @@ def interior_max(T):
     """Largest |R_n(s, T)| over 1 <= n <= s <= T-1 and its (n, s), read off
     the full grid in (n, s) order, so among equal maxima the first wins."""
     best, where = Fraction(0), None
-    for n, s, value in racah_grid(T):
-        if 1 <= n <= s and abs(value) > best:
-            best, where = abs(value), (n, s)
+    for n, s, w, p in racah_grid(T):
+        if 1 <= n <= s and Fraction(abs(w), p) > best:
+            best, where = Fraction(abs(w), p), (n, s)
     return best, where
 
 
@@ -41,7 +41,7 @@ def main():
     report = bound_scan(args.Tmin, args.Tmax)
     if report.violations:
         hits = ", ".join(
-            f"({T}, {n}, {s}, {format_rational(Fraction(w, p))})"
+            f"({T}, {n}, {s}, {format_ratio(w, p)})"
             for T, n, s, w, p in report.violations[:5]
         )
         print(f"bound violated at (T, n, s, value): {hits}", file=sys.stderr)

@@ -21,6 +21,8 @@ from . import lefschetz, racah
 from .exactmath import (
     ConcaveSequence,
     decimal_approx,
+    decimal_ratio,
+    format_ratio,
     format_rational,
     parse_rational,
     random_concave,
@@ -74,6 +76,29 @@ def emit_table(rows: Iterable[dict], columns: list[str], fmt: str, out: TextIO) 
             out.write(json.dumps(ordered) + "\n")
     else:
         raise UsageError(f"unknown output format {fmt!r}")
+
+
+def emit_scan_report(report: racah.ScanReport, out: TextIO) -> None:
+    """Write the scan-bound line, json.dumps of the report as one dict, one
+    T at a time: the edge row (T, 0, s), s < T, of R_0 = 1, then that T's
+    interior equality cases."""
+    violations = [
+        {"T": T, "n": n, "s": s, "value": format_ratio(w, p)} for T, n, s, w, p in report.violations
+    ]
+    out.write(
+        f'{{"T_range": [{report.T_min}, {report.T_max}], '
+        f'"violations": {json.dumps(violations)}, "equality_cases": ['
+    )
+    cases, i = report.exceptions, 0  # in (T, n, s) order, n >= 1
+    for T in range(report.T_min, report.T_max + 1):
+        edge = f'{{"T": {T}, "n": 0, "s": '
+        sep = ", " if T > report.T_min else ""
+        out.write(sep + edge + ("}, " + edge).join(map(str, range(T))) + "}")
+        while i < len(cases) and cases[i][0] == T:
+            _, n, s = cases[i]
+            out.write(f', {{"T": {T}, "n": {n}, "s": {s}}}')
+            i += 1
+    out.write(f'], "rows_checked": {report.rows_checked}}}\n')
 
 
 class _Tally:
@@ -264,7 +289,7 @@ def cmd_scan_bound(args: argparse.Namespace, out: TextIO, err: TextIO) -> bool:
     if args.jobs < 1:
         raise UsageError("--jobs must be a positive integer")
     report = racah.bound_scan(t_lo, t_hi, jobs=args.jobs)
-    out.write(json.dumps(report.to_json_dict()) + "\n")
+    emit_scan_report(report, out)
     half_grid = sum(T * (T + 1) // 2 for T in range(t_lo, t_hi + 1))
     print(
         f"scanned {report.rows_checked} rows over T={t_lo}..{t_hi} "
@@ -292,13 +317,13 @@ def _racah_rows(args: argparse.Namespace, t_lo: int, t_hi: int) -> Iterator[dict
     """Rows of R_n(s, T) in (T, n, s) order, at every n and s or at the
     selected one; the caller has checked the selection against T = t_lo."""
     for T in range(t_lo, t_hi + 1):
-        for n, s, value in racah.racah_grid(T, args.n, args.s):
+        for n, s, w, p in racah.racah_grid(T, args.n, args.s):
             yield {
                 "T": T,
                 "n": n,
                 "s": s,
-                "value": format_rational(value),
-                "value_approx": decimal_approx(value),
+                "value": format_ratio(w, p),
+                "value_approx": decimal_ratio(w, p),
             }
 
 

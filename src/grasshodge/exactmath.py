@@ -23,8 +23,10 @@ __all__ = [
     "ConcaveSequence",
     "random_concave",
     "format_rational",
+    "format_ratio",
     "parse_rational",
     "decimal_approx",
+    "decimal_ratio",
     "exp_compare",
 ]
 
@@ -155,6 +157,12 @@ def format_rational(q) -> str:
     return f"{num}/{den}"
 
 
+def format_ratio(num: int, den: int) -> str:
+    """format_rational of num / den, den > 0, reduced by one gcd."""
+    g = math.gcd(num, den)
+    return str(num // g) if g == den else f"{num // g}/{den // g}"
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse "p/q", a plain integer, or a finite decimal, all read exactly."""
     try:
@@ -170,11 +178,16 @@ def decimal_approx(q, places: int = 12) -> str:
     deterministic and accurate to 10**-places.  With places = 0 the result
     is the rounded integer, with no decimal point.
     """
-    if places < 0:
-        raise ValueError(f"decimal_approx needs places >= 0, got {places}")
     if not isinstance(q, (int, Fraction)):
         q = Fraction(q)
-    num, den = q.numerator, q.denominator
+    return decimal_ratio(q.numerator, q.denominator, places)
+
+
+def decimal_ratio(num: int, den: int, places: int = 12) -> str:
+    """decimal_approx of num / den, den > 0, in any terms: the rounding
+    reads only the value, so no gcd is taken."""
+    if places < 0:
+        raise ValueError(f"decimal_approx needs places >= 0, got {places}")
     unit = 10**places
     scaled, rem = divmod(num * unit, den)
     # floor division leaves 0 <= rem < den; round up past the half, and at

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, cos, lcm, pi, sin, sqrt
-from operator import mul
+from operator import ge, mul
 
 from .exactmath import (
     ConcaveSequence,
@@ -188,17 +188,17 @@ def racah_eval(n: int, s: int, T: int) -> Fraction:
 
 
 def racah_grid(T: int, n: int | None = None, s: int | None = None) -> Iterator[tuple]:
-    """(n, s, R_n(s, T)) in (n, s) order over n, s = 0..T-1, or at the
-    selected n and/or s.  By the self-duality R_n(s) = R_s(n), row n is read
-    off column n, w_s(n) = P_s R_n(s), walked down to the largest selected s;
-    one column is held at a time.  A lone s reads column s alone."""
+    """(n, s, w, p), R_n(s, T) = w / p with p > 0, in (n, s) order over
+    n, s = 0..T-1 or at the selected n and/or s.  By the self-duality
+    R_n(s) = R_s(n), row n is column n as w_s(n) / P_s, walked down to the
+    largest selected s; one column is held at a time.  A lone s reads
+    column s alone, as w_n(s) / P_n."""
     if T < 3 or not all(0 <= i < T for i in (n, s) if i is not None):
         raise ValueError(f"need T >= 3 and 0 <= n, s <= T-1, got T={T}, n={n}, s={s}")
     if n is None and s is not None:
-        # a lone s: the one column s, as w_n(s) / P_n
         column = _principal_column(s, T, _principal_steps(T), T - 1)
         for row, w in enumerate(column):
-            yield row, s, Fraction(w, principal_weight(row, T))
+            yield row, s, w, principal_weight(row, T)
         return
     s_vals = range(T) if s is None else [s]
     top = max(s_vals)
@@ -207,7 +207,7 @@ def racah_grid(T: int, n: int | None = None, s: int | None = None) -> Iterator[t
     for row in range(T) if n is None else [n]:
         column = _principal_column(row, T, steps, top)
         for c, weight in zip(s_vals, weights):
-            yield row, c, Fraction(column[c], weight)
+            yield row, c, column[c], weight
 
 
 def _full_int_table(T: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
@@ -468,8 +468,8 @@ def certify_alternating_bound(seq, T: int) -> list[BranchVerdict]:
 # sum_m (2m+1) R_m(s)^2 is T^2/(2s+1), so its terms m = 0 and m = n >= 1
 # give |R_n(s)| < 1 strictly once T^2 < (2n+2)(2s+1).  Every division of
 # the column walk was exact on T 3..1000.  The edge row n = 0 is R_0 = 1 by
-# definition, so the walk reports equality cases for n >= 1 only and the
-# report prints the edge row from that definition.
+# definition, so the walk compares n >= 1 only and the CLI prints the edge
+# row from that definition.
 # ---------------------------------------------------------------------------
 
 
@@ -489,21 +489,6 @@ class ScanReport:
     @property
     def ok(self) -> bool:
         return not self.violations and not self.exceptions
-
-    def to_json_dict(self) -> dict:
-        """The scan-bound JSON line, with the edge row (T, 0, s) of R_0 = 1."""
-        edges = [(T, 0, s) for T in range(self.T_min, self.T_max + 1) for s in range(T)]
-        return {
-            "T_range": [self.T_min, self.T_max],
-            "violations": [
-                {"T": T, "n": n, "s": s, "value": format_rational(Fraction(w, p))}
-                for T, n, s, w, p in self.violations
-            ],
-            "equality_cases": [
-                {"T": T, "n": n, "s": s} for T, n, s in sorted(edges + list(self.exceptions))
-            ],
-            "rows_checked": self.rows_checked,
-        }
 
 
 def _scan_depths(T: int) -> list[int]:
@@ -526,15 +511,19 @@ def _scan_one_T(T: int) -> tuple[int, list, list, int]:
     depths = _scan_depths(T)
     deepest = max(depths)
     steps = _principal_steps(T, deepest)
-    bounds = [principal_weight(n, T) for n in range(deepest + 1)]
+    bounds = [principal_weight(n, T) for n in range(1, deepest + 1)]
     violations = []
     equalities = []
     for s, depth in enumerate(depths):
-        for n, (w, p) in enumerate(zip(_principal_column(s, T, steps, depth), bounds)):
-            size = abs(w)
-            if size > p:
+        # n = 0 is the literal 1 = P_0; one C-level pass finds any point on
+        # or past the bound
+        column = _principal_column(s, T, steps, depth)[1:]
+        if not any(map(ge, map(abs, column), bounds)):
+            continue
+        for n, (w, p) in enumerate(zip(column, bounds), 1):
+            if abs(w) > p:
                 violations.append((T, n, s, w, p))
-            elif size == p and n:
+            elif abs(w) == p:
                 equalities.append((T, n, s))
     violations.sort()
     equalities.sort()

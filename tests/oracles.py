@@ -6,7 +6,7 @@ pairwise orthogonality sums (on fractions, and on the integer table that the
 library certifies by three-term identities instead), the single-degree
 inequalities built on it, the top-row product of R, the bound scan walked
 over the whole half grid (the library leaves part of it to the orthogonality
-norm), the coefficient recurrence of the Legendre polynomials, the binomial
+norm) and its JSON line built as one dict, the coefficient recurrence of the Legendre polynomials, the binomial
 alternating sum (the Whipple bridge) and the box-coordinate double sum
 behind the correction weights of the closed certificate, hyperplane powers
 as sums of validated skew tableau counts, the Poincare pairing as a plain
@@ -109,6 +109,24 @@ def scan_json(T_min, T_max):
         ],
         "equality_cases": [{"T": T, "n": n, "s": s} for _, _, eq in results for T, n, s in eq],
         "rows_checked": sum(range(T_min, T_max + 1)),
+    }
+
+
+def scan_report_json(report):
+    """The scan-bound JSON line of a racah.ScanReport as one dict: the edge
+    row (T, 0, s) of R_0 = 1 for every T and s < T merged with the interior
+    equality cases by sorting, every value reduced by Fraction."""
+    edges = [(T, 0, s) for T in range(report.T_min, report.T_max + 1) for s in range(T)]
+    return {
+        "T_range": [report.T_min, report.T_max],
+        "violations": [
+            {"T": T, "n": n, "s": s, "value": fraction_format_rational(Fraction(w, p))}
+            for T, n, s, w, p in report.violations
+        ],
+        "equality_cases": [
+            {"T": T, "n": n, "s": s} for T, n, s in sorted(edges + list(report.exceptions))
+        ],
+        "rows_checked": report.rows_checked,
     }
 
 

@@ -5,9 +5,12 @@ Each test covers one numbered criterion and prints a single summary line
 equalities unless a check is explicitly a floating-point smoke test.
 """
 
+import io
+import json
 import time
 from fractions import Fraction
 
+from grasshodge import cli
 from grasshodge.chowring import (
     hodge_star,
     lefschetz_kernel,
@@ -109,7 +112,9 @@ def test_07_bound_scan_clean_through_T100():
     report = bound_scan(3, 100, jobs=2)
     assert report.violations == ()
     assert report.exceptions == ()
-    cases = report.to_json_dict()["equality_cases"]
+    line = io.StringIO()
+    cli.emit_scan_report(report, line)
+    cases = json.loads(line.getvalue())["equality_cases"]
     assert all(case["n"] == 0 or case["s"] == 0 for case in cases)
     # the known equality wall is really there: every (0, s) appears
     seen = {(case["T"], case["s"]) for case in cases if case["n"] == 0}

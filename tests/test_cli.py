@@ -14,7 +14,7 @@ import pytest
 import grasshodge
 from grasshodge import cli, lefschetz, racah
 from grasshodge.cli import UsageError, emit_table, load_sequence, main
-from oracles import orthogonality_pairs, scan_json
+from oracles import orthogonality_pairs, scan_json, scan_report_json
 
 
 def run_cli(capsys, *argv):
@@ -301,6 +301,61 @@ def test_fault_injection_scan(monkeypatch, capsys):
     code, out, _ = run_cli(capsys, "scan-bound", "--Tmin", "3", "--Tmax", "5", "--jobs", "1")
     assert code == 1
     assert json.loads(out)["violations"] == [{"T": 3, "n": 1, "s": 2, "value": "9/8"}]
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_fault_injection_scan_bulk_check(monkeypatch, capsys, jobs):
+    # at T = 10, R_3(5) one step past the bound and R_4(4) on it, each at
+    # the deepest n its column walks (n_5 = 3, n_4 = 4, the deepest of T),
+    # where a slice one short would skip it; T = 10 falls to the forked
+    # child's share of 3..11 on two workers
+    real = racah._principal_column
+    bad = {(5, 3): -(racah.principal_weight(3, 10) + 1), (4, 4): -racah.principal_weight(4, 10)}
+
+    def corrupted(s, T, steps, n_max):
+        column = real(s, T, steps, n_max)
+        for (s_bad, n), w in bad.items():
+            if (s, T) == (s_bad, 10) and n <= n_max:
+                column[n] = w
+        return column
+
+    monkeypatch.setattr(racah, "_principal_column", corrupted)
+    assert racah._scan_depths(10)[4:6] == [4, 3] and max(racah._scan_depths(10)) == 4
+    code, out, _ = run_cli(capsys, "scan-bound", "--Tmin", "3", "--Tmax", "11", "--jobs", jobs)
+    assert code == 1
+    line = json.loads(out)
+    assert line["violations"] == [{"T": 10, "n": 3, "s": 5, "value": "-24025/24024"}]
+    assert [case for case in line["equality_cases"] if case["n"]] == [{"T": 10, "n": 4, "s": 4}]
+    # the whole-half-grid walk reads the same corrupted columns
+    assert out == json.dumps(scan_json(3, 11)) + "\n"
+
+
+def test_scan_line_matches_the_oracle_byte_for_byte():
+    reports = [
+        # violations, one of them reduced by the gcd (-562/280 = -281/140)
+        racah.ScanReport(3, 6, ((4, 1, 2, 9, 8), (6, 2, 2, -562, 280)), (), 18, 0, 0),
+        # interior equality cases at the first and last T, two in one T
+        racah.ScanReport(3, 7, (), ((3, 1, 2), (5, 2, 3), (5, 4, 4), (7, 1, 6)), 25, 0, 0),
+        racah.bound_scan(3, 30, jobs=2),
+    ]
+    for report in reports:
+        out = io.StringIO()
+        cli.emit_scan_report(report, out)
+        assert out.getvalue() == json.dumps(scan_report_json(report)) + "\n", report
+
+
+def test_scan_line_memory_stays_bounded():
+    # T 3..1000 has 500497 edge cases; written one T at a time the line
+    # peaks near 0.1 MiB traced (one dict for the whole report: 138 MiB)
+    report = racah.ScanReport(3, 1000, (), (), 0, 0, 0)
+    with open(os.devnull, "w") as sink:
+        tracemalloc.start()
+        try:
+            cli.emit_scan_report(report, sink)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peak < 2**20, peak
 
 
 def _double_weight_at(monkeypatch, n, s, T):

@@ -9,7 +9,9 @@ from grasshodge.exactmath import (
     ConcaveSequence,
     binomial,
     decimal_approx,
+    decimal_ratio,
     exp_compare,
+    format_ratio,
     format_rational,
     harmonic,
     harmonic_numerators,
@@ -187,6 +189,20 @@ def test_decimal_approx_exact_ties_round_half_even(case):
 @given(_rationals)
 def test_format_rational_matches_fraction_form(q):
     assert format_rational(q) == fraction_format_rational(q)
+
+
+@given(
+    st.one_of(_rationals, _places.flatmap(_exact_ties)),
+    st.integers(1, _BIG),
+    _places,
+)
+def test_ratio_renderings_match_the_reduced_fraction(q, k, places):
+    # the pair (k p, k q) in any terms, as racah_grid gives (w, P)
+    q = Fraction(q)
+    num, den = k * q.numerator, k * q.denominator
+    assert format_ratio(num, den) == fraction_format_rational(q)
+    assert decimal_ratio(num, den, places) == fraction_decimal_approx(q, places)
+    assert decimal_ratio(num, den) == fraction_decimal_approx(q)
 
 
 def test_rendering_other_rationals_goes_through_fraction():

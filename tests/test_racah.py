@@ -1,3 +1,5 @@
+import io
+import json
 import os
 import random
 import time
@@ -7,7 +9,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from grasshodge import racah
+from grasshodge import cli, racah
 from grasshodge.exactmath import ConcaveSequence, random_concave
 from grasshodge.racah import (
     WindowSamples,
@@ -71,14 +73,21 @@ def test_principal_weights_termwise_integral():
                 assert scaled * comb(m, r) * comb(m + r, r) % dens[r] == 0, (T, m, r)
 
 
+def _grid_values(T, **selection):
+    # racah_grid gives R_n(s, T) as w / p, read off column n or, for a lone
+    # s, off column s; the values, not the integers, must agree
+    return [(n, s, Fraction(w, p)) for n, s, w, p in racah_grid(T, **selection)]
+
+
 def test_racah_grid_matches_single_values():
     T = 9
-    grid = list(racah_grid(T))
+    grid = _grid_values(T)
     assert [(n, s) for n, s, _ in grid] == [(n, s) for n in range(T) for s in range(T)]
     assert all(value == racah_eval(n, s, T) for n, s, value in grid)
-    assert list(racah_grid(T, n=3)) == [g for g in grid if g[0] == 3]
-    assert list(racah_grid(T, s=5)) == [g for g in grid if g[1] == 5]
-    assert list(racah_grid(T, n=3, s=5)) == [(3, 5, racah_eval(3, 5, T))]
+    assert all(p > 0 for _, _, _, p in racah_grid(T))
+    assert _grid_values(T, n=3) == [g for g in grid if g[0] == 3]
+    assert _grid_values(T, s=5) == [g for g in grid if g[1] == 5]
+    assert _grid_values(T, n=3, s=5) == [(3, 5, racah_eval(3, 5, T))]
     for bad in ({"T": 2}, {"T": T, "n": T}, {"T": T, "s": -1}):
         with pytest.raises(ValueError):
             list(racah_grid(**bad))
@@ -169,11 +178,18 @@ def test_orthogonality_certificate_matches_pair_sums():
 # --- scan ---
 
 
+def _scan_line(report):
+    """The scan-bound line the CLI writes for report."""
+    out = io.StringIO()
+    cli.emit_scan_report(report, out)
+    return out.getvalue()
+
+
 def test_scan_small_range():
     report = bound_scan(3, 20, jobs=1)
     assert report.ok
     assert not report.violations
-    assert all(case["n"] == 0 for case in report.to_json_dict()["equality_cases"])
+    assert all(case["n"] == 0 for case in json.loads(_scan_line(report))["equality_cases"])
     assert report.rows_checked == sum(range(3, 21))
 
 
@@ -205,21 +221,21 @@ def test_principal_column_matches_term_sum_sampled():
 def test_scan_workers_agree():
     # 5..7 has fewer T values than four workers have shares
     for T_min, T_max in ((3, 30), (5, 14), (5, 7)):
-        solo = bound_scan(T_min, T_max, jobs=1).to_json_dict()
+        solo = _scan_line(bound_scan(T_min, T_max, jobs=1))
         for jobs in (2, 3, 4):
-            assert bound_scan(T_min, T_max, jobs=jobs).to_json_dict() == solo, (T_min, T_max, jobs)
+            assert _scan_line(bound_scan(T_min, T_max, jobs=jobs)) == solo, (T_min, T_max, jobs)
     with pytest.raises(ChildProcessError):  # every worker reaped
         os.waitpid(-1, os.WNOHANG)
 
 
 def test_one_share_scan_never_forks(monkeypatch):
-    pooled = bound_scan(3, 12, jobs=2).to_json_dict()
+    pooled = _scan_line(bound_scan(3, 12, jobs=2))
 
     def no_fork():
         raise AssertionError("forked for a single share")
 
     monkeypatch.setattr(os, "fork", no_fork)
-    assert bound_scan(3, 12, jobs=1).to_json_dict() == pooled
+    assert _scan_line(bound_scan(3, 12, jobs=1)) == pooled
 
 
 def _split_scan_batch(monkeypatch, in_parent, in_child):
@@ -290,10 +306,10 @@ def test_scan_walks_only_what_the_norm_leaves_open():
     # point below it has (2n+2)(2s+1) > T^2, so the column norm
     # sum_m (2m+1) R_m(s)^2 = T^2/(2s+1) puts it strictly inside, and the
     # whole-half-grid walk must give the same violations and equality cases,
-    # the edge row n = 0 that the report prints by definition included
+    # the edge row n = 0 that the CLI prints by definition included
     assert racah._scan_depths(6) == [0, 1, 2, 1, 1, 0]
     for T in range(3, 151):
-        assert bound_scan(T, T, jobs=1).to_json_dict() == scan_json(T, T), T
+        assert _scan_line(bound_scan(T, T, jobs=1)) == json.dumps(scan_json(T, T)) + "\n", T
         for s, depth in enumerate(racah._scan_depths(T)):
             for n in range(depth + 1, s + 1):
                 assert (2 * n + 2) * (2 * s + 1) > T * T, (T, n, s)
@@ -314,12 +330,12 @@ def test_scan_reports_the_points_it_walked(monkeypatch):
     report = bound_scan(3, 20, jobs=1)
     tops = [min(s, max(0, T * T // (2 * (2 * s + 1)) - 1)) for T in range(3, 21) for s in range(T)]
     assert report.points_walked == sum(walked) == sum(top + 1 for top in tops)
-    assert "points_walked" not in report.to_json_dict()
+    assert "points_walked" not in json.loads(_scan_line(report))
 
 
 def test_scan_report_classifies_edges():
     report = bound_scan(4, 4, jobs=1)
-    cases = report.to_json_dict()["equality_cases"]
+    cases = json.loads(_scan_line(report))["equality_cases"]
     assert {(case["n"], case["s"]) for case in cases} == {(0, s) for s in range(4)}
     assert report.exceptions == ()
 
