@@ -19,14 +19,20 @@ sys.path and the import left out of the timing, REPEAT times.  --layer
 picks layers by name (default: all).
 Prints one JSON object: per layer and tree the median seconds per size,
 their quartiles, the median peak RSS of the process (its ru_maxrss, import
-included) and the least-squares slope of log(median seconds) against
-log(size), fitted by perfbench's `log_log_slope`.
+included) and of the largest child it waited for (RUSAGE_CHILDREN, so the
+forked workers of a scan; 0 when it forks none), and the least-squares
+slope of log(median seconds) against log(size), fitted by perfbench's
+`log_log_slope`.
 
 Given twice (parent, then change), the two trees are timed as pairs: each
 repeat runs both trees back to back, alternating which runs first, so
 host-load drift falls on both alike.  Per size the record then also gives
 the median and quartiles of the per-pair ratio change / parent, and in how
-many pairs the change ran faster.  Sizes in CHANGE_ONLY, where the parent
+many pairs the change ran faster.  one_sided_sizes counts the sizes where
+the change ran faster in at most 2 or at least REPEAT - 2 pairs.  A
+layer-level claim needs at least two such sizes: one size alone is not
+enough, since an unchanged layer has read 9 of 10 pairs at one size on a
+shared 2-CPU host.  Sizes in CHANGE_ONLY, where the parent
 would take minutes to hours, run on the change alone; each tree's record
 lists the sizes it ran.
 """
@@ -126,16 +132,21 @@ sys.path.insert(0, {src!r})
 {var} = {size}
 start = time.perf_counter()
 {stmt}
-print(time.perf_counter() - start, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+print(
+    time.perf_counter() - start,
+    resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
+    resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss,
+)
 """
 
 
-def measure(src: str, var: str, size: int, setup: str, stmt: str) -> tuple[float, float]:
-    """Seconds of the statement and peak RSS of its process in MB."""
+def measure(src: str, var: str, size: int, setup: str, stmt: str) -> tuple[float, float, float]:
+    """Seconds of the statement, peak RSS of its process and of its largest
+    waited-for child, both in MB."""
     code = CHILD.format(src=src, setup=setup, var=var, size=size, stmt=stmt)
     out = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True, text=True)
-    secs, rss_kb = out.stdout.split()
-    return float(secs), int(rss_kb) / 1024
+    secs, rss_kb, children_kb = out.stdout.split()
+    return float(secs), int(rss_kb) / 1024, int(children_kb) / 1024
 
 
 def quartiles(values: list[float]) -> list[float]:
@@ -155,7 +166,7 @@ def main(argv=None) -> int:
     for layer in args.layer or LAYERS:
         var, sizes, setup, stmt = LAYERS[layer]
         all_sizes = sizes + CHANGE_ONLY.get(layer, ())
-        # runs[size index][tree] lists one (seconds, MB) per repeat, pairs
+        # runs[size index][tree] lists one (seconds, MB, children's MB) per repeat, pairs
         # aligned; a tree that does not run a size keeps an empty list there
         runs = []
         for size in all_sizes:
@@ -168,25 +179,30 @@ def main(argv=None) -> int:
         out = {var: list(all_sizes), "trees": []}
         for i in trees:
             ran = [(size, by_tree[i]) for size, by_tree in zip(all_sizes, runs) if by_tree[i]]
-            medians = {size: statistics.median(t for t, _ in pairs) for size, pairs in ran}
+            medians = {size: statistics.median(t for t, _, _ in pairs) for size, pairs in ran}
             out["trees"].append({
                 var: list(medians),
                 "median_s": [round(t, 4) for t in medians.values()],
-                "quartiles_s": [quartiles([t for t, _ in pairs]) for _, pairs in ran],
+                "quartiles_s": [quartiles([t for t, _, _ in pairs]) for _, pairs in ran],
                 "median_peak_rss_mb": [
-                    round(statistics.median(m for _, m in pairs), 1) for _, pairs in ran
+                    round(statistics.median(m for _, m, _ in pairs), 1) for _, pairs in ran
+                ],
+                "median_peak_rss_children_mb": [
+                    round(statistics.median(c for _, _, c in pairs), 1) for _, pairs in ran
                 ],
                 "exponent": round(log_log_slope(medians), 2),
             })
         if len(srcs) == 2:
             ratios = [
-                [b / a for (a, _), (b, _) in zip(*by_tree)] for by_tree in runs[: len(sizes)]
+                [b / a for (a, _, _), (b, _, _) in zip(*by_tree)] for by_tree in runs[: len(sizes)]
             ]
+            faster = [sum(x < 1 for x in r) for r in ratios]
             out["ratio_change_over_parent"] = {
                 var: list(sizes),
                 "median": [round(statistics.median(r), 3) for r in ratios],
                 "quartiles": [quartiles(r) for r in ratios],
-                "change_faster": [sum(x < 1 for x in r) for r in ratios],
+                "change_faster": faster,
+                "one_sided_sizes": sum(f <= 2 or f >= REPEAT - 2 for f in faster),
             }
         record["layers"][layer] = out
     print(json.dumps(record))

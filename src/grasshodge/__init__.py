@@ -41,32 +41,23 @@ from .lefschetz import (
     proj_commutator_check,
     proj_lower,
     proj_raise,
-    proj_sigma,
     sigma_closed,
     sigma_direct,
     sigma_verdict,
     sigma_walk,
 )
 from .racah import (
-    ApproxReport,
     BranchVerdict,
     Inequality,
     InexactStep,
     ScanReport,
-    WindowReport,
-    WindowSamples,
     alternating_profile,
     bound_scan,
     certify_alternating_bound,
-    lattice_node,
-    legendre_approx_profile,
-    legendre_eval,
-    legendre_window_checks,
     n_below_log,
     orthogonality_profile,
     principal_weight,
     racah_eval,
-    rescale_factor,
 )
 
 __version__ = "0.1.0"

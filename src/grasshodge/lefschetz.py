@@ -366,16 +366,3 @@ def proj_commutator_check(n: int) -> bool:
         if any(acc.values()):
             return False
     return True
-
-
-def proj_sigma(n: int) -> Fraction:
-    """The model's certificate: degree of the (n+1)-fold raise of the unit.
-
-    Walking the whole chain turns the unit hat class into tau times the top
-    archimedean form, so the value equals the chain constant and is positive.
-    """
-    tau = chain_constant(n)
-    x = ProjElement.basis(n, "hat", 0)
-    for _ in range(n + 1):
-        x = proj_raise(x, tau)
-    return x.form[n]

@@ -8,7 +8,8 @@ inequalities built on it, the top-row product of R, the bound scan walked
 over the whole half grid (the library leaves part of it to the orthogonality
 norm) and its JSON line built as one dict, the coefficient recurrence of the Legendre polynomials, the binomial
 alternating sum (the Whipple bridge) and the box-coordinate double sum
-behind the correction weights of the closed certificate, hyperplane powers
+behind the correction weights of the closed certificate, the projective
+model's certificate as the raise chain walked from the unit, hyperplane powers
 as sums of validated skew tableau counts, the Poincare pairing as a plain
 sum of products, and the decimal and "p/q" renderings of a rational by
 Fraction arithmetic.
@@ -19,6 +20,7 @@ from fractions import Fraction
 from grasshodge import racah
 from grasshodge.chowring import ChowElement
 from grasshodge.exactmath import binomial, exp_compare
+from grasshodge.lefschetz import ProjElement, chain_constant, proj_raise
 from grasshodge.racah import Inequality
 
 
@@ -236,6 +238,20 @@ def correction_weight_box(N, k, i):
     """
     n = N - 2 * k
     return sum(top_coefficient(N, k, b) * overlap_sum(N, k, b, i) for b in range(n + 1))
+
+
+def proj_sigma(n: int) -> Fraction:
+    """The model's certificate: degree of the (n+1)-fold raise of the unit.
+
+    Walking the whole chain turns the unit hat class into tau times the top
+    archimedean form, so the value equals the chain constant and is positive.
+    """
+    tau = chain_constant(n)
+    x = ProjElement.basis(n, "hat", 0)
+    for _ in range(n + 1):
+        x = proj_raise(x, tau)
+    return x.form[n]
+
 
 
 def skew_syt_count(lam, mu):

@@ -26,16 +26,13 @@ from grasshodge.lefschetz import (
     sigma_closed,
     sigma_direct,
 )
-from grasshodge.racah import (
-    alternating_profile,
-    bound_scan,
+from grasshodge.racah import alternating_profile, bound_scan, orthogonality_profile, racah_eval
+from legendre_checks import (
+    lattice_node,
     legendre_approx_profile,
     legendre_window_checks,
-    orthogonality_profile,
-    racah_eval,
     rescale_factor,
     rescaled_values,
-    lattice_node,
 )
 from oracles import correction_weight, racah_sum, racah_top_product, top_coefficient
 

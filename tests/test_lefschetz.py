@@ -21,14 +21,19 @@ from grasshodge.lefschetz import (
     proj_commutator_check,
     proj_lower,
     proj_raise,
-    proj_sigma,
     sigma_closed,
     sigma_direct,
     sigma_verdict,
     sigma_walk,
 )
 from grasshodge.racah import racah_eval
-from oracles import correction_weight, correction_weight_box, overlap_sum, top_coefficient
+from oracles import (
+    correction_weight,
+    correction_weight_box,
+    overlap_sum,
+    proj_sigma,
+    top_coefficient,
+)
 
 
 def test_sigma_frozen_values():

@@ -12,22 +12,25 @@ from hypothesis import given, settings, strategies as st
 from grasshodge import cli, racah
 from grasshodge.exactmath import ConcaveSequence, random_concave
 from grasshodge.racah import (
-    WindowSamples,
     _principal_column,
     _principal_row,
     _principal_steps,
     alternating_profile,
     bound_scan,
     certify_alternating_bound,
-    lattice_node,
-    legendre_approx_profile,
-    legendre_eval,
-    legendre_window_checks,
     n_below_log,
     orthogonality_profile,
     principal_weight,
     racah_eval,
     racah_grid,
+)
+from legendre_checks import (
+    WindowSamples,
+    admissible_degrees,
+    lattice_node,
+    legendre_approx_profile,
+    legendre_eval,
+    legendre_window_checks,
     rescale_factor,
     rescaled_values,
 )
@@ -400,6 +403,18 @@ def test_approx_profile_lists_admissible_degrees():
     assert [r.n for r in reports] == [0, 1, 2, 3]
     assert all(r.within for r in reports)
     assert legendre_approx_profile(3, grid_size=20) == []
+
+
+def test_admissible_degrees():
+    assert admissible_degrees(10) == [0, 1]
+    assert admissible_degrees(3) == []
+    for T in range(3, 201):
+        degrees = admissible_degrees(T)
+        last = len(degrees) - 1
+        assert degrees == list(range(last + 1)), T
+        # the hypothesis 1 + 2n + 2n^2 < T^2/10 holds at the last degree, not the next
+        assert last < 0 or 10 * (1 + 2 * last + 2 * last * last) < T * T, T
+        assert 10 * (1 + 2 * (last + 1) + 2 * (last + 1) ** 2) >= T * T, T
 
 
 def test_window_checks_small_sample():
