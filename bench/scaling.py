@@ -13,7 +13,8 @@ N = 30, 60, 90, 120, 200, `primitive_profile(N)` at N = 12, 24, 36,
 `table --kind racah --T T` with stdout sent to devnull at T = 60, 120, 200
 and its lone last column, `--s T-1`, at T = 200, 600, 1000, and the CLI's
 `scan-bound --Tmin 3 --Tmax T --jobs 2` with stdout sent to devnull at
-T = 100, 300, 400, each size in
+T = 100, 300, 400, and the CLI's `verify-needed --T T` (the harmonic
+sequence) with stdout sent to devnull at T = 100, 200, 400, each size in
 its own Python process with DIR (default: this checkout's src) first on
 sys.path and the import left out of the timing, REPEAT times.  --layer
 picks layers by name (default: all).
@@ -122,6 +123,14 @@ LAYERS = {
         "sink = open(os.devnull, 'w')",
         "with contextlib.redirect_stdout(sink):\n"
         "    cli.main(['scan-bound', '--Tmin', '3', '--Tmax', str(T), '--jobs', '2'])",
+    ),
+    "verify_needed_cli": (
+        "T",
+        (100, 200, 400),
+        "import contextlib, os\n"
+        "from grasshodge import cli\n"
+        "sink = open(os.devnull, 'w')",
+        "with contextlib.redirect_stdout(sink): cli.main(['verify-needed', '--T', str(T)])",
     ),
 }
 # layer: sizes timed on the last tree given only

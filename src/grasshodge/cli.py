@@ -15,7 +15,9 @@ import csv
 import json
 import sys
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, TextIO
+from functools import partial
+from itertools import chain
+from typing import Iterable, Iterator, TextIO
 
 from . import lefschetz, racah
 from .exactmath import (
@@ -38,42 +40,39 @@ class UsageError(Exception):
 # ---------------------------------------------------------------------------
 
 
-def _csv_cell(value) -> str:
-    # the common cells first, by exact type: bool is a subclass of int
-    kind = type(value)
-    if kind is str:
-        return value
-    if kind is int:
-        return str(value)
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (list, tuple)):
-        return ";".join(str(v) for v in value)
-    return str(value)
+def _csv_cells(at: list[int], row: tuple) -> list:
+    """row with the bool or sequence cell at each index in at as text."""
+    row = list(row)
+    for i in at:
+        cell = row[i]
+        row[i] = ("true" if cell else "false") if type(cell) is bool else ";".join(map(str, cell))
+    return row
 
 
-def emit_table(rows: Iterable[dict], columns: list[str], fmt: str, out: TextIO) -> None:
-    """Write homogeneous rows in the fixed column order, as CSV or JSON lines.
+def emit_table(rows: Iterable[tuple], columns: list[str], fmt: str, out: TextIO) -> None:
+    """Write rows, tuples of cells in the column order, as CSV or JSON lines.
 
     Each row is written as soon as the iterable yields it.  CSV always
     starts with the header row, so an empty row set still emits one line.
     Rationals are expected to arrive already serialized as "p/q" strings,
-    with any decimal companion in its own column.
+    with any decimal companion in its own column.  A column holds one kind
+    of cell: the first row tells CSV where bools (true/false) and sequences
+    (joined by ";") are; other cells go to the csv module as they are.
     """
     if fmt == "csv":
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_csv_cell(row[c]) for c in columns])
+        rows = iter(rows)
+        first = next(rows, None)
+        if first is None:
+            return
+        at = [i for i, cell in enumerate(first) if isinstance(cell, (bool, list, tuple))]
+        rows = chain((first,), rows)
+        writer.writerows(map(partial(_csv_cells, at), rows) if at else rows)
     elif fmt == "json":
+        # json writes a tuple cell as a list
         for row in rows:
-            ordered = {
-                c: list(v) if isinstance(v, tuple) else v
-                for c, v in ((c, row[c]) for c in columns)
-            }
-            out.write(json.dumps(ordered) + "\n")
+            out.write(json.dumps(dict(zip(columns, row))) + "\n")
     else:
         raise UsageError(f"unknown output format {fmt!r}")
 
@@ -102,22 +101,24 @@ def emit_scan_report(report: racah.ScanReport, out: TextIO) -> None:
 
 
 class _Tally:
-    """Pass rows through, counting them and checking each one on the way.
+    """Pass rows through, counting them and checking their flag cells.
 
     A report's summary line needs the row count and the overall verdict,
     and with streamed rows both are known only after the last one is out.
     """
 
-    def __init__(self, rows: Iterable[dict], passed: Callable[[dict], bool] = lambda row: True):
+    def __init__(self, rows: Iterable[tuple], columns: list[str], flags: tuple[str, ...] = ()):
         self._rows = rows
-        self._passed = passed
+        self._at = [columns.index(flag) for flag in flags]
         self.count = 0
         self.ok = True
 
-    def __iter__(self) -> Iterator[dict]:
+    def __iter__(self) -> Iterator[tuple]:
+        at = self._at
         for row in self._rows:
             self.count += 1
-            self.ok = self.ok and self._passed(row)
+            if at and not all(row[i] for i in at):
+                self.ok = False
             yield row
 
 
@@ -163,8 +164,12 @@ def _resolve_sequence(
 # ---------------------------------------------------------------------------
 
 
-def _sigma_rows(args: argparse.Namespace, method: str) -> Iterator[dict]:
-    """Output row for each (N, k) in the range, in (N, k) order, by method.
+_SIGMA_COLUMNS = ["N", "k", "n", "T", "sigma", "sigma_approx", "positive", "method", "agree"]
+
+
+def _sigma_rows(args: argparse.Namespace, method: str) -> Iterator[tuple]:
+    """Output row for each (N, k) in the range, in (N, k) order, by method,
+    in the order of _SIGMA_COLUMNS.
 
     The range is checked on the call, before any row is computed; an unset
     Nmin is 1.
@@ -178,16 +183,22 @@ def _sigma_rows(args: argparse.Namespace, method: str) -> Iterator[dict]:
         for k in range(N // 2 + 1)
         if args.k_set is None or k in args.k_set
     )
-    return ({**v.to_json_dict(), "sigma_approx": decimal_approx(v.sigma)} for v in verdicts)
+    return (
+        (
+            v.N, v.k, v.n, v.T,
+            format_rational(v.sigma), decimal_approx(v.sigma),
+            v.positive, v.method, v.agree,
+        )
+        for v in verdicts
+    )
 
 
 def cmd_verify_grassmannian(args: argparse.Namespace, out: TextIO, err: TextIO) -> bool:
-    rows = _Tally(_sigma_rows(args, args.method), lambda row: row["positive"] and row["agree"])
+    rows = _Tally(_sigma_rows(args, args.method), _SIGMA_COLUMNS, ("positive", "agree"))
     # some N <= Nmax holds a k with 2k <= N exactly when the smallest k fits
     if args.k_set is not None and 2 * min(args.k_set) > args.Nmax:
         raise UsageError("no (N, k) instances in the requested range")
-    columns = ["N", "k", "n", "T", "sigma", "sigma_approx", "positive", "method", "agree"]
-    emit_table(rows, columns, args.output_format, out)
+    emit_table(rows, _SIGMA_COLUMNS, args.output_format, out)
     print(
         f"{rows.count} certificates: " + ("all positive" if rows.ok else "FAILED"),
         file=err,
@@ -202,20 +213,15 @@ def cmd_verify_pn(args: argparse.Namespace, out: TextIO, err: TextIO) -> bool:
         (n, lefschetz.proj_commutator_check(n), lefschetz.chain_constant(n))
         for n in range(args.nmin, args.nmax + 1)
     )
+    columns = ["n", "commutator_ok", "tau", "tau_approx", "tau_positive"]
     rows = _Tally(
         (
-            {
-                "n": n,
-                "commutator_ok": commutes,
-                "tau": format_rational(tau),
-                "tau_approx": decimal_approx(tau),
-                "tau_positive": tau > 0,
-            }
+            (n, commutes, format_rational(tau), decimal_approx(tau), tau > 0)
             for n, commutes, tau in checks
         ),
-        lambda row: row["commutator_ok"] and row["tau_positive"],
+        columns,
+        ("commutator_ok", "tau_positive"),
     )
-    columns = ["n", "commutator_ok", "tau", "tau_approx", "tau_positive"]
     emit_table(rows, columns, args.output_format, out)
     print(
         f"projective model n={args.nmin}..{args.nmax}: "
@@ -227,12 +233,10 @@ def cmd_verify_pn(args: argparse.Namespace, out: TextIO, err: TextIO) -> bool:
 
 def cmd_verify_ortho(args: argparse.Namespace, out: TextIO, err: TextIO) -> bool:
     t_lo, t_hi = _t_range(args)
+    columns = ["T", "pairs_checked", "ok"]
     profiles = ((T, *racah.orthogonality_profile(T)) for T in range(t_lo, t_hi + 1))
-    rows = _Tally(
-        ({"T": T, "pairs_checked": pairs, "ok": good} for T, pairs, good in profiles),
-        lambda row: row["ok"],
-    )
-    emit_table(rows, ["T", "pairs_checked", "ok"], args.output_format, out)
+    rows = _Tally(profiles, columns, ("ok",))
+    emit_table(rows, columns, args.output_format, out)
     print(
         f"orthogonality T={t_lo}..{t_hi}: " + ("exact" if rows.ok else "FAILED"),
         file=err,
@@ -244,37 +248,30 @@ def cmd_verify_needed(args: argparse.Namespace, out: TextIO, err: TextIO) -> boo
     if args.T is None or args.T < 3:
         raise UsageError("need --T at least 3")
     values, label, seed = _resolve_sequence(args.sequence_source, args.T, args.seed)
+    # every row is walked before the first byte; one right side serves all
     verdicts = racah.certify_alternating_bound(values, args.T)
+    rhs = verdicts[0].inequality.rhs
+    rhs_text, rhs_approx = format_rational(rhs), decimal_approx(rhs)
+    columns = [
+        "T", "n", "sequence", "seed",
+        "lhs", "lhs_approx", "rhs", "rhs_approx",
+        "holds", "branches", "covered", "concave",
+    ]
     rows = _Tally(
         (
-            {
-                **v.to_json_dict(),
-                "lhs_approx": decimal_approx(v.inequality.lhs),
-                "rhs_approx": decimal_approx(v.inequality.rhs),
-                "sequence": label,
-                "seed": seed,
-            }
+            (
+                v.T, v.n, label, seed,
+                format_rational(v.inequality.lhs), decimal_approx(v.inequality.lhs),
+                rhs_text, rhs_approx,
+                v.inequality.holds, v.branches, v.covered, v.concave,
+            )
             for v in verdicts
         ),
-        lambda row: row["holds"],
+        columns,
+        ("holds",),
     )
-    columns = [
-        "T",
-        "n",
-        "sequence",
-        "seed",
-        "lhs",
-        "lhs_approx",
-        "rhs",
-        "rhs_approx",
-        "holds",
-        "branches",
-        "covered",
-        "concave",
-    ]
     emit_table(rows, columns, args.output_format, out)
-    concave = verdicts[0].concave if verdicts else True
-    note = "" if concave else " (sequence not concave increasing: exploratory run)"
+    note = "" if verdicts[0].concave else " (sequence not concave increasing: exploratory run)"
     print(
         f"alternating bound T={args.T}, sequence={label}: "
         + ("holds for all n" if rows.ok else "FAILED")
@@ -313,18 +310,12 @@ def cmd_sigma(args: argparse.Namespace, out: TextIO, err: TextIO) -> bool:
     return verdict.positive and verdict.agree
 
 
-def _racah_rows(args: argparse.Namespace, t_lo: int, t_hi: int) -> Iterator[dict]:
+def _racah_rows(args: argparse.Namespace, t_lo: int, t_hi: int) -> Iterator[tuple]:
     """Rows of R_n(s, T) in (T, n, s) order, at every n and s or at the
     selected one; the caller has checked the selection against T = t_lo."""
     for T in range(t_lo, t_hi + 1):
         for n, s, w, p in racah.racah_grid(T, args.n, args.s):
-            yield {
-                "T": T,
-                "n": n,
-                "s": s,
-                "value": format_ratio(w, p),
-                "value_approx": decimal_ratio(w, p),
-            }
+            yield T, n, s, format_ratio(w, p), decimal_ratio(w, p)
 
 
 # flag: argparse dest, per table kind
@@ -340,8 +331,9 @@ def cmd_table(args: argparse.Namespace, out: TextIO, err: TextIO) -> bool:
     if stray:
         raise UsageError(f"--kind {args.kind} takes no {', '.join(stray)}")
     if args.kind == "sigma":
-        rows = _Tally(_sigma_rows(args, "closed"))
-        columns = ["N", "k", "n", "T", "sigma", "sigma_approx", "positive"]
+        # the first seven columns: no method or agree flag
+        columns = _SIGMA_COLUMNS[:7]
+        rows = _Tally((row[:7] for row in _sigma_rows(args, "closed")), columns)
     elif args.kind == "racah":
         t_lo, t_hi = _t_range(args)
         # the bound T-1 only grows with T, so the first T decides
@@ -349,8 +341,8 @@ def cmd_table(args: argparse.Namespace, out: TextIO, err: TextIO) -> bool:
             raise UsageError(f"need 0 <= n <= T-1, got n={args.n}, T={t_lo}")
         if args.s is not None and not 0 <= args.s <= t_lo - 1:
             raise UsageError(f"need 0 <= s <= T-1, got s={args.s}, T={t_lo}")
-        rows = _Tally(_racah_rows(args, t_lo, t_hi))
         columns = ["T", "n", "s", "value", "value_approx"]
+        rows = _Tally(_racah_rows(args, t_lo, t_hi), columns)
     else:
         raise UsageError(f"unknown table kind {args.kind!r}")
     emit_table(rows, columns, args.output_format, out)
@@ -361,6 +353,8 @@ def cmd_table(args: argparse.Namespace, out: TextIO, err: TextIO) -> bool:
 def _t_range(args: argparse.Namespace) -> tuple[int, int]:
     """Resolve --T / --Tmin / --Tmax into a validated inclusive range."""
     if args.T is not None:
+        if args.Tmin is not None or args.Tmax is not None:
+            raise UsageError("give --T or --Tmin and --Tmax, not both")
         t_lo = t_hi = args.T
     else:
         if args.Tmin is None or args.Tmax is None:

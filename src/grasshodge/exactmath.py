@@ -9,6 +9,7 @@ numerator and denominator.
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -73,22 +74,23 @@ def harmonic_sum(n: int) -> Fraction:
     return Fraction(sum(h), L)
 
 
+def integer_sequence(values: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """scale, the lcm of the denominators of H_1..H_m, and the integers
+    [0, scale H_1, ..., scale H_m]."""
+    scale = math.lcm(*(v.denominator for v in values))
+    return scale, [0] + [v.numerator * (scale // v.denominator) for v in values]
+
+
 def validate_concave(values: Sequence[Fraction]) -> bool:
     """True when values extend to a strictly increasing concave sequence.
 
     The list holds H_1, H_2, ... with H_0 = 0 implied, so the increments
-    H_s - H_(s-1) must all be positive and nonincreasing.
+    H_s - H_(s-1), compared over one denominator, must all be positive and
+    nonincreasing.
     """
-    prev = _ZERO
-    prev_inc: Fraction | None = None
-    for v in values:
-        inc = v - prev
-        if inc <= 0:
-            return False
-        if prev_inc is not None and inc > prev_inc:
-            return False
-        prev, prev_inc = v, inc
-    return True
+    h = integer_sequence(values)[1]
+    steps = list(map(operator.sub, h[1:], h[:-1]))
+    return not steps or (steps[-1] > 0 and all(map(operator.ge, steps, steps[1:])))
 
 
 @dataclass(frozen=True)

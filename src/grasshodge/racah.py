@@ -30,14 +30,7 @@ from functools import lru_cache
 from math import comb, lcm
 from operator import ge, mul
 
-from .exactmath import (
-    ConcaveSequence,
-    exp_compare,
-    format_rational,
-    validate_concave,
-)
-
-_ZERO = Fraction(0)
+from .exactmath import ConcaveSequence, exp_compare, integer_sequence, validate_concave
 
 
 # ---------------------------------------------------------------------------
@@ -151,9 +144,11 @@ def _principal_row(n: int, T: int) -> list[int]:
     lam = 2 * n * (n + 1)
     prev, cur = 0, principal_weight(n, T)
     row = [cur]
-    for s, down, up, b in zip(range(T - 1), (0, *alpha), alpha, beta):
-        nxt, rem = divmod((b + lam * (2 * s + 1)) * cur - down * prev, up)
+    # o = 2s+1 for s = 0..T-2, the last step that divides by a nonzero alpha_s
+    for down, up, b, o in zip((0, *alpha), alpha, beta, range(1, 2 * T - 2, 2)):
+        nxt, rem = divmod((b + lam * o) * cur - down * prev, up)
         if rem:
+            s = len(row) - 1
             raise InexactStep(
                 f"principal-weight step s={s} -> {s + 1} at T={T}, n={n} "
                 f"leaves a remainder modulo {-up}"
@@ -284,8 +279,8 @@ class Inequality:
         return self.holds
 
 
-def _sequence_values(seq, T: int) -> tuple[Fraction, ...]:
-    """First T-1 values H_1..H_(T-1) of a sequence-like argument, T >= 3."""
+def _scaled_sequence(seq, T: int) -> tuple[int, list[int]]:
+    """integer_sequence of the first T-1 values of a sequence-like argument."""
     if T < 3:
         raise ValueError(f"need T >= 3, got {T}")
     values = seq.values if isinstance(seq, ConcaveSequence) else tuple(
@@ -293,7 +288,7 @@ def _sequence_values(seq, T: int) -> tuple[Fraction, ...]:
     )
     if len(values) < T - 1:
         raise ValueError(f"sequence has {len(values)} values, need at least {T - 1}")
-    return values[: T - 1]
+    return integer_sequence(values[: T - 1])
 
 
 def alternating_lhs(n: int, T: int, h, scale: int) -> Fraction:
@@ -315,9 +310,7 @@ def alternating_profile(seq, T: int) -> list[Inequality]:
     for every n = 0..T-1, with the sequence put over one denominator and
     the right side, which no row changes, built once; holds one row at a
     time."""
-    values = _sequence_values(seq, T)
-    scale = lcm(*(v.denominator for v in values))
-    h = [0] + [v.numerator * (scale // v.denominator) for v in values]
+    scale, h = _scaled_sequence(seq, T)
     rhs = Fraction(sum(h), scale)
     return [Inequality(alternating_lhs(n, T, h, scale), rhs) for n in range(T)]
 
@@ -350,18 +343,6 @@ class BranchVerdict:
     def covered(self) -> bool:
         return bool(self.branches)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "T": self.T,
-            "n": self.n,
-            "lhs": format_rational(self.inequality.lhs),
-            "rhs": format_rational(self.inequality.rhs),
-            "holds": self.inequality.holds,
-            "branches": list(self.branches),
-            "covered": self.covered,
-            "concave": self.concave,
-        }
-
 
 def certify_alternating_bound(seq, T: int) -> list[BranchVerdict]:
     """Verdicts with branch labels for every n = 0..T-1.
@@ -370,12 +351,18 @@ def certify_alternating_bound(seq, T: int) -> list[BranchVerdict]:
     positive sequences still get exact verdicts but branch coverage is not
     guaranteed and the concave flag marks the run as exploratory.
     """
-    values = _sequence_values(seq, T)
-    concave = validate_concave(values)
-    profile = alternating_profile(values, T)
-    square_sum = sum((h * h / (2 * s + 1) for s, h in enumerate(values, 1)), _ZERO)
-    mean = sum(values, _ZERO) / T
-    mean_sq = mean * mean
+    scale, h = _scaled_sequence(seq, T)
+    concave = validate_concave(h[1:])  # scale > 0 keeps the shape
+    total = sum(h)
+    rhs = Fraction(total, scale)
+    # "cauchy": sum_s H_s^2/(2s+1) < (2n+1) (mean of H_0..H_(T-1))^2, that
+    # is 2n+1 > q = T^2 sum_s h_s^2/(2s+1) / total^2 (d clears the 2s+1), so
+    # from n = (floor(q) + 1) // 2 on; at no n when total = 0
+    cauchy_from = T
+    if total:
+        d = lcm(*range(3, 2 * T, 2))
+        cleared = sum(v * v * (d // (2 * s + 1)) for s, v in enumerate(h[1:], 1))
+        cauchy_from = (T * T * cleared // (total * total * d) + 1) // 2
     # e^n < T fails from some n on, so one count of the n below it serves all
     below_log = 0
     if T >= 90:
@@ -384,13 +371,14 @@ def certify_alternating_bound(seq, T: int) -> list[BranchVerdict]:
     out = []
     for n in range(T):
         branches = []
-        if square_sum < (2 * n + 1) * mean_sq:
+        if n >= cauchy_from:
             branches.append("cauchy")
         if n <= 3 or n == T - 1:
             branches.append("closed-form")
         if n < below_log:
             branches.append("legendre")
-        out.append(BranchVerdict(T, n, profile[n], tuple(branches), concave))
+        ineq = Inequality(alternating_lhs(n, T, h, scale), rhs)
+        out.append(BranchVerdict(T, n, ineq, tuple(branches), concave))
     return out
 
 

@@ -310,3 +310,15 @@ def fraction_decimal_approx(q, places: int = 12) -> str:
     sign = "-" if scaled < 0 else ""
     whole, frac = divmod(abs(scaled), 10**places)
     return f"{sign}{whole}.{str(frac).zfill(places)}"
+
+
+def fraction_concave_increasing(values) -> bool:
+    """H_1, H_2, ... (H_0 = 0) rise by positive, nonincreasing increments,
+    each increment a Fraction difference of neighbours."""
+    prev, prev_inc = Fraction(0), None
+    for v in values:
+        inc = Fraction(v) - prev
+        if inc <= 0 or (prev_inc is not None and inc > prev_inc):
+            return False
+        prev, prev_inc = Fraction(v), inc
+    return True

@@ -224,6 +224,10 @@ def test_infeasible_ranges(capsys):
         ("verify-grassmannian", "--Nmax", "4", "--kset", "3"),
         ("table", "--kind", "racah", "--Tmin", "3", "--Tmax", "9", "--n", "5"),
         ("scan-bound", "--T", "5", "--jobs", "0"),
+        # --T with --Tmin or --Tmax is ambiguous, not a silent override
+        ("verify-ortho", "--T", "5", "--Tmin", "3", "--Tmax", "9"),
+        ("scan-bound", "--T", "5", "--Tmax", "9"),
+        ("table", "--kind", "racah", "--T", "5", "--Tmin", "3"),
     ]
     for argv in cases:
         code, out, err = run_cli(capsys, *argv)
@@ -684,6 +688,11 @@ STDOUT_PINS = [
     # taken from the walk over the whole half grid, before the scan left the
     # deepest points of each column to the orthogonality norm
     ("scan-bound --Tmin 3 --Tmax 120 --jobs 1", "bce88d8f095a3fece3c6eba1af0d985cd38cbb41a90c070c02ad62301511c90c"),
+    # CSV cells: bools as true/false, branch tuples joined by ";", the null
+    # seed as an empty cell
+    ("verify-needed --T 100 --format csv", "0dc431b8b562bf499d4331429706d6734666f7df4fa1795c7b981e5b5c2ee632"),
+    ("verify-ortho --Tmin 3 --Tmax 30 --format csv", "29c084454825070531698c288480c8ce0a19bb3ce9fdcaf60884833c6029cf6b"),
+    ("verify-grassmannian --Nmax 12 --format csv", "a9ac3ab4b31b90b2a403aae13047afdfc87d73f0c25575e10964bb8bf6732b05"),
 ]
 
 
@@ -691,6 +700,26 @@ STDOUT_PINS = [
 def test_stdout_pinned(capsys, argv, digest):
     code, out, _ = run_cli(capsys, *argv.split())
     assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "values, digest",
+    [
+        # a zero sum: no row is "cauchy", and 0 < 0 fails on every row
+        ("0\n0\n0\n0\n", "dada2b336e42b33a5a0e5410acb9af00dac80554b8197fe91be04091115724fb"),
+        # mixed signs: a negative right side, not concave
+        ("1\n-1\n2\n-3\n", "2f5005363dfdc83f6638b83f40fe564de93a28139f4064df3fb9d08c355539d4"),
+    ],
+    ids=["zero-sum", "mixed-sign"],
+)
+def test_verify_needed_edge_sequences_pinned(tmp_path, monkeypatch, capsys, values, digest):
+    # the file is named relative to the working directory, since the
+    # sequence column prints the name as given
+    monkeypatch.chdir(tmp_path)
+    Path("seq.txt").write_text(values)
+    code, out, err = run_cli(capsys, "verify-needed", "--T", "5", "--sequence", "seq.txt")
+    assert code == 1 and "FAILED" in err and "exploratory" in err
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
@@ -705,9 +734,16 @@ def test_emit_table_empty_rows_gives_header_only():
 
 def test_emit_table_cell_rendering():
     buf = io.StringIO()
-    rows = [{"x": "1/3", "flag": True, "tags": ("p", "q"), "gap": None}]
-    emit_table(rows, ["x", "flag", "tags", "gap"], "csv", buf)
-    assert buf.getvalue().splitlines()[1] == "1/3,true,p;q,"
+    rows = [("1/3", True, ("p", "q"), None, 7), ("-2", False, (), None, -1)]
+    columns = ["x", "flag", "tags", "gap", "k"]
+    emit_table(rows, columns, "csv", buf)
+    assert buf.getvalue().splitlines()[1:] == ["1/3,true,p;q,,7", "-2,false,,,-1"]
+    buf = io.StringIO()
+    emit_table(rows, columns, "json", buf)
+    assert [json.loads(line) for line in buf.getvalue().splitlines()] == [
+        {"x": "1/3", "flag": True, "tags": ["p", "q"], "gap": None, "k": 7},
+        {"x": "-2", "flag": False, "tags": [], "gap": None, "k": -1},
+    ]
 
 
 def test_load_sequence_blank_lines_ok(tmp_path):

@@ -20,7 +20,12 @@ from grasshodge.exactmath import (
     random_concave,
     validate_concave,
 )
-from oracles import fraction_decimal_approx, fraction_format_rational, pochhammer
+from oracles import (
+    fraction_concave_increasing,
+    fraction_decimal_approx,
+    fraction_format_rational,
+    pochhammer,
+)
 
 
 def test_binomial_matches_math_comb():
@@ -88,6 +93,18 @@ def test_validate_concave():
     assert not validate_concave([Fraction(1), Fraction(1)])  # flat step
     assert not validate_concave([Fraction(1), Fraction(2), Fraction(4)])  # convex
     assert not validate_concave([Fraction(-1), Fraction(0)])
+
+
+@given(
+    st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=30), max_size=8),
+    st.booleans(),
+)
+def test_validate_concave_matches_fraction_oracle(values, prefix_sums):
+    # prefix sums of sorted increments hit the equal-step and concave cases
+    if prefix_sums:
+        incs = sorted(values, reverse=True)
+        values = [sum(incs[: i + 1], Fraction(0)) for i in range(len(incs))]
+    assert validate_concave(values) == fraction_concave_increasing(values)
 
 
 def test_validate_concave_harmonic_prefixes():

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from grasshodge import cli, racah
-from grasshodge.exactmath import ConcaveSequence, random_concave
+from grasshodge.exactmath import ConcaveSequence, random_concave, validate_concave
 from grasshodge.racah import (
     _principal_column,
     _principal_row,
@@ -37,6 +37,7 @@ from legendre_checks import (
 from oracles import (
     alternating_bound,
     cauchy_sufficient,
+    fraction_concave_increasing,
     in_cauchy_range,
     legendre_coeffs,
     orthogonality_check,
@@ -567,12 +568,69 @@ def test_certify_branches_match_per_degree_rules():
             assert v.branches == tuple(want), (T, n)
 
 
-def test_certify_flags_non_concave_input():
+def test_certify_flags_non_concave_input(tmp_path, capsys):
     values = [Fraction(1), Fraction(5), Fraction(6)]  # increasing, not concave
     verdicts = certify_alternating_bound(values, 4)
     assert all(not v.concave for v in verdicts)
-    d = verdicts[1].to_json_dict()
-    assert d["concave"] is False and isinstance(d["branches"], list)
+    path = tmp_path / "seq.txt"
+    path.write_text("1\n5\n6\n")
+    assert cli.main(["verify-needed", "--T", "4", "--sequence", str(path)]) == 0
+    out, err = capsys.readouterr()
+    rows = [json.loads(line) for line in out.splitlines()]
+    assert [row["n"] for row in rows] == [0, 1, 2, 3]
+    assert all(row["concave"] is False for row in rows) and "exploratory" in err
+    assert [row["branches"] for row in rows] == [list(v.branches) for v in verdicts]
+
+
+def _rationals(T):
+    """T-1 rationals: either sign, or summing to 0, or with equal steps, or
+    concave increasing with one value made negative."""
+    m = T - 1
+    fractions = st.fractions(min_value=-50, max_value=50, max_denominator=10**4)
+    positive = st.fractions(min_value=Fraction(1, 100), max_value=20, max_denominator=10**4)
+
+    def zero_sum(values):
+        return values[:-1] + [-sum(values[:-1], Fraction(0))]
+
+    def from_steps(steps, neg_at=None):
+        steps = sorted(steps, reverse=True)
+        values = [sum(steps[: i + 1], Fraction(0)) for i in range(m)]
+        if neg_at is not None:
+            values[neg_at] = -values[neg_at]
+        return values
+
+    return st.one_of(
+        st.lists(fractions, min_size=m, max_size=m),
+        st.lists(fractions, min_size=m, max_size=m).map(zero_sum),
+        st.lists(st.sampled_from([Fraction(1), Fraction(1, 3)]), min_size=m, max_size=m).map(
+            from_steps
+        ),
+        st.tuples(st.lists(positive, min_size=m, max_size=m), st.integers(0, m - 1)).map(
+            lambda pair: from_steps(*pair)
+        ),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(3, 12), st.data())
+def test_certify_matches_oracles_on_any_rationals(T, data):
+    # every row's lhs, rhs, holds and labels, and the concave flag, against
+    # the term-by-term sum, the Fraction Cauchy test and validate_concave,
+    # itself checked against the Fraction-by-Fraction rule
+    values = data.draw(_rationals(T))
+    concave = validate_concave(values)
+    assert concave == fraction_concave_increasing(values)
+    verdicts = certify_alternating_bound(values, T)
+    assert [v.n for v in verdicts] == list(range(T))
+    for v in verdicts:
+        n = v.n
+        want = alternating_bound(values, n, T)
+        assert (v.inequality.lhs, v.inequality.rhs) == (want.lhs, want.rhs), (T, n)
+        assert v.inequality.holds == want.holds
+        labels = ["cauchy"] if cauchy_sufficient(values, n, T).holds else []
+        labels += ["closed-form"] if n <= 3 or n == T - 1 else []
+        assert v.branches == tuple(labels), (T, n)
+        assert v.concave is concave
 
 
 def test_sequence_length_checked():
