@@ -76,9 +76,9 @@ LAYERS = {
     "alternating_profile_harmonic": (
         "T",
         (200, 400),
-        "from grasshodge.exactmath import ConcaveSequence\n"
+        "from grasshodge.exactmath import harmonic_numerators\n"
         "from grasshodge.racah import alternating_profile",
-        "alternating_profile(ConcaveSequence.harmonic(T - 1), T)",
+        "alternating_profile(*harmonic_numerators(T - 1))",
     ),
     "orthogonality_profile": (
         "T",

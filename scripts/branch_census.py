@@ -15,7 +15,7 @@ import argparse
 import sys
 from collections import Counter
 
-from grasshodge.exactmath import ConcaveSequence, decimal_approx
+from grasshodge.exactmath import decimal_approx, harmonic_numerators
 from grasshodge.racah import certify_alternating_bound
 
 ROUTES = ("cauchy", "closed-form", "legendre")
@@ -33,7 +33,7 @@ def main():
     header = f"{'T':>4}  " + "".join(f"{r:>12}" for r in ROUTES) + "  min margin"
     print(header)
     for T in range(args.Tmin, args.Tmax + 1):
-        verdicts = certify_alternating_bound(ConcaveSequence.harmonic(T - 1), T)
+        verdicts = certify_alternating_bound(*harmonic_numerators(T - 1))
         counts = Counter(label for v in verdicts for label in v.branches)
         margin = min(
             (v.inequality.rhs - v.inequality.lhs) / v.inequality.rhs for v in verdicts

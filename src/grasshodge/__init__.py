@@ -21,7 +21,6 @@ from .chowring import (
     schubert,
 )
 from .exactmath import (
-    ConcaveSequence,
     binomial,
     decimal_approx,
     exp_compare,

@@ -21,11 +21,12 @@ from typing import Iterable, Iterator, TextIO
 
 from . import lefschetz, racah
 from .exactmath import (
-    ConcaveSequence,
     decimal_approx,
     decimal_ratio,
     format_ratio,
     format_rational,
+    harmonic_numerators,
+    integer_sequence,
     parse_rational,
     random_concave,
 )
@@ -135,27 +136,26 @@ def load_sequence(path: str) -> tuple[Fraction, ...]:
                     values.append(parse_rational(text))
                 except ValueError as exc:
                     raise UsageError(f"{path}:{lineno}: {exc}") from None
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read sequence file {path}: {exc}") from None
     if not values:
         raise UsageError(f"sequence file {path} holds no values")
     return tuple(values)
 
 
-def _resolve_sequence(
-    source: str, T: int, seed: int
-) -> tuple[tuple[Fraction, ...], str, int | None]:
-    """Turn a sequence source into T-1 leading values plus report metadata."""
+def _resolve_sequence(source: str, T: int, seed: int) -> tuple[int, list[int], str, int | None]:
+    """The sequence form (scale, h) of H_0..H_(T-1) from a source, plus the
+    report's sequence label and seed."""
     if source == "harmonic":
-        return ConcaveSequence.harmonic(T - 1).values, "harmonic", None
+        return *harmonic_numerators(T - 1), "harmonic", None
     if source == "random":
-        return random_concave(T - 1, seed).values, "random", seed
+        return *integer_sequence(random_concave(T - 1, seed)), "random", seed
     values = load_sequence(source)
     if len(values) < T - 1:
         raise UsageError(
             f"sequence file {source} holds {len(values)} values, need {T - 1}"
         )
-    return values[: T - 1], source, None
+    return *integer_sequence(values[: T - 1]), source, None
 
 
 # ---------------------------------------------------------------------------
@@ -247,9 +247,9 @@ def cmd_verify_ortho(args: argparse.Namespace, out: TextIO, err: TextIO) -> bool
 def cmd_verify_needed(args: argparse.Namespace, out: TextIO, err: TextIO) -> bool:
     if args.T is None or args.T < 3:
         raise UsageError("need --T at least 3")
-    values, label, seed = _resolve_sequence(args.sequence_source, args.T, args.seed)
+    scale, h, label, seed = _resolve_sequence(args.sequence_source, args.T, args.seed)
     # every row is walked before the first byte; one right side serves all
-    verdicts = racah.certify_alternating_bound(values, args.T)
+    verdicts = racah.certify_alternating_bound(scale, h)
     rhs = verdicts[0].inequality.rhs
     rhs_text, rhs_approx = format_rational(rhs), decimal_approx(rhs)
     columns = [
@@ -290,7 +290,7 @@ def cmd_scan_bound(args: argparse.Namespace, out: TextIO, err: TextIO) -> bool:
     half_grid = sum(T * (T + 1) // 2 for T in range(t_lo, t_hi + 1))
     print(
         f"scanned {report.rows_checked} rows over T={t_lo}..{t_hi} "
-        f"in {report.elapsed_ms} ms ({min(args.jobs, t_hi - t_lo + 1)} workers); "
+        f"in {report.elapsed_ms} ms ({report.workers} workers); "
         f"{report.points_walked} of {half_grid} half-grid points walked; "
         "the rest are strictly inside by the orthogonality norm",
         file=err,

@@ -11,8 +11,8 @@ from __future__ import annotations
 import math
 import operator
 import random
-from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Sequence
 
 __all__ = [
@@ -20,8 +20,8 @@ __all__ = [
     "harmonic",
     "harmonic_numerators",
     "harmonic_sum",
+    "integer_sequence",
     "validate_concave",
-    "ConcaveSequence",
     "random_concave",
     "format_rational",
     "format_ratio",
@@ -30,8 +30,6 @@ __all__ = [
     "decimal_ratio",
     "exp_compare",
 ]
-
-_ZERO = Fraction(0)
 
 
 def binomial(n: int, k: int) -> int:
@@ -75,57 +73,25 @@ def harmonic_sum(n: int) -> Fraction:
 
 
 def integer_sequence(values: Sequence[Fraction]) -> tuple[int, list[int]]:
-    """scale, the lcm of the denominators of H_1..H_m, and the integers
-    [0, scale H_1, ..., scale H_m]."""
+    """The sequence form (scale, h) of values H_1..H_m: scale, the lcm of
+    their denominators, and h = [0, scale H_1, ..., scale H_m].
+
+    harmonic_numerators gives the same form for the harmonic numbers; every
+    other sequence becomes integers here, once.
+    """
     scale = math.lcm(*(v.denominator for v in values))
     return scale, [0] + [v.numerator * (scale // v.denominator) for v in values]
 
 
-def validate_concave(values: Sequence[Fraction]) -> bool:
-    """True when values extend to a strictly increasing concave sequence.
-
-    The list holds H_1, H_2, ... with H_0 = 0 implied, so the increments
-    H_s - H_(s-1), compared over one denominator, must all be positive and
-    nonincreasing.
-    """
-    h = integer_sequence(values)[1]
+def validate_concave(h: Sequence[int]) -> bool:
+    """True when h = [0, scale H_1, ..., scale H_m], scale > 0, is strictly
+    increasing and concave: its steps are all positive and nonincreasing."""
     steps = list(map(operator.sub, h[1:], h[:-1]))
     return not steps or (steps[-1] > 0 and all(map(operator.ge, steps, steps[1:])))
 
 
-@dataclass(frozen=True)
-class ConcaveSequence:
-    """Strictly increasing concave positive values H_1..H_m (H_0 = 0 implied).
-
-    seed records the RNG seed when the sequence was generated randomly, so a
-    failing run can be replayed.
-    """
-
-    values: tuple[Fraction, ...]
-    seed: int | None = None
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(Fraction(v) for v in self.values))
-        if not validate_concave(self.values):
-            raise ValueError("values are not strictly increasing and concave")
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def h(self, s: int) -> Fraction:
-        """H_s with the H_0 = 0 convention."""
-        if s == 0:
-            return _ZERO
-        return self.values[s - 1]
-
-    @classmethod
-    def harmonic(cls, m: int) -> "ConcaveSequence":
-        L, h = harmonic_numerators(m)
-        return cls(tuple(Fraction(v, L) for v in h[1:]))
-
-
-def random_concave(m: int, seed: int) -> ConcaveSequence:
-    """Random concave increasing sequence of length m, reproducible by seed.
+def random_concave(m: int, seed: int) -> tuple[Fraction, ...]:
+    """Random concave increasing H_1..H_m (H_0 = 0), reproducible by seed.
 
     Draw m positive rational increments, sort them nonincreasing and take
     prefix sums; concavity is then automatic.
@@ -137,12 +103,7 @@ def random_concave(m: int, seed: int) -> ConcaveSequence:
         (Fraction(rng.randint(1, 9999), rng.randint(1, 9999)) for _ in range(m)),
         reverse=True,
     )
-    values = []
-    total = _ZERO
-    for inc in incs:
-        total += inc
-        values.append(total)
-    return ConcaveSequence(tuple(values), seed=seed)
+    return tuple(accumulate(incs))
 
 
 def format_rational(q) -> str:

@@ -30,7 +30,7 @@ from functools import lru_cache
 from math import comb, lcm
 from operator import ge, mul
 
-from .exactmath import ConcaveSequence, exp_compare, integer_sequence, validate_concave
+from .exactmath import exp_compare, validate_concave
 
 
 # ---------------------------------------------------------------------------
@@ -279,18 +279,6 @@ class Inequality:
         return self.holds
 
 
-def _scaled_sequence(seq, T: int) -> tuple[int, list[int]]:
-    """integer_sequence of the first T-1 values of a sequence-like argument."""
-    if T < 3:
-        raise ValueError(f"need T >= 3, got {T}")
-    values = seq.values if isinstance(seq, ConcaveSequence) else tuple(
-        Fraction(v) for v in seq
-    )
-    if len(values) < T - 1:
-        raise ValueError(f"sequence has {len(values)} values, need at least {T - 1}")
-    return integer_sequence(values[: T - 1])
-
-
 def alternating_lhs(n: int, T: int, h, scale: int) -> Fraction:
     """Left side of row n of the alternating inequality,
     sum_s (-1)^(s+1) R_n(s,T) H_s over s = 1..T-1, from the integers
@@ -305,12 +293,14 @@ def alternating_lhs(n: int, T: int, h, scale: int) -> Fraction:
     return Fraction(lhs, row[0] * scale)
 
 
-def alternating_profile(seq, T: int) -> list[Inequality]:
+def alternating_profile(scale: int, h) -> list[Inequality]:
     """Row n of sum_s (-1)^(s+1) R_n(s,T) H_s < sum_s H_s over s = 1..T-1
-    for every n = 0..T-1, with the sequence put over one denominator and
-    the right side, which no row changes, built once; holds one row at a
-    time."""
-    scale, h = _scaled_sequence(seq, T)
+    for every n = 0..T-1, T = len(h), from the sequence form h[s] = scale H_s
+    (exactmath.integer_sequence); the right side, which no row changes, is
+    built once, and one row is held at a time."""
+    T = len(h)
+    if T < 3:
+        raise ValueError(f"need T >= 3, got {T}")
     rhs = Fraction(sum(h), scale)
     return [Inequality(alternating_lhs(n, T, h, scale), rhs) for n in range(T)]
 
@@ -344,15 +334,18 @@ class BranchVerdict:
         return bool(self.branches)
 
 
-def certify_alternating_bound(seq, T: int) -> list[BranchVerdict]:
-    """Verdicts with branch labels for every n = 0..T-1.
+def certify_alternating_bound(scale: int, h) -> list[BranchVerdict]:
+    """Verdicts with branch labels for every n = 0..T-1, T = len(h), from
+    the sequence form h[s] = scale H_s.
 
     For concave input every n is covered by at least one branch; arbitrary
     positive sequences still get exact verdicts but branch coverage is not
     guaranteed and the concave flag marks the run as exploratory.
     """
-    scale, h = _scaled_sequence(seq, T)
-    concave = validate_concave(h[1:])  # scale > 0 keeps the shape
+    T = len(h)
+    if T < 3:
+        raise ValueError(f"need T >= 3, got {T}")
+    concave = validate_concave(h)
     total = sum(h)
     rhs = Fraction(total, scale)
     # "cauchy": sum_s H_s^2/(2s+1) < (2n+1) (mean of H_0..H_(T-1))^2, that
@@ -400,7 +393,8 @@ def certify_alternating_bound(seq, T: int) -> list[BranchVerdict]:
 @dataclass(frozen=True)
 class ScanReport:
     """Outcome of a bound scan over T_min..T_max, in (T, n, s) order: violations
-    as (T, n, s, w_n(s), P_n), interior equality cases (n >= 1) as (T, n, s)."""
+    as (T, n, s, w_n(s), P_n), interior equality cases (n >= 1) as (T, n, s);
+    workers is the number of processes that walked it."""
 
     T_min: int
     T_max: int
@@ -409,6 +403,7 @@ class ScanReport:
     rows_checked: int
     elapsed_ms: int
     points_walked: int
+    workers: int
 
     @property
     def ok(self) -> bool:
@@ -562,4 +557,5 @@ def bound_scan(T_min: int, T_max: int, jobs: int | None = None) -> ScanReport:
         rows_checked=sum(T for T, _, _, _ in results),
         elapsed_ms=elapsed_ms,
         points_walked=sum(walked for _, _, _, walked in results),
+        workers=jobs,
     )

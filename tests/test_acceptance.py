@@ -17,7 +17,7 @@ from grasshodge.chowring import (
     primitive_class,
     primitive_profile,
 )
-from grasshodge.exactmath import binomial, random_concave
+from grasshodge.exactmath import binomial, integer_sequence, random_concave
 from grasshodge.lefschetz import (
     SigmaInstance,
     chain_constant,
@@ -174,9 +174,9 @@ def test_12_random_concave_robustness_through_T40():
     trials = 0
     for T in range(3, 41):
         for trial in range(100):
-            seq = random_concave(T - 1, seed=10_000 * T + trial)
-            for ineq in alternating_profile(seq, T):
-                assert ineq.holds, (T, seq.seed, ineq)
+            seed = 10_000 * T + trial
+            for ineq in alternating_profile(*integer_sequence(random_concave(T - 1, seed))):
+                assert ineq.holds, (T, seed, ineq)
             trials += 1
     _report(12, f"alternating bound holds for {trials} seeded concave sequences "
                 "(100 per T, T <= 40), every n")

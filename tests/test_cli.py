@@ -14,6 +14,7 @@ import pytest
 import grasshodge
 from grasshodge import cli, lefschetz, racah
 from grasshodge.cli import UsageError, emit_table, load_sequence, main
+from grasshodge.exactmath import harmonic
 from oracles import orthogonality_pairs, scan_json, scan_report_json
 
 
@@ -60,6 +61,19 @@ def test_scan_bound_single_T_flag(capsys):
         assert "(1 workers)" in err
 
 
+def test_scan_bound_reports_the_workers_the_scan_dealt(monkeypatch, capsys):
+    # two T values on two workers fork one child; without os.fork the scan
+    # runs in one process, and stderr says so whatever --jobs asked
+    assert racah.bound_scan(3, 8, jobs=2).workers == 2
+    _, _, err = run_cli(capsys, "scan-bound", "--Tmin", "3", "--Tmax", "4", "--jobs", "2")
+    assert "(2 workers)" in err
+    monkeypatch.delattr(os, "fork")
+    assert racah.bound_scan(3, 8, jobs=2).workers == 1
+    code, out, err = run_cli(capsys, "scan-bound", "--Tmin", "3", "--Tmax", "8", "--jobs", "2")
+    assert code == 0 and out == json.dumps(scan_json(3, 8)) + "\n"
+    assert "(1 workers)" in err
+
+
 def test_scan_bound_reports_pruning_on_stderr_only(capsys):
     # stdout is what the walk over the whole half grid gives; stderr counts
     # the points walked, sum over T and s of n_s + 1, against the half grid
@@ -92,6 +106,29 @@ def test_verify_needed_rejects_short_file(tmp_path, capsys):
     code, out, err = run_cli(capsys, "verify-needed", "--T", "9", "--sequence", str(path))
     assert code == 2
     assert "holds 2 values" in err
+
+
+def test_verify_needed_rejects_non_utf8_file(tmp_path, capsys):
+    path = tmp_path / "seq.bin"
+    path.write_bytes(b"\xff\xfe1\n2\n3\n")
+    code, out, err = run_cli(capsys, "verify-needed", "--T", "4", "--sequence", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and str(path) in err
+
+
+@pytest.mark.parametrize("T", [3, 4, 17, 60, 100])
+def test_verify_needed_harmonic_shortcut_matches_its_file(tmp_path, capsys, T):
+    # the harmonic default enters as harmonic_numerators integers, a file
+    # through integer_sequence: the rows agree in every column but the label
+    path = tmp_path / "harmonic.txt"
+    path.write_text("".join(f"{h.numerator}/{h.denominator}\n" for h in map(harmonic, range(1, T))))
+    rows = {}
+    for source in ("harmonic", str(path)):
+        code, out, _ = run_cli(capsys, "verify-needed", "--T", str(T), "--sequence", source)
+        assert code == 0
+        rows[source] = [json.loads(line) for line in out.splitlines()]
+        assert len(rows[source]) == T and all(row.pop("sequence") == source for row in rows[source])
+    assert rows["harmonic"] == rows[str(path)]
 
 
 def test_verify_needed_rejects_malformed_file(tmp_path, capsys):
@@ -299,6 +336,7 @@ def test_fault_injection_scan(monkeypatch, capsys):
             rows_checked=report.rows_checked,
             elapsed_ms=report.elapsed_ms,
             points_walked=report.points_walked,
+            workers=report.workers,
         )
 
     monkeypatch.setattr(racah, "bound_scan", corrupted)
@@ -337,9 +375,9 @@ def test_fault_injection_scan_bulk_check(monkeypatch, capsys, jobs):
 def test_scan_line_matches_the_oracle_byte_for_byte():
     reports = [
         # violations, one of them reduced by the gcd (-562/280 = -281/140)
-        racah.ScanReport(3, 6, ((4, 1, 2, 9, 8), (6, 2, 2, -562, 280)), (), 18, 0, 0),
+        racah.ScanReport(3, 6, ((4, 1, 2, 9, 8), (6, 2, 2, -562, 280)), (), 18, 0, 0, 1),
         # interior equality cases at the first and last T, two in one T
-        racah.ScanReport(3, 7, (), ((3, 1, 2), (5, 2, 3), (5, 4, 4), (7, 1, 6)), 25, 0, 0),
+        racah.ScanReport(3, 7, (), ((3, 1, 2), (5, 2, 3), (5, 4, 4), (7, 1, 6)), 25, 0, 0, 1),
         racah.bound_scan(3, 30, jobs=2),
     ]
     for report in reports:
@@ -351,7 +389,7 @@ def test_scan_line_matches_the_oracle_byte_for_byte():
 def test_scan_line_memory_stays_bounded():
     # T 3..1000 has 500497 edge cases; written one T at a time the line
     # peaks near 0.1 MiB traced (one dict for the whole report: 138 MiB)
-    report = racah.ScanReport(3, 1000, (), (), 0, 0, 0)
+    report = racah.ScanReport(3, 1000, (), (), 0, 0, 0, 1)
     with open(os.devnull, "w") as sink:
         tracemalloc.start()
         try:

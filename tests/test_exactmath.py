@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from grasshodge.exactmath import (
-    ConcaveSequence,
     binomial,
     decimal_approx,
     decimal_ratio,
@@ -16,6 +15,7 @@ from grasshodge.exactmath import (
     harmonic,
     harmonic_numerators,
     harmonic_sum,
+    integer_sequence,
     parse_rational,
     random_concave,
     validate_concave,
@@ -89,10 +89,11 @@ def test_harmonic_recurrence_deep():
 
 
 def test_validate_concave():
-    assert validate_concave([Fraction(1), Fraction(3, 2), Fraction(11, 6)])
-    assert not validate_concave([Fraction(1), Fraction(1)])  # flat step
-    assert not validate_concave([Fraction(1), Fraction(2), Fraction(4)])  # convex
-    assert not validate_concave([Fraction(-1), Fraction(0)])
+    assert integer_sequence([Fraction(1), Fraction(3, 2), Fraction(11, 6)]) == (6, [0, 6, 9, 11])
+    assert validate_concave([0, 6, 9, 11])
+    assert not validate_concave([0, 1, 1])  # flat step
+    assert not validate_concave([0, 1, 2, 4])  # convex
+    assert not validate_concave([0, -1, 0])
 
 
 @given(
@@ -104,31 +105,23 @@ def test_validate_concave_matches_fraction_oracle(values, prefix_sums):
     if prefix_sums:
         incs = sorted(values, reverse=True)
         values = [sum(incs[: i + 1], Fraction(0)) for i in range(len(incs))]
-    assert validate_concave(values) == fraction_concave_increasing(values)
+    assert validate_concave(integer_sequence(values)[1]) == fraction_concave_increasing(values)
 
 
 def test_validate_concave_harmonic_prefixes():
     values = [harmonic(k) for k in range(1, 51)]
+    h = harmonic_numerators(50)[1]
     for m in range(1, 51):
-        assert validate_concave(values[:m])
-
-
-def test_concave_sequence_harmonic():
-    seq = ConcaveSequence.harmonic(6)
-    assert len(seq) == 6
-    assert seq.h(0) == 0
-    assert seq.h(3) == Fraction(11, 6)
-    with pytest.raises(IndexError):
-        seq.h(7)
+        assert validate_concave(integer_sequence(values[:m])[1])
+        assert validate_concave(h[: m + 1])
 
 
 @given(st.integers(2, 25), st.integers(0, 2**32 - 1))
 def test_random_concave_is_concave_and_reproducible(m, seed):
-    seq = random_concave(m, seed)
-    assert validate_concave(seq.values)
-    assert seq.seed == seed
-    again = random_concave(m, seed)
-    assert again.values == seq.values
+    values = random_concave(m, seed)
+    assert len(values) == m
+    assert validate_concave(integer_sequence(values)[1])
+    assert random_concave(m, seed) == values
 
 
 @given(st.fractions())

@@ -10,7 +10,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from grasshodge import cli, racah
-from grasshodge.exactmath import ConcaveSequence, random_concave, validate_concave
+from grasshodge.exactmath import (
+    harmonic,
+    harmonic_numerators,
+    integer_sequence,
+    random_concave,
+    validate_concave,
+)
 from grasshodge.racah import (
     _principal_column,
     _principal_row,
@@ -445,12 +451,17 @@ def test_window_checks_reject_bad_samples():
 # --- inequalities ---
 
 
+def _harmonic_values(T):
+    """H_1..H_(T-1) as Fractions, from the sequence form of the harmonic numbers."""
+    L, h = harmonic_numerators(T - 1)
+    return [Fraction(v, L) for v in h[1:]]
+
+
 def test_alternating_bound_matches_profile():
     for T in (4, 9, 14):
-        seq = ConcaveSequence.harmonic(T - 1)
-        profile = alternating_profile(seq, T)
+        profile = alternating_profile(*harmonic_numerators(T - 1))
         for n in range(T):
-            single = alternating_bound(seq.values, n, T)
+            single = alternating_bound([harmonic(s) for s in range(1, T)], n, T)
             assert single.lhs == profile[n].lhs
             assert single.rhs == profile[n].rhs
             assert single.holds
@@ -468,15 +479,14 @@ def test_alternating_profile_matches_oracle_on_any_values(T, data):
             max_size=T - 1,
         )
     )
-    for n, ineq in enumerate(alternating_profile(values, T)):
+    for n, ineq in enumerate(alternating_profile(*integer_sequence(values))):
         assert ineq == alternating_bound(values, n, T), (T, n)
 
 
 @settings(max_examples=30)
 @given(st.integers(3, 20), st.integers(0, 10**6))
 def test_alternating_profile_random_concave(T, seed):
-    seq = random_concave(T - 1, seed)
-    for ineq in alternating_profile(seq, T):
+    for ineq in alternating_profile(*integer_sequence(random_concave(T - 1, seed))):
         assert ineq.holds
 
 
@@ -514,17 +524,17 @@ def test_n_below_log_thresholds():
 def test_goodrange_implies_cauchy_for_harmonic():
     # exhaustive over n at small T
     for T in range(3, 41):
-        seq = ConcaveSequence.harmonic(T - 1)
+        values = _harmonic_values(T)
         for n in range(T):
             if in_cauchy_range(n, T):
-                assert cauchy_sufficient(seq.values, n, T).holds, (T, n)
+                assert cauchy_sufficient(values, n, T).holds, (T, n)
     # at larger T check the smallest degree in range; the left side does not
     # depend on n and the right side grows with n, so the rest follow
     for T in range(41, 201):
-        seq = ConcaveSequence.harmonic(T - 1)
+        values = _harmonic_values(T)
         n_min = next(n for n in range(T) if in_cauchy_range(n, T))
-        low = cauchy_sufficient(seq.values, n_min, T)
-        top = cauchy_sufficient(seq.values, T - 1, T)
+        low = cauchy_sufficient(values, n_min, T)
+        top = cauchy_sufficient(values, T - 1, T)
         assert low.holds and top.holds, T
         assert low.lhs == top.lhs and low.rhs < top.rhs, T
 
@@ -532,14 +542,14 @@ def test_goodrange_implies_cauchy_for_harmonic():
 def test_alternating_bound_holds_for_harmonic_sweep():
     # every degree, every T up to desk scale, both sides exact
     for T in range(3, 81):
-        profile = alternating_profile(ConcaveSequence.harmonic(T - 1), T)
+        profile = alternating_profile(*harmonic_numerators(T - 1))
         assert len(profile) == T
         assert all(ineq.holds for ineq in profile), T
 
 
 def test_certify_covers_harmonic():
     for T in (10, 25, 90):
-        verdicts = certify_alternating_bound(ConcaveSequence.harmonic(T - 1), T)
+        verdicts = certify_alternating_bound(*harmonic_numerators(T - 1))
         assert all(v.inequality.holds for v in verdicts)
         assert all(v.covered for v in verdicts)
         assert all(v.concave for v in verdicts)
@@ -551,10 +561,10 @@ def test_certify_branches_match_per_degree_rules():
     # the legendre cutoff is found once per T; every n must still get the
     # labels that the per-degree rules give, n_below_log(n, T) included
     for T in range(85, 131):
-        values = ConcaveSequence.harmonic(T - 1).values
+        values = _harmonic_values(T)
         square_sum = sum(h * h / (2 * s + 1) for s, h in enumerate(values, 1))
         mean_sq = (sum(values) / T) ** 2
-        verdicts = certify_alternating_bound(values, T)
+        verdicts = certify_alternating_bound(*harmonic_numerators(T - 1))
         assert [v.n for v in verdicts] == list(range(T))
         for v in verdicts:
             n = v.n
@@ -570,7 +580,7 @@ def test_certify_branches_match_per_degree_rules():
 
 def test_certify_flags_non_concave_input(tmp_path, capsys):
     values = [Fraction(1), Fraction(5), Fraction(6)]  # increasing, not concave
-    verdicts = certify_alternating_bound(values, 4)
+    verdicts = certify_alternating_bound(*integer_sequence(values))
     assert all(not v.concave for v in verdicts)
     path = tmp_path / "seq.txt"
     path.write_text("1\n5\n6\n")
@@ -618,9 +628,10 @@ def test_certify_matches_oracles_on_any_rationals(T, data):
     # the term-by-term sum, the Fraction Cauchy test and validate_concave,
     # itself checked against the Fraction-by-Fraction rule
     values = data.draw(_rationals(T))
-    concave = validate_concave(values)
+    scale, h = integer_sequence(values)
+    concave = validate_concave(h)
     assert concave == fraction_concave_increasing(values)
-    verdicts = certify_alternating_bound(values, T)
+    verdicts = certify_alternating_bound(scale, h)
     assert [v.n for v in verdicts] == list(range(T))
     for v in verdicts:
         n = v.n
@@ -633,16 +644,10 @@ def test_certify_matches_oracles_on_any_rationals(T, data):
         assert v.concave is concave
 
 
-def test_sequence_length_checked():
-    with pytest.raises(ValueError):
-        alternating_profile([Fraction(1)], 4)
-    with pytest.raises(ValueError):
-        certify_alternating_bound([Fraction(1)], 4)
-
-
-@pytest.mark.parametrize("T", [2, 1, 0, -1])
+@pytest.mark.parametrize("T", [2, 1, 0])
 def test_alternating_rejects_small_T(T):
-    values = ConcaveSequence.harmonic(5).values
+    # T is the length of h = [0, scale H_1, ..., scale H_(T-1)]
+    scale, h = harmonic_numerators(5)
     for check in (alternating_profile, certify_alternating_bound):
         with pytest.raises(ValueError, match=f"need T >= 3, got {T}"):
-            check(values, T)
+            check(scale, h[:T])

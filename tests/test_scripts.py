@@ -1,5 +1,6 @@
 """The scripts run end to end against the tested package tree."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -40,3 +41,10 @@ def test_branch_census():
     lines = proc.stdout.splitlines()
     assert len(lines) == 13  # header, ten T lines, blank, summary
     assert lines[-1] == "every degree covered by some route for T in [3, 12]"
+
+
+def test_branch_census_stdout_pinned():
+    proc = run_script("branch_census.py", "--Tmin", "3", "--Tmax", "60")
+    assert proc.returncode == 0, proc.stderr
+    digest = hashlib.sha256(proc.stdout.encode()).hexdigest()
+    assert digest == "94c70b3fbceff07d72762a2424335ff38b1e0c922c5af0a4f9a0097dfbe4fb56"
