@@ -32,14 +32,11 @@ from .exactmath import (
     validate_concave,
 )
 from .lefschetz import (
-    ProjElement,
     SigmaInstance,
     SigmaVerdict,
     chain_constant,
     correction_op,
     proj_commutator_check,
-    proj_lower,
-    proj_raise,
     sigma_closed,
     sigma_direct,
     sigma_verdict,

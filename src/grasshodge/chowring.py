@@ -11,11 +11,12 @@ solve, the correction operator) brings in Fraction.
 A class built by the public constructor ChowElement(N, terms) is validated:
 every partition must fit in the box, and zero coefficients are dropped from
 a copy of the map.  The library's own operations (Pieri steps, powers, the
-Hodge star, the correction operator, sums, negation, scaling) only ever
-produce in-box partitions with nonzero coefficients, so they build their
-results through the private ChowElement._trusted, which takes ownership of
-the map as it stands and skips the per-term check.  Anything coming from a
-caller goes through the validating constructor.
+Hodge star, the kernel basis, the correction operator) only ever produce
+in-box partitions with nonzero coefficients, so they build their results
+through the private ChowElement._trusted, which takes ownership of the map
+as it stands and skips the per-term check.  Anything coming from a caller
+goes through the validating constructor.  Classes carry no arithmetic of
+their own: a combination is built as a map and passed to the constructor.
 """
 
 from __future__ import annotations
@@ -86,37 +87,6 @@ class ChowElement:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def _check_ring(self, other: "ChowElement") -> None:
-        if self.N != other.N:
-            raise ValueError(f"mixed boxes: {self.N} and {other.N}")
-
-    def __add__(self, other: "ChowElement") -> "ChowElement":
-        self._check_ring(other)
-        acc = dict(self.terms)
-        for ab, c in other.terms.items():
-            new = acc.get(ab, 0) + c
-            if new:
-                acc[ab] = new
-            else:
-                del acc[ab]
-        return ChowElement._trusted(self.N, acc)
-
-    def __sub__(self, other: "ChowElement") -> "ChowElement":
-        return self + (-other)
-
-    def __neg__(self) -> "ChowElement":
-        return ChowElement._trusted(self.N, {ab: -c for ab, c in self.terms.items()})
-
-    def scale(self, c) -> "ChowElement":
-        # exact nonzero numbers have nonzero products, so only c = 0 drops terms
-        if not c:
-            return ChowElement._trusted(self.N, {})
-        return ChowElement._trusted(self.N, {ab: c * v for ab, v in self.terms.items()})
-
-
-def zero(N: int) -> ChowElement:
-    return ChowElement(N, {})
 
 
 def schubert(N: int, a: int, b: int) -> ChowElement:
@@ -217,8 +187,9 @@ def intersection_pairing(x: ChowElement, y: ChowElement) -> int | Fraction:
     denominators and one Fraction is built at the end.  The result is an int
     when every paired coefficient is, as the plain sum would be.
     """
-    x._check_ring(y)
     N = x.N
+    if y.N != N:
+        raise ValueError(f"mixed boxes: {N} and {y.N}")
     num, den, rational = 0, 1, False
     for (a, b), c in x.terms.items():
         d = y.terms.get((N - b, N - a))

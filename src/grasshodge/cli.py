@@ -167,9 +167,17 @@ def _resolve_sequence(source: str, T: int, seed: int) -> tuple[int, list[int], s
 _SIGMA_COLUMNS = ["N", "k", "n", "T", "sigma", "sigma_approx", "positive", "method", "agree"]
 
 
+def _sigma_row(v: lefschetz.SigmaVerdict) -> tuple:
+    """The output row of one verdict, in the order of _SIGMA_COLUMNS."""
+    return (
+        v.N, v.k, v.n, v.T,
+        format_rational(v.sigma), decimal_approx(v.sigma),
+        v.positive, v.method, v.agree,
+    )
+
+
 def _sigma_rows(args: argparse.Namespace, method: str) -> Iterator[tuple]:
-    """Output row for each (N, k) in the range, in (N, k) order, by method,
-    in the order of _SIGMA_COLUMNS.
+    """Output row for each (N, k) in the range, in (N, k) order, by method.
 
     The range is checked on the call, before any row is computed; an unset
     Nmin is 1.
@@ -183,14 +191,7 @@ def _sigma_rows(args: argparse.Namespace, method: str) -> Iterator[tuple]:
         for k in range(N // 2 + 1)
         if args.k_set is None or k in args.k_set
     )
-    return (
-        (
-            v.N, v.k, v.n, v.T,
-            format_rational(v.sigma), decimal_approx(v.sigma),
-            v.positive, v.method, v.agree,
-        )
-        for v in verdicts
-    )
+    return map(_sigma_row, verdicts)
 
 
 def cmd_verify_grassmannian(args: argparse.Namespace, out: TextIO, err: TextIO) -> bool:
@@ -303,11 +304,11 @@ def cmd_sigma(args: argparse.Namespace, out: TextIO, err: TextIO) -> bool:
         inst = lefschetz.SigmaInstance(args.N, args.k)
     except (TypeError, ValueError) as exc:
         raise UsageError(str(exc)) from None
-    verdict = lefschetz.sigma_verdict(inst, method=args.method)
-    d = verdict.to_json_dict()
-    d["sigma_approx"] = decimal_approx(verdict.sigma)
-    out.write(json.dumps(d, indent=2) + "\n")
-    return verdict.positive and verdict.agree
+    row = dict(zip(_SIGMA_COLUMNS, _sigma_row(lefschetz.sigma_verdict(inst, method=args.method))))
+    # the one JSON object carries the decimal last
+    row["sigma_approx"] = row.pop("sigma_approx")
+    out.write(json.dumps(row, indent=2) + "\n")
+    return row["positive"] and row["agree"]
 
 
 def _racah_rows(args: argparse.Namespace, t_lo: int, t_hi: int) -> Iterator[tuple]:

@@ -15,7 +15,9 @@ Chow classes, is the definitional reference for the walk.
 
 The module also carries a small model of projective n-space with one extra
 archimedean piece per codimension, used to check the commutator identity
-that pins down the correction in the simplest case.
+that pins down the correction in the simplest case.  Its raising and
+lowering maps act on basis labels (kind, i), each image a sparse map from
+label to coefficient.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .chowring import (
     lefschetz_power,
     primitive_class,
 )
-from .exactmath import format_rational, harmonic_numerators, harmonic_sum
+from .exactmath import harmonic_numerators, harmonic_sum
 from .racah import alternating_lhs, principal_weight
 
 _ZERO = Fraction(0)
@@ -192,18 +194,6 @@ class SigmaVerdict:
     method: str  # "direct", "closed", or "both"
     agree: bool  # pipelines compared equal; vacuously true for one pipeline
 
-    def to_json_dict(self) -> dict:
-        return {
-            "N": self.N,
-            "k": self.k,
-            "n": self.n,
-            "T": self.T,
-            "sigma": format_rational(self.sigma),
-            "positive": self.positive,
-            "method": self.method,
-            "agree": self.agree,
-        }
-
 
 def sigma_verdict(inst: SigmaInstance, method: str = "both") -> SigmaVerdict:
     """Compute the certificate by the requested pipeline(s) and report."""
@@ -233,10 +223,14 @@ def sigma_verdict(inst: SigmaInstance, method: str = "both") -> SigmaVerdict:
 # Projective-space model.
 #
 # The model for projective n-space keeps, per codimension i, a lifted power
-# class (hat basis) and a purely archimedean class sitting one codimension
-# higher (form basis).  The single nonclassical constant is the chain
+# class (hat_i) and a purely archimedean class sitting one codimension higher
+# (form_i).  Each map is given on one basis label (kind, i) as the sparse map
+# {label: coefficient} of its image, so both composites of the commutator
+# follow by linearity.  The single nonclassical constant is the chain
 # constant tau = harmonic_sum(n), which closes the raising chain.
 # ---------------------------------------------------------------------------
+
+Label = tuple[str, int]
 
 
 def chain_constant(n: int) -> Fraction:
@@ -244,118 +238,46 @@ def chain_constant(n: int) -> Fraction:
     return harmonic_sum(n)
 
 
-@dataclass(frozen=True)
-class ProjElement:
-    """Model element: hat[i] in codimension i, form[i] in codimension i + 1."""
-
-    n: int
-    hat: tuple[int | Fraction, ...]
-    form: tuple[int | Fraction, ...]
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"need n >= 1, got {self.n}")
-        if len(self.hat) != self.n + 1 or len(self.form) != self.n + 1:
-            raise ValueError("hat and form must both have length n + 1")
-
-    @classmethod
-    def basis(cls, n: int, kind: str, i: int) -> "ProjElement":
-        if not 0 <= i <= n:
-            raise ValueError(f"need 0 <= i <= n, got i={i}, n={n}")
-        hat = [0] * (n + 1)
-        form = [0] * (n + 1)
-        if kind == "hat":
-            hat[i] = 1
-        elif kind == "form":
-            form[i] = 1
-        else:
-            raise ValueError(f"unknown kind {kind!r}")
-        return cls(n, tuple(hat), tuple(form))
-
-    def __add__(self, other: "ProjElement") -> "ProjElement":
-        if self.n != other.n:
-            raise ValueError("mixed models")
-        return ProjElement(
-            self.n,
-            tuple(a + b for a, b in zip(self.hat, other.hat)),
-            tuple(a + b for a, b in zip(self.form, other.form)),
-        )
-
-    def __sub__(self, other: "ProjElement") -> "ProjElement":
-        return self + other.scale(-1)
-
-    def scale(self, c) -> "ProjElement":
-        return ProjElement(
-            self.n,
-            tuple(c * v for v in self.hat),
-            tuple(c * v for v in self.form),
-        )
-
-
-def proj_raise(x: ProjElement, tau: Fraction) -> ProjElement:
+def _raise(n: int, tau: Fraction, label: Label) -> dict[Label, int | Fraction]:
     """Hyperplane raising: hat_i -> hat_(i+1), hat_n -> tau form_n,
     form_i -> form_(i+1), form_n -> 0."""
-    n = x.n
-    hat = [0] * (n + 1)
-    form = [0] * (n + 1)
-    for i, c in enumerate(x.hat):
-        if not c:
-            continue
-        if i < n:
-            hat[i + 1] += c
-        else:
-            form[n] += c * tau
-    for i, c in enumerate(x.form):
-        if c and i < n:
-            form[i + 1] += c
-    return ProjElement(n, tuple(hat), tuple(form))
+    kind, i = label
+    if i < n:
+        return {(kind, i + 1): 1}
+    return {("form", n): tau} if kind == "hat" else {}
 
 
-def proj_lower(x: ProjElement, tau: Fraction) -> ProjElement:
-    """Adjoint lowering: hat_i -> i (n+2-i) hat_(i-1) and
-    form_i -> ((n+1)/tau) hat_i + i (n-i) form_(i-1)."""
-    n = x.n
-    w = Fraction(n + 1) / tau
-    hat = [0] * (n + 1)
-    form = [0] * (n + 1)
-    for i, c in enumerate(x.hat):
-        if c and i >= 1:
-            hat[i - 1] += c * i * (n + 2 - i)
-    for i, c in enumerate(x.form):
-        if not c:
-            continue
-        hat[i] += c * w
-        if i >= 1:
-            form[i - 1] += c * i * (n - i)
-    return ProjElement(n, tuple(hat), tuple(form))
-
-
-def _coordinates(x: ProjElement) -> dict[tuple[str, int], int | Fraction]:
-    """The nonzero coordinates of x, keyed by basis label (kind, i)."""
-    out = {("hat", i): c for i, c in enumerate(x.hat) if c}
-    out.update((("form", i), c) for i, c in enumerate(x.form) if c)
-    return out
+def _lower(n: int, w: Fraction, label: Label) -> dict[Label, int | Fraction]:
+    """Adjoint lowering, w = (n+1)/tau: hat_i -> i (n+2-i) hat_(i-1) and
+    form_i -> w hat_i + i (n-i) form_(i-1)."""
+    kind, i = label
+    if kind == "hat":
+        return {("hat", i - 1): i * (n + 2 - i)} if i else {}
+    image: dict[Label, int | Fraction] = {("hat", i): w}
+    if 0 < i < n:
+        image[("form", i - 1)] = i * (n - i)
+    return image
 
 
 def proj_commutator_check(n: int) -> bool:
-    """Check [lower, raise] = (n + 1 - 2p) id on every model basis element.
+    """Check [lower, raise] = (n + 1 - 2p) id on every model basis label.
 
     The codimension p is i for hat_i and i + 1 for form_i, so the eigenvalue
     runs from n + 1 down to -(n + 1) along the chain.  Raising and lowering
-    are applied once to each basis element; both composites are then
-    assembled from those images by linearity, on sparse coordinate maps.
+    are taken once on each label; both composites are then assembled from
+    those images by linearity.
     """
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
     tau = chain_constant(n)
+    w = Fraction(n + 1) / tau
     labels = [(kind, i) for kind in ("hat", "form") for i in range(n + 1)]
-    up, down = {}, {}
-    for label in labels:
-        x = ProjElement.basis(n, *label)
-        up[label] = _coordinates(proj_raise(x, tau))
-        down[label] = _coordinates(proj_lower(x, tau))
+    up = {label: _raise(n, tau, label) for label in labels}
+    down = {label: _lower(n, w, label) for label in labels}
 
     for label in labels:
         # lower(raise(x)) - raise(lower(x)), accumulated coordinate by coordinate
-        acc: dict[tuple[str, int], int | Fraction] = {}
+        acc: dict[Label, int | Fraction] = {}
         for first, second, sign in ((up, down, 1), (down, up, -1)):
             for mid, c in first[label].items():
                 for target, d in second[mid].items():

@@ -275,9 +275,6 @@ class Inequality:
     def holds(self) -> bool:
         return self.lhs < self.rhs
 
-    def __bool__(self) -> bool:
-        return self.holds
-
 
 def alternating_lhs(n: int, T: int, h, scale: int) -> Fraction:
     """Left side of row n of the alternating inequality,
@@ -293,14 +290,23 @@ def alternating_lhs(n: int, T: int, h, scale: int) -> Fraction:
     return Fraction(lhs, row[0] * scale)
 
 
+def _sequence_length(scale: int, h) -> int:
+    """T = len(h) of the sequence form (scale, h), checked: T >= 3, and a
+    positive scale, which the sign of every row's denominator rests on."""
+    T = len(h)
+    if T < 3:
+        raise ValueError(f"need T >= 3, got {T}")
+    if scale < 1:
+        raise ValueError(f"need scale >= 1, got {scale}")
+    return T
+
+
 def alternating_profile(scale: int, h) -> list[Inequality]:
     """Row n of sum_s (-1)^(s+1) R_n(s,T) H_s < sum_s H_s over s = 1..T-1
     for every n = 0..T-1, T = len(h), from the sequence form h[s] = scale H_s
     (exactmath.integer_sequence); the right side, which no row changes, is
     built once, and one row is held at a time."""
-    T = len(h)
-    if T < 3:
-        raise ValueError(f"need T >= 3, got {T}")
+    T = _sequence_length(scale, h)
     rhs = Fraction(sum(h), scale)
     return [Inequality(alternating_lhs(n, T, h, scale), rhs) for n in range(T)]
 
@@ -342,9 +348,7 @@ def certify_alternating_bound(scale: int, h) -> list[BranchVerdict]:
     positive sequences still get exact verdicts but branch coverage is not
     guaranteed and the concave flag marks the run as exploratory.
     """
-    T = len(h)
-    if T < 3:
-        raise ValueError(f"need T >= 3, got {T}")
+    T = _sequence_length(scale, h)
     concave = validate_concave(h)
     total = sum(h)
     rhs = Fraction(total, scale)

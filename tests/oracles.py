@@ -9,7 +9,8 @@ over the whole half grid (the library leaves part of it to the orthogonality
 norm) and its JSON line built as one dict, the coefficient recurrence of the Legendre polynomials, the binomial
 alternating sum (the Whipple bridge) and the box-coordinate double sum
 behind the correction weights of the closed certificate, the projective
-model's certificate as the raise chain walked from the unit, hyperplane powers
+model's certificate as the raise chain walked from the unit (its maps
+applied to label combinations by linearity), hyperplane powers
 as sums of validated skew tableau counts, the Poincare pairing as a plain
 sum of products, and the decimal and "p/q" renderings of a rational by
 Fraction arithmetic.
@@ -17,10 +18,10 @@ Fraction arithmetic.
 
 from fractions import Fraction
 
-from grasshodge import racah
+from grasshodge import lefschetz, racah
 from grasshodge.chowring import ChowElement
 from grasshodge.exactmath import binomial, exp_compare
-from grasshodge.lefschetz import ProjElement, chain_constant, proj_raise
+from grasshodge.lefschetz import chain_constant
 from grasshodge.racah import Inequality
 
 
@@ -247,10 +248,21 @@ def proj_sigma(n: int) -> Fraction:
     archimedean form, so the value equals the chain constant and is positive.
     """
     tau = chain_constant(n)
-    x = ProjElement.basis(n, "hat", 0)
+    x = {("hat", 0): 1}
     for _ in range(n + 1):
-        x = proj_raise(x, tau)
-    return x.form[n]
+        x = apply_label_map(lefschetz._raise, (n, tau), x)
+    return x.get(("form", n), 0)
+
+
+def apply_label_map(step, args, x):
+    """A projective-model map given on basis labels, step(*args, label),
+    applied by linearity to x, a sparse map from label to coefficient; zero
+    coefficients are dropped."""
+    out = {}
+    for label, c in x.items():
+        for target, d in step(*args, label).items():
+            out[target] = out.get(target, 0) + c * d
+    return {label: c for label, c in out.items() if c}
 
 
 

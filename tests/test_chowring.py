@@ -19,7 +19,6 @@ from grasshodge.chowring import (
     primitive_class,
     primitive_profile,
     schubert,
-    zero,
 )
 from grasshodge.cli import main
 from grasshodge.lefschetz import SigmaInstance, correction_op, sigma_verdict
@@ -92,11 +91,7 @@ def test_pieri_on_basis():
 
 def test_lefschetz_power_matches_iterated_on_sparse_element():
     N = 12
-    x = (
-        schubert(N, 3, 1).scale(Fraction(2, 7))
-        - schubert(N, 4, 0)
-        + schubert(N, 2, 2).scale(5)
-    )
+    x = ChowElement(N, {(3, 1): Fraction(2, 7), (4, 0): -1, (2, 2): 5})
     iterated = x
     for r in range(2 * N + 1):
         assert lefschetz_power(x, r).terms == iterated.terms
@@ -131,15 +126,14 @@ def test_lefschetz_power_linear(N, data):
     coeffs = data.draw(
         st.lists(st.fractions(), min_size=len(parts), max_size=len(parts))
     )
-    x = zero(N)
-    for c, (a, b) in zip(coeffs, parts):
-        x = x + schubert(N, a, b).scale(c)
+    x = ChowElement(N, dict(zip(parts, coeffs)))
     r = data.draw(st.integers(0, 4))
     lhs = lefschetz_power(x, r)
-    rhs = zero(N)
+    rhs = {}
     for c, (a, b) in zip(coeffs, parts):
-        rhs = rhs + lefschetz_power(schubert(N, a, b), r).scale(c)
-    assert lhs.terms == rhs.terms
+        for ab, v in lefschetz_power(schubert(N, a, b), r).terms.items():
+            rhs[ab] = rhs.get(ab, 0) + c * v
+    assert lhs.terms == {ab: v for ab, v in rhs.items() if v}
 
 
 def test_hodge_star_explicit():
@@ -231,10 +225,6 @@ def test_built_classes_equal_their_validated_copies(N, data):
     # the library builds its results without re-validating them, so each
     # must already be what the public constructor would make of its terms
     kind, x = _random_class(N, data)
-    y_kind, y = _random_class(N, data)
-    # y cancels some of x's terms outright
-    flips = data.draw(st.lists(st.booleans(), min_size=len(x.terms), max_size=len(x.terms)))
-    y = y + ChowElement(N, {ab: -c for (ab, c), f in zip(x.terms.items(), flips) if f})
     r = data.draw(st.integers(0, 2 * N + 1))
     iterated = x
     for _ in range(r):
@@ -244,22 +234,13 @@ def test_built_classes_equal_their_validated_copies(N, data):
         "lefschetz_power": lefschetz_power(x, r),
         "hodge_star": hodge_star(x),
         "correction_op": correction_op(x),
-        "sum": x + y,
-        "difference": x - x,
-        "negation": -x,
     }
-    factor = data.draw(st.sampled_from([0, 3, -1, Fraction(2, 5)]))
-    built["scale"] = x.scale(factor)
-    assert built["scale"] == ChowElement(N, {ab: factor * c for ab, c in x.terms.items()})
     assert built["lefschetz_power"] == iterated
-    assert built["difference"].is_zero()
     for name, z in built.items():
         assert z == ChowElement(z.N, dict(z.terms)), name
     if kind == "int":
         # the Hodge star and the correction operator are rational steps
-        integral = ["lefschetz_op", "lefschetz_power", "negation"]
-        integral += ["sum"] if y_kind == "int" else []
-        for name in integral:
+        for name in ("lefschetz_op", "lefschetz_power"):
             assert all(type(c) is int for c in built[name].terms.values()), name
 
 
@@ -378,8 +359,8 @@ def test_chow_element_validation():
         ChowElement(3, {(4, 0): Fraction(1)})
     with pytest.raises(ValueError):
         ChowElement(3, {(1, 2): Fraction(1)})
-    with pytest.raises(ValueError):
-        schubert(2, 1, 0) + schubert(3, 1, 0)
+    with pytest.raises(ValueError, match="mixed boxes: 2 and 3"):
+        intersection_pairing(schubert(2, 1, 0), schubert(3, 1, 0))
 
 
 def _exact(c):

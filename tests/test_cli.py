@@ -28,6 +28,8 @@ def test_sigma_json_object(capsys):
     code, out, err = run_cli(capsys, "sigma", "--N", "6", "--k", "1", "--method", "both")
     assert code == 0
     data = json.loads(out)
+    # the shared certificate row, with the decimal moved last
+    assert list(data) == ["N", "k", "n", "T", "sigma", "positive", "method", "agree", "sigma_approx"]
     assert data["sigma"] == "618125/3"
     assert data["positive"] is True
     assert data["agree"] is True
@@ -679,17 +681,15 @@ def test_fault_injection_correction_op(monkeypatch, capsys):
 def test_fault_injection_proj_lower(monkeypatch, capsys):
     # lowering form_2 at n = 4 gains a stray hat_2: the commutator check
     # must fail for n = 4 and for no other n
-    real = lefschetz.proj_lower
+    real = lefschetz._lower
 
-    def corrupted(x, tau):
-        y = real(x, tau)
-        if x.n != 4 or not x.form[2]:
-            return y
-        hat = list(y.hat)
-        hat[2] += 1
-        return lefschetz.ProjElement(y.n, tuple(hat), y.form)
+    def corrupted(n, w, label):
+        image = real(n, w, label)
+        if n == 4 and label == ("form", 2):
+            image[("hat", 2)] = image.get(("hat", 2), 0) + 1
+        return image
 
-    monkeypatch.setattr(lefschetz, "proj_lower", corrupted)
+    monkeypatch.setattr(lefschetz, "_lower", corrupted)
     code, out, err = run_cli(capsys, "verify-pn", "--nmax", "6")
     assert code == 1
     rows = [json.loads(line) for line in out.splitlines()]
@@ -723,6 +723,7 @@ STDOUT_PINS = [
     ("verify-needed --T 60 --sequence random --seed 7", "cdde2ebb8e5f8f148ab99f9d0b05738d39222ef9e915af58f324cb727a364ad8"),
     ("verify-grassmannian --Nmax 20 --method both", "d030c84a453aa23043391a7d6c5e72be4b9fe2945717042fe55c819590c9de0f"),
     ("verify-pn --nmax 30", "b3f830cc0bcaac75ac7abd3486bc624a644cd6243a37ed02e7c41e2f354e105d"),
+    ("sigma --N 60 --k 7", "8bddf8fa88ceed99158c18458f2288bd5b21332f67b0dea27511dfb34e7da6e5"),
     # taken from the walk over the whole half grid, before the scan left the
     # deepest points of each column to the orthogonality norm
     ("scan-bound --Tmin 3 --Tmax 120 --jobs 1", "bce88d8f095a3fece3c6eba1af0d985cd38cbb41a90c070c02ad62301511c90c"),

@@ -13,14 +13,11 @@ from grasshodge.chowring import (
 from grasshodge import lefschetz
 from grasshodge.exactmath import binomial, harmonic, harmonic_numerators
 from grasshodge.lefschetz import (
-    ProjElement,
     SigmaInstance,
     chain_constant,
     correction_op,
     principal_weight,
     proj_commutator_check,
-    proj_lower,
-    proj_raise,
     sigma_closed,
     sigma_direct,
     sigma_verdict,
@@ -28,6 +25,7 @@ from grasshodge.lefschetz import (
 )
 from grasshodge.racah import racah_eval
 from oracles import (
+    apply_label_map,
     correction_weight,
     correction_weight_box,
     overlap_sum,
@@ -197,9 +195,7 @@ def test_whipple_bridge(T, data):
 def test_verdict_fields():
     v = sigma_verdict(SigmaInstance(6, 1), method="both")
     assert v.positive and v.agree
-    d = v.to_json_dict()
-    assert d["sigma"] == "618125/3"
-    assert list(d) == ["N", "k", "n", "T", "sigma", "positive", "method", "agree"]
+    assert v.sigma == Fraction(618125, 3)
     with pytest.raises(ValueError):
         sigma_verdict(SigmaInstance(6, 1), method="fast")
 
@@ -233,13 +229,10 @@ def test_certificate_pipelines_never_give_floats():
 # --- projective-space model ---
 
 
-def test_proj_element_validation():
-    with pytest.raises(ValueError):
-        ProjElement.basis(0, "hat", 0)
-    with pytest.raises(ValueError):
-        ProjElement.basis(3, "hat", 4)
-    with pytest.raises(ValueError):
-        ProjElement.basis(3, "volume", 1)
+def test_proj_model_rejects_n_below_1():
+    for n in (0, -3):
+        with pytest.raises(ValueError, match=f"need n >= 1, got {n}"):
+            proj_commutator_check(n)
 
 
 def test_raise_chain_reaches_chain_constant():
@@ -251,10 +244,10 @@ def test_raise_chain_reaches_chain_constant():
 def test_raise_lower_on_basis():
     n = 3
     tau = chain_constant(n)
-    top = ProjElement.basis(n, "hat", n)
-    assert proj_raise(top, tau).form[n] == tau
-    bottom = ProjElement.basis(n, "form", 0)
-    assert proj_lower(bottom, tau).hat[0] == Fraction(n + 1) / tau
+    assert lefschetz._raise(n, tau, ("hat", n)) == {("form", n): tau}
+    w = Fraction(n + 1) / tau
+    assert w == Fraction(12, 13)  # tau_3 = 1 + 3/2 + 11/6 = 13/3
+    assert lefschetz._lower(n, w, ("form", 0)) == {("hat", 0): Fraction(12, 13)}
 
 
 def test_commutator_eigenvalues():
@@ -267,22 +260,28 @@ def test_commutator_eigenvalues_by_hand():
     # the eigenvalue ladder n+1, n-1, ..., -(n+1) indexed by codimension
     n = 4
     tau = chain_constant(n)
+    up = (lefschetz._raise, (n, tau))
+    down = (lefschetz._lower, (n, Fraction(n + 1) / tau))
+
+    def commutator(x):
+        comm = apply_label_map(*down, apply_label_map(*up, x))
+        for label, c in apply_label_map(*up, apply_label_map(*down, x)).items():
+            comm[label] = comm.get(label, 0) - c
+        return {label: c for label, c in comm.items() if c}
+
     for i in range(n + 1):
-        x = ProjElement.basis(n, "hat", i)
-        comm = proj_lower(proj_raise(x, tau), tau) - proj_raise(proj_lower(x, tau), tau)
-        assert comm == x.scale(n + 1 - 2 * i)
-        y = ProjElement.basis(n, "form", i)
-        comm = proj_lower(proj_raise(y, tau), tau) - proj_raise(proj_lower(y, tau), tau)
-        assert comm == y.scale(n + 1 - 2 * (i + 1))
+        assert commutator({("hat", i): 1}) == {("hat", i): n + 1 - 2 * i}
+        assert commutator({("form", i): 1}) == {("form", i): n + 1 - 2 * (i + 1)}
 
 
 def test_proj_chains_never_give_floats():
     for n in (1, 2, 5, 9):
         tau = chain_constant(n)
+        w = Fraction(n + 1) / tau
         for kind in ("hat", "form"):
             for i in range(n + 1):
-                for step in (proj_raise, proj_lower):
-                    x = ProjElement.basis(n, kind, i)
+                for step, arg in ((lefschetz._raise, (n, tau)), (lefschetz._lower, (n, w))):
+                    x = {(kind, i): 1}
                     for _ in range(2 * n + 3):
-                        x = step(x, tau)
-                        assert all(_exact(c) for c in x.hat + x.form), (n, kind, i)
+                        x = apply_label_map(step, arg, x)
+                        assert all(_exact(c) for c in x.values()), (n, kind, i)

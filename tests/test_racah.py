@@ -651,3 +651,13 @@ def test_alternating_rejects_small_T(T):
     for check in (alternating_profile, certify_alternating_bound):
         with pytest.raises(ValueError, match=f"need T >= 3, got {T}"):
             check(scale, h[:T])
+
+
+@pytest.mark.parametrize("scale", [-6, 0])
+def test_alternating_rejects_scale_below_1(scale):
+    # h = scale H_s of H = 0, 1, 3/2, 11/6; a scale below 1 would flip the
+    # sign of every row's denominator, or divide by zero
+    h = [0, scale, scale * 3 // 2, scale * 11 // 6]
+    for check in (alternating_profile, certify_alternating_bound):
+        with pytest.raises(ValueError, match=f"need scale >= 1, got {scale}"):
+            check(scale, h)
