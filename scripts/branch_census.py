@@ -33,13 +33,11 @@ def main():
     header = f"{'T':>4}  " + "".join(f"{r:>12}" for r in ROUTES) + "  min margin"
     print(header)
     for T in range(args.Tmin, args.Tmax + 1):
-        verdicts = certify_alternating_bound(*harmonic_numerators(T - 1))
-        counts = Counter(label for v in verdicts for label in v.branches)
-        margin = min(
-            (v.inequality.rhs - v.inequality.lhs) / v.inequality.rhs for v in verdicts
-        )
-        uncovered.extend((T, v.n) for v in verdicts if not v.covered)
-        failed = [v.n for v in verdicts if not v.inequality.holds]
+        rows = certify_alternating_bound(*harmonic_numerators(T - 1))
+        counts = Counter(label for _, labels in rows for label in labels)
+        margin = min((ineq.rhs - ineq.lhs) / ineq.rhs for ineq, _ in rows)
+        uncovered.extend((T, n) for n, (_, labels) in enumerate(rows) if not labels)
+        failed = [n for n, (ineq, _) in enumerate(rows) if not ineq.holds]
         if failed:
             print(f"inequality FAILED at T={T}, n={failed}", file=sys.stderr)
             return 1

@@ -26,14 +26,12 @@ from .exactmath import (
     exp_compare,
     format_rational,
     harmonic,
-    harmonic_sum,
     parse_rational,
     random_concave,
     validate_concave,
 )
 from .lefschetz import (
     SigmaInstance,
-    SigmaVerdict,
     chain_constant,
     correction_op,
     proj_commutator_check,
@@ -43,7 +41,6 @@ from .lefschetz import (
     sigma_walk,
 )
 from .racah import (
-    BranchVerdict,
     Inequality,
     InexactStep,
     ScanReport,

@@ -29,6 +29,7 @@ from .exactmath import (
     integer_sequence,
     parse_rational,
     random_concave,
+    validate_concave,
 )
 
 
@@ -167,12 +168,14 @@ def _resolve_sequence(source: str, T: int, seed: int) -> tuple[int, list[int], s
 _SIGMA_COLUMNS = ["N", "k", "n", "T", "sigma", "sigma_approx", "positive", "method", "agree"]
 
 
-def _sigma_row(v: lefschetz.SigmaVerdict) -> tuple:
-    """The output row of one verdict, in the order of _SIGMA_COLUMNS."""
+def _sigma_row(inst: lefschetz.SigmaInstance, method: str) -> tuple:
+    """The output row of one certificate by method, in the order of
+    _SIGMA_COLUMNS."""
+    sigma, agree = lefschetz.sigma_verdict(inst, method=method)
     return (
-        v.N, v.k, v.n, v.T,
-        format_rational(v.sigma), decimal_approx(v.sigma),
-        v.positive, v.method, v.agree,
+        inst.N, inst.k, inst.n, inst.T,
+        format_rational(sigma), decimal_approx(sigma),
+        sigma > 0, method, agree,
     )
 
 
@@ -180,25 +183,24 @@ def _sigma_rows(args: argparse.Namespace, method: str) -> Iterator[tuple]:
     """Output row for each (N, k) in the range, in (N, k) order, by method.
 
     The range is checked on the call, before any row is computed; an unset
-    Nmin is 1.
+    Nmin is 1.  A range that holds no (N, k) is a usage error.
     """
     n_lo = 1 if args.Nmin is None else args.Nmin
     if args.Nmax is None or not 1 <= n_lo <= args.Nmax:
         raise UsageError("need 1 <= Nmin <= Nmax")
-    verdicts = (
-        lefschetz.sigma_verdict(lefschetz.SigmaInstance(N, k), method=method)
+    # some N <= Nmax holds a k with 2k <= N exactly when the smallest k fits
+    if args.k_set is not None and 2 * min(args.k_set) > args.Nmax:
+        raise UsageError("no (N, k) instances in the requested range")
+    return (
+        _sigma_row(lefschetz.SigmaInstance(N, k), method)
         for N in range(n_lo, args.Nmax + 1)
         for k in range(N // 2 + 1)
         if args.k_set is None or k in args.k_set
     )
-    return map(_sigma_row, verdicts)
 
 
 def cmd_verify_grassmannian(args: argparse.Namespace, out: TextIO, err: TextIO) -> bool:
     rows = _Tally(_sigma_rows(args, args.method), _SIGMA_COLUMNS, ("positive", "agree"))
-    # some N <= Nmax holds a k with 2k <= N exactly when the smallest k fits
-    if args.k_set is not None and 2 * min(args.k_set) > args.Nmax:
-        raise UsageError("no (N, k) instances in the requested range")
     emit_table(rows, _SIGMA_COLUMNS, args.output_format, out)
     print(
         f"{rows.count} certificates: " + ("all positive" if rows.ok else "FAILED"),
@@ -249,9 +251,10 @@ def cmd_verify_needed(args: argparse.Namespace, out: TextIO, err: TextIO) -> boo
     if args.T is None or args.T < 3:
         raise UsageError("need --T at least 3")
     scale, h, label, seed = _resolve_sequence(args.sequence_source, args.T, args.seed)
+    concave = validate_concave(h)
     # every row is walked before the first byte; one right side serves all
-    verdicts = racah.certify_alternating_bound(scale, h)
-    rhs = verdicts[0].inequality.rhs
+    certified = racah.certify_alternating_bound(scale, h)
+    rhs = certified[0][0].rhs
     rhs_text, rhs_approx = format_rational(rhs), decimal_approx(rhs)
     columns = [
         "T", "n", "sequence", "seed",
@@ -261,18 +264,18 @@ def cmd_verify_needed(args: argparse.Namespace, out: TextIO, err: TextIO) -> boo
     rows = _Tally(
         (
             (
-                v.T, v.n, label, seed,
-                format_rational(v.inequality.lhs), decimal_approx(v.inequality.lhs),
+                args.T, n, label, seed,
+                format_rational(ineq.lhs), decimal_approx(ineq.lhs),
                 rhs_text, rhs_approx,
-                v.inequality.holds, v.branches, v.covered, v.concave,
+                ineq.holds, labels, bool(labels), concave,
             )
-            for v in verdicts
+            for n, (ineq, labels) in enumerate(certified)
         ),
         columns,
         ("holds",),
     )
     emit_table(rows, columns, args.output_format, out)
-    note = "" if verdicts[0].concave else " (sequence not concave increasing: exploratory run)"
+    note = "" if concave else " (sequence not concave increasing: exploratory run)"
     print(
         f"alternating bound T={args.T}, sequence={label}: "
         + ("holds for all n" if rows.ok else "FAILED")
@@ -304,7 +307,7 @@ def cmd_sigma(args: argparse.Namespace, out: TextIO, err: TextIO) -> bool:
         inst = lefschetz.SigmaInstance(args.N, args.k)
     except (TypeError, ValueError) as exc:
         raise UsageError(str(exc)) from None
-    row = dict(zip(_SIGMA_COLUMNS, _sigma_row(lefschetz.sigma_verdict(inst, method=args.method))))
+    row = dict(zip(_SIGMA_COLUMNS, _sigma_row(inst, args.method)))
     # the one JSON object carries the decimal last
     row["sigma_approx"] = row.pop("sigma_approx")
     out.write(json.dumps(row, indent=2) + "\n")

@@ -19,7 +19,6 @@ __all__ = [
     "binomial",
     "harmonic",
     "harmonic_numerators",
-    "harmonic_sum",
     "integer_sequence",
     "validate_concave",
     "random_concave",
@@ -64,12 +63,6 @@ def harmonic(k: int) -> Fraction:
     """k-th harmonic number 1 + 1/2 + ... + 1/k, with harmonic(0) = 0."""
     L, h = harmonic_numerators(k)
     return Fraction(h[k], L)
-
-
-def harmonic_sum(n: int) -> Fraction:
-    """Sum of the first n harmonic numbers, harmonic(1) + ... + harmonic(n)."""
-    L, h = harmonic_numerators(n)
-    return Fraction(sum(h), L)
 
 
 def integer_sequence(values: Sequence[Fraction]) -> tuple[int, list[int]]:

@@ -10,8 +10,9 @@ with the integer staircase of the correction operator.  In closed form, it
 is the principal weight times the margin of row n = N - 2k of the harmonic
 alternating inequality at T = N + 2, read off one row walk of the Racah
 values.  The direct route uses no Racah code, so the two stay independent;
-tests and the CLI compare them, and sigma_direct, the same pairing on whole
-Chow classes, is the definitional reference for the walk.
+sigma_verdict returns the certificate with whether the two agree, and
+sigma_direct, the same pairing on whole Chow classes, is the definitional
+reference for the walk.
 
 The module also carries a small model of projective n-space with one extra
 archimedean piece per codimension, used to check the commutator identity
@@ -33,7 +34,7 @@ from .chowring import (
     lefschetz_power,
     primitive_class,
 )
-from .exactmath import harmonic_numerators, harmonic_sum
+from .exactmath import harmonic_numerators
 from .racah import alternating_lhs, principal_weight
 
 _ZERO = Fraction(0)
@@ -181,42 +182,15 @@ def sigma_closed(inst: SigmaInstance) -> Fraction:
     return principal_weight(n, T) * (Fraction(column_sum, L) - alternating_lhs(n, T, h, L))
 
 
-@dataclass(frozen=True)
-class SigmaVerdict:
-    """Structured outcome of one certificate computation."""
-
-    N: int
-    k: int
-    n: int
-    T: int
-    sigma: Fraction
-    positive: bool
-    method: str  # "direct", "closed", or "both"
-    agree: bool  # pipelines compared equal; vacuously true for one pipeline
-
-
-def sigma_verdict(inst: SigmaInstance, method: str = "both") -> SigmaVerdict:
-    """Compute the certificate by the requested pipeline(s) and report."""
+def sigma_verdict(inst: SigmaInstance, method: str = "both") -> tuple[Fraction, bool]:
+    """The certificate by the requested pipeline(s), "direct", "closed" or
+    "both", and whether the pipelines agree (vacuously true for one)."""
     if method not in ("direct", "closed", "both"):
         raise ValueError(f"unknown method {method!r}")
-    agree = True
     if method == "direct":
-        value = sigma_walk(inst)
-    elif method == "closed":
-        value = sigma_closed(inst)
-    else:
-        value = sigma_closed(inst)
-        agree = sigma_walk(inst) == value
-    return SigmaVerdict(
-        N=inst.N,
-        k=inst.k,
-        n=inst.n,
-        T=inst.T,
-        sigma=value,
-        positive=value > 0,
-        method=method,
-        agree=agree,
-    )
+        return sigma_walk(inst), True
+    value = sigma_closed(inst)
+    return value, method == "closed" or sigma_walk(inst) == value
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +201,7 @@ def sigma_verdict(inst: SigmaInstance, method: str = "both") -> SigmaVerdict:
 # (form_i).  Each map is given on one basis label (kind, i) as the sparse map
 # {label: coefficient} of its image, so both composites of the commutator
 # follow by linearity.  The single nonclassical constant is the chain
-# constant tau = harmonic_sum(n), which closes the raising chain.
+# constant tau_n = H_1 + ... + H_n, which closes the raising chain.
 # ---------------------------------------------------------------------------
 
 Label = tuple[str, int]
@@ -235,7 +209,8 @@ Label = tuple[str, int]
 
 def chain_constant(n: int) -> Fraction:
     """tau_n = harmonic(1) + ... + harmonic(n), the degree of the full chain."""
-    return harmonic_sum(n)
+    L, h = harmonic_numerators(n)
+    return Fraction(sum(h), L)
 
 
 def _raise(n: int, tau: Fraction, label: Label) -> dict[Label, int | Fraction]:

@@ -12,10 +12,12 @@ held exactly as one integer form, w_n(s) = P_n R_n(s, T) with the principal
 weight P_n = C(T-1, n) C(T+n, n), walked down a column by the three-term
 recurrence in n or along a row by the same recurrence in s; the sum itself
 lives in the tests as the independent oracle.  Around it sit the alternating
-inequality driven by a concave sequence and the scan that checks
-|R_n(s, T)| <= 1 across a whole parameter range.  The Legendre comparison
-family behind the "legendre" route label, and the window checks that support
-that regime, live with the tests in tests/legendre_checks.py.
+inequality driven by a concave sequence, whose rows
+certify_alternating_bound returns paired with their route labels, and the
+scan that checks |R_n(s, T)| <= 1 across a whole parameter range.  The
+Legendre comparison family behind the "legendre" route label, and the window
+checks that support that regime, live with the tests in
+tests/legendre_checks.py.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from functools import lru_cache
 from math import comb, lcm
 from operator import ge, mul
 
-from .exactmath import exp_compare, validate_concave
+from .exactmath import exp_compare
 
 
 # ---------------------------------------------------------------------------
@@ -158,25 +160,19 @@ def _principal_row(n: int, T: int) -> list[int]:
     return row
 
 
-def _validate_racah_args(n: int, s: int, T: int) -> None:
-    if T < 3:
-        raise ValueError(f"need T >= 3, got {T}")
-    if n < 0 or s < 0:
-        raise ValueError(f"need n, s >= 0, got n={n}, s={s}")
-    if min(n, s) >= T:
-        raise ValueError(
-            f"denominator factor (1-T)_r vanishes: min(n, s) = {min(n, s)} >= T = {T}"
-        )
-
-
 def racah_eval(n: int, s: int, T: int) -> Fraction:
     """Exact value R_n(s, T); by the n <-> s symmetry one index may be >= T.
 
     With m = min(n, s) and x = max(n, s), the value is w_m(x) / P_m, read off
     the column at x walked down to degree m.
     """
-    _validate_racah_args(n, s, T)
+    if T < 3:
+        raise ValueError(f"need T >= 3, got {T}")
+    if n < 0 or s < 0:
+        raise ValueError(f"need n, s >= 0, got n={n}, s={s}")
     m = min(n, s)
+    if m >= T:
+        raise ValueError(f"denominator factor (1-T)_r vanishes: min(n, s) = {m} >= T = {T}")
     return Fraction(
         _principal_column(max(n, s), T, _principal_steps(T, m), m)[m], principal_weight(m, T)
     )
@@ -290,23 +286,17 @@ def alternating_lhs(n: int, T: int, h, scale: int) -> Fraction:
     return Fraction(lhs, row[0] * scale)
 
 
-def _sequence_length(scale: int, h) -> int:
-    """T = len(h) of the sequence form (scale, h), checked: T >= 3, and a
-    positive scale, which the sign of every row's denominator rests on."""
+def alternating_profile(scale: int, h) -> list[Inequality]:
+    """Row n of sum_s (-1)^(s+1) R_n(s,T) H_s < sum_s H_s over s = 1..T-1
+    for every n = 0..T-1, T = len(h), from the sequence form h[s] = scale H_s
+    (exactmath.integer_sequence); the right side, which no row changes, is
+    built once, and one row is held at a time.  The scale must be positive:
+    the sign of every row's denominator rests on it."""
     T = len(h)
     if T < 3:
         raise ValueError(f"need T >= 3, got {T}")
     if scale < 1:
         raise ValueError(f"need scale >= 1, got {scale}")
-    return T
-
-
-def alternating_profile(scale: int, h) -> list[Inequality]:
-    """Row n of sum_s (-1)^(s+1) R_n(s,T) H_s < sum_s H_s over s = 1..T-1
-    for every n = 0..T-1, T = len(h), from the sequence form h[s] = scale H_s
-    (exactmath.integer_sequence); the right side, which no row changes, is
-    built once, and one row is held at a time."""
-    T = _sequence_length(scale, h)
     rhs = Fraction(sum(h), scale)
     return [Inequality(alternating_lhs(n, T, h, scale), rhs) for n in range(T)]
 
@@ -318,45 +308,29 @@ def n_below_log(n: int, T: int) -> bool:
     return exp_compare(n, Fraction(T)) < 0
 
 
-@dataclass(frozen=True)
-class BranchVerdict:
-    """Alternating bound for one (n, T) plus the certifying route labels.
+def certify_alternating_bound(scale: int, h) -> list[tuple[Inequality, tuple[str, ...]]]:
+    """Each row of alternating_profile(scale, h), n = 0..T-1, T = len(h),
+    paired with the labels of the routes that certify it.
 
-    branches may contain "cauchy" (the sufficient inequality holds),
+    The labels may be "cauchy" (the sufficient inequality holds),
     "closed-form" (n <= 3 or n = T-1, rows with explicit formulas), and
     "legendre" (T >= 90 and n < log T, the comparison-family regime; its
-    supporting checks live with the tests in tests/legendre_checks.py).  The
-    inequality itself is always confirmed by direct exact evaluation.
+    supporting checks live with the tests in tests/legendre_checks.py).  A
+    row is covered when it has a label; the inequality itself is always
+    decided by direct exact evaluation.  For concave input
+    (exactmath.validate_concave) every row is covered; other input still
+    gets exact rows, but coverage is not guaranteed.
     """
-
-    T: int
-    n: int
-    inequality: Inequality
-    branches: tuple[str, ...]
-    concave: bool
-
-    @property
-    def covered(self) -> bool:
-        return bool(self.branches)
-
-
-def certify_alternating_bound(scale: int, h) -> list[BranchVerdict]:
-    """Verdicts with branch labels for every n = 0..T-1, T = len(h), from
-    the sequence form h[s] = scale H_s.
-
-    For concave input every n is covered by at least one branch; arbitrary
-    positive sequences still get exact verdicts but branch coverage is not
-    guaranteed and the concave flag marks the run as exploratory.
-    """
-    T = _sequence_length(scale, h)
-    concave = validate_concave(h)
+    profile = alternating_profile(scale, h)
+    T = len(h)
     total = sum(h)
-    rhs = Fraction(total, scale)
     # "cauchy": sum_s H_s^2/(2s+1) < (2n+1) (mean of H_0..H_(T-1))^2, that
     # is 2n+1 > q = T^2 sum_s h_s^2/(2s+1) / total^2 (d clears the 2s+1), so
-    # from n = (floor(q) + 1) // 2 on; at no n when total = 0
+    # from n = (floor(q) + 1) // 2 on.  The cut bounds |lhs| below T |mean|,
+    # which is the right side only when the mean is positive, so no row gets
+    # it otherwise.
     cauchy_from = T
-    if total:
+    if total > 0:
         d = lcm(*range(3, 2 * T, 2))
         cleared = sum(v * v * (d // (2 * s + 1)) for s, v in enumerate(h[1:], 1))
         cauchy_from = (T * T * cleared // (total * total * d) + 1) // 2
@@ -366,16 +340,15 @@ def certify_alternating_bound(scale: int, h) -> list[BranchVerdict]:
         while n_below_log(below_log, T):
             below_log += 1
     out = []
-    for n in range(T):
-        branches = []
+    for n, ineq in enumerate(profile):
+        labels = []
         if n >= cauchy_from:
-            branches.append("cauchy")
+            labels.append("cauchy")
         if n <= 3 or n == T - 1:
-            branches.append("closed-form")
+            labels.append("closed-form")
         if n < below_log:
-            branches.append("legendre")
-        ineq = Inequality(alternating_lhs(n, T, h, scale), rhs)
-        out.append(BranchVerdict(T, n, ineq, tuple(branches), concave))
+            labels.append("legendre")
+        out.append((ineq, tuple(labels)))
     return out
 
 

@@ -145,11 +145,14 @@ def alternating_bound(values, n, T):
 
 def cauchy_sufficient(values, n, T):
     """Sufficient condition for the alternating bound by Cauchy-Schwarz and
-    orthogonality: sum_s H_s^2/(2s+1) < (2n+1) (mean of H_0..H_(T-1))^2."""
+    orthogonality: sum_s H_s^2/(2s+1) < (2n+1) (mean of H_0..H_(T-1))^2,
+    for a positive mean.  Cauchy-Schwarz bounds |lhs| below T |mean|, the
+    right side only when the mean is positive; otherwise the right side
+    here is 0, which no sum of squares is below."""
     hs = [Fraction(v) for v in values[: T - 1]]
     square_sum = sum((h * h / (2 * s + 1) for s, h in enumerate(hs, 1)), Fraction(0))
     mean = sum(hs, Fraction(0)) / T
-    return Inequality(square_sum, (2 * n + 1) * mean * mean)
+    return Inequality(square_sum, (2 * n + 1) * mean * mean if mean > 0 else Fraction(0))
 
 
 def in_cauchy_range(n, T):

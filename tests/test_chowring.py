@@ -410,7 +410,7 @@ def test_fault_injection_binomial_row(monkeypatch, capsys):
     code, rows = _verify_grassmannian(capsys)
     assert code == 1
     assert any(not row["agree"] for row in rows)
-    assert sigma_verdict(SigmaInstance(4, 0), "both").agree is False
+    assert sigma_verdict(SigmaInstance(4, 0), "both")[1] is False
     assert _power_mismatches(10)
 
 
@@ -429,4 +429,4 @@ def test_fault_injection_pairing_denominator(monkeypatch, capsys):
     code, rows = _verify_grassmannian(capsys)
     assert code == 1
     assert any(not row["agree"] for row in rows)
-    assert sigma_verdict(SigmaInstance(6, 1), "both").agree is False
+    assert sigma_verdict(SigmaInstance(6, 1), "both")[1] is False

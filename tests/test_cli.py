@@ -261,6 +261,7 @@ def test_infeasible_ranges(capsys):
         # rows stream, so each of these must be caught before the CSV header
         ("table", "--kind", "sigma", "--Nmax", "0"),
         ("verify-grassmannian", "--Nmax", "4", "--kset", "3"),
+        ("table", "--kind", "sigma", "--Nmax", "3", "--kset", "5"),
         ("table", "--kind", "racah", "--Tmin", "3", "--Tmax", "9", "--n", "5"),
         ("scan-bound", "--T", "5", "--jobs", "0"),
         # --T with --Tmin or --Tmax is ambiguous, not a silent override
@@ -308,13 +309,10 @@ def test_fault_injection_flips_exit_code(monkeypatch, capsys):
     real = lefschetz.sigma_verdict
 
     def corrupted(inst, method="both"):
-        v = real(inst, method=method)
+        sigma, agree = real(inst, method=method)
         if inst.N == 4 and inst.k == 2:
-            return lefschetz.SigmaVerdict(
-                N=v.N, k=v.k, n=v.n, T=v.T,
-                sigma=-v.sigma, positive=False, method=v.method, agree=v.agree,
-            )
-        return v
+            return -sigma, agree
+        return sigma, agree
 
     monkeypatch.setattr(lefschetz, "sigma_verdict", corrupted)
     code, out, err = run_cli(capsys, "verify-grassmannian", "--Nmax", "5")
@@ -673,7 +671,7 @@ def test_fault_injection_correction_op(monkeypatch, capsys):
     assert all(not r["agree"] for r in rows if r["N"] == 5)
     assert "FAILED" in err
     for k in range(3):
-        assert lefschetz.sigma_verdict(lefschetz.SigmaInstance(5, k), "both").agree is False
+        assert lefschetz.sigma_verdict(lefschetz.SigmaInstance(5, k), "both")[1] is False
     code, _, _ = run_cli(capsys, "verify-grassmannian", "--Nmax", "6", "--method", "closed")
     assert code == 0
 

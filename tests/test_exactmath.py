@@ -14,7 +14,6 @@ from grasshodge.exactmath import (
     format_rational,
     harmonic,
     harmonic_numerators,
-    harmonic_sum,
     integer_sequence,
     parse_rational,
     random_concave,
@@ -70,12 +69,6 @@ def test_harmonic_values():
     assert harmonic_numerators(0) == (1, [0])
     with pytest.raises(ValueError):
         harmonic(-1)
-
-
-def test_harmonic_sum_is_prefix_sum():
-    assert harmonic_sum(0) == 0
-    assert harmonic_sum(5) == sum(harmonic(k) for k in range(1, 6))
-    assert harmonic_sum(5) == Fraction(87, 10)
 
 
 @given(st.integers(1, 60))

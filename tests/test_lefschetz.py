@@ -193,18 +193,18 @@ def test_whipple_bridge(T, data):
 
 
 def test_verdict_fields():
-    v = sigma_verdict(SigmaInstance(6, 1), method="both")
-    assert v.positive and v.agree
-    assert v.sigma == Fraction(618125, 3)
+    sigma, agree = sigma_verdict(SigmaInstance(6, 1), method="both")
+    assert sigma > 0 and agree
+    assert sigma == Fraction(618125, 3)
     with pytest.raises(ValueError):
         sigma_verdict(SigmaInstance(6, 1), method="fast")
 
 
 def test_verdict_single_pipeline():
-    v = sigma_verdict(SigmaInstance(9, 2), method="direct")
-    w = sigma_verdict(SigmaInstance(9, 2), method="closed")
-    assert v.sigma == w.sigma
-    assert v.agree and w.agree  # vacuous for one pipeline
+    direct, direct_agree = sigma_verdict(SigmaInstance(9, 2), method="direct")
+    closed, closed_agree = sigma_verdict(SigmaInstance(9, 2), method="closed")
+    assert direct == closed
+    assert direct_agree and closed_agree  # vacuous for one pipeline
 
 
 def _exact(c):
@@ -233,6 +233,12 @@ def test_proj_model_rejects_n_below_1():
     for n in (0, -3):
         with pytest.raises(ValueError, match=f"need n >= 1, got {n}"):
             proj_commutator_check(n)
+
+
+def test_chain_constant_is_prefix_sum():
+    assert chain_constant(0) == 0
+    assert chain_constant(5) == sum(harmonic(k) for k in range(1, 6))
+    assert chain_constant(5) == Fraction(87, 10)
 
 
 def test_raise_chain_reaches_chain_constant():

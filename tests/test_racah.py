@@ -549,12 +549,13 @@ def test_alternating_bound_holds_for_harmonic_sweep():
 
 def test_certify_covers_harmonic():
     for T in (10, 25, 90):
-        verdicts = certify_alternating_bound(*harmonic_numerators(T - 1))
-        assert all(v.inequality.holds for v in verdicts)
-        assert all(v.covered for v in verdicts)
-        assert all(v.concave for v in verdicts)
-    labels = {b for v in verdicts for b in v.branches}
-    assert labels == {"cauchy", "closed-form", "legendre"}
+        scale, h = harmonic_numerators(T - 1)
+        certified = certify_alternating_bound(scale, h)
+        assert all(ineq.holds for ineq, _ in certified)
+        assert all(labels for _, labels in certified)
+        assert validate_concave(h)
+    found = {b for _, labels in certified for b in labels}
+    assert found == {"cauchy", "closed-form", "legendre"}
 
 
 def test_certify_branches_match_per_degree_rules():
@@ -564,10 +565,9 @@ def test_certify_branches_match_per_degree_rules():
         values = _harmonic_values(T)
         square_sum = sum(h * h / (2 * s + 1) for s, h in enumerate(values, 1))
         mean_sq = (sum(values) / T) ** 2
-        verdicts = certify_alternating_bound(*harmonic_numerators(T - 1))
-        assert [v.n for v in verdicts] == list(range(T))
-        for v in verdicts:
-            n = v.n
+        certified = certify_alternating_bound(*harmonic_numerators(T - 1))
+        assert len(certified) == T
+        for n, (_, labels) in enumerate(certified):
             want = []
             if square_sum < (2 * n + 1) * mean_sq:
                 want.append("cauchy")
@@ -575,13 +575,14 @@ def test_certify_branches_match_per_degree_rules():
                 want.append("closed-form")
             if T >= 90 and n_below_log(n, T):
                 want.append("legendre")
-            assert v.branches == tuple(want), (T, n)
+            assert labels == tuple(want), (T, n)
 
 
 def test_certify_flags_non_concave_input(tmp_path, capsys):
     values = [Fraction(1), Fraction(5), Fraction(6)]  # increasing, not concave
-    verdicts = certify_alternating_bound(*integer_sequence(values))
-    assert all(not v.concave for v in verdicts)
+    scale, h = integer_sequence(values)
+    certified = certify_alternating_bound(scale, h)
+    assert not validate_concave(h)
     path = tmp_path / "seq.txt"
     path.write_text("1\n5\n6\n")
     assert cli.main(["verify-needed", "--T", "4", "--sequence", str(path)]) == 0
@@ -589,7 +590,7 @@ def test_certify_flags_non_concave_input(tmp_path, capsys):
     rows = [json.loads(line) for line in out.splitlines()]
     assert [row["n"] for row in rows] == [0, 1, 2, 3]
     assert all(row["concave"] is False for row in rows) and "exploratory" in err
-    assert [row["branches"] for row in rows] == [list(v.branches) for v in verdicts]
+    assert [row["branches"] for row in rows] == [list(labels) for _, labels in certified]
 
 
 def _rationals(T):
@@ -624,24 +625,43 @@ def _rationals(T):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(3, 12), st.data())
 def test_certify_matches_oracles_on_any_rationals(T, data):
-    # every row's lhs, rhs, holds and labels, and the concave flag, against
-    # the term-by-term sum, the Fraction Cauchy test and validate_concave,
-    # itself checked against the Fraction-by-Fraction rule
+    # every row's lhs, rhs, holds and labels against the term-by-term sum and
+    # the Fraction Cauchy test, and the concave flag, validate_concave,
+    # against the Fraction-by-Fraction rule
     values = data.draw(_rationals(T))
     scale, h = integer_sequence(values)
-    concave = validate_concave(h)
-    assert concave == fraction_concave_increasing(values)
-    verdicts = certify_alternating_bound(scale, h)
-    assert [v.n for v in verdicts] == list(range(T))
-    for v in verdicts:
-        n = v.n
+    assert validate_concave(h) == fraction_concave_increasing(values)
+    certified = certify_alternating_bound(scale, h)
+    assert len(certified) == T
+    for n, (ineq, labels) in enumerate(certified):
         want = alternating_bound(values, n, T)
-        assert (v.inequality.lhs, v.inequality.rhs) == (want.lhs, want.rhs), (T, n)
-        assert v.inequality.holds == want.holds
-        labels = ["cauchy"] if cauchy_sufficient(values, n, T).holds else []
-        labels += ["closed-form"] if n <= 3 or n == T - 1 else []
-        assert v.branches == tuple(labels), (T, n)
-        assert v.concave is concave
+        assert (ineq.lhs, ineq.rhs) == (want.lhs, want.rhs), (T, n)
+        assert ineq.holds == want.holds
+        want_labels = ["cauchy"] if cauchy_sufficient(values, n, T).holds else []
+        want_labels += ["closed-form"] if n <= 3 or n == T - 1 else []
+        assert labels == tuple(want_labels), (T, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(3, 12), st.data())
+def test_cauchy_label_only_on_rows_that_hold(T, data):
+    # the Cauchy cut bounds lhs below T |mean|, which is the right side only
+    # for a positive mean; a sum of either sign must not carry the label
+    # onto a row that fails
+    values = data.draw(_rationals(T))
+    for n, (ineq, labels) in enumerate(certify_alternating_bound(*integer_sequence(values))):
+        if "cauchy" in labels:
+            assert ineq.holds, (T, n, values)
+
+
+def test_cauchy_label_not_on_negative_sum(tmp_path, capsys):
+    # -1, -2, -3: every row fails, the sum is negative, so no row is "cauchy"
+    path = tmp_path / "neg.txt"
+    path.write_text("-1\n-2\n-3\n")
+    assert cli.main(["verify-needed", "--T", "4", "--sequence", str(path)]) == 1
+    rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [row["holds"] for row in rows] == [False] * 4
+    assert [row["branches"] for row in rows] == [["closed-form"]] * 4
 
 
 @pytest.mark.parametrize("T", [2, 1, 0])
