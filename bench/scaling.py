@@ -3,7 +3,8 @@
     python3 bench/scaling.py [--src DIR [--src DIR2]] [--layer NAME [--layer NAME2]]
 
 Times the direct certificate as the CLI runs it,
-`sigma_verdict(SigmaInstance(N, k), "direct")`, over every k of one N at
+`sigma_verdict(SigmaInstance(N, k), "direct")` (the walk, its primitivity
+step and the box's staircase table), over every k of one N at
 N = 30, 60, 90, 120, 200, `primitive_profile(N)` at N = 12, 24, 36,
 `sigma_closed` over every k of one N at N = 60, 120, 200, 300,
 `alternating_profile` of the harmonic sequence at T = 200, 400,
@@ -33,9 +34,7 @@ many pairs the change ran faster.  one_sided_sizes counts the sizes where
 the change ran faster in at most 2 or at least REPEAT - 2 pairs.  A
 layer-level claim needs at least two such sizes: one size alone is not
 enough, since an unchanged layer has read 9 of 10 pairs at one size on a
-shared 2-CPU host.  Sizes in CHANGE_ONLY, where the parent
-would take minutes to hours, run on the change alone; each tree's record
-lists the sizes it ran.
+shared 2-CPU host.
 """
 
 from __future__ import annotations
@@ -57,7 +56,7 @@ REPEAT = 10
 LAYERS = {
     "sigma_direct_all_k": (
         "N",
-        (30, 60, 90, 120),
+        (30, 60, 90, 120, 200),
         "from grasshodge.lefschetz import SigmaInstance, sigma_verdict",
         "for k in range(N // 2 + 1): sigma_verdict(SigmaInstance(N, k), 'direct')",
     ),
@@ -133,8 +132,6 @@ LAYERS = {
         "with contextlib.redirect_stdout(sink): cli.main(['verify-needed', '--T', str(T)])",
     ),
 }
-# layer: sizes timed on the last tree given only
-CHANGE_ONLY = {"sigma_direct_all_k": (200,)}
 CHILD = """import resource, sys, time
 sys.path.insert(0, {src!r})
 {setup}
@@ -174,20 +171,17 @@ def main(argv=None) -> int:
     record = {"trees": srcs, "repeat": REPEAT, "layers": {}}
     for layer in args.layer or LAYERS:
         var, sizes, setup, stmt = LAYERS[layer]
-        all_sizes = sizes + CHANGE_ONLY.get(layer, ())
-        # runs[size index][tree] lists one (seconds, MB, children's MB) per repeat, pairs
-        # aligned; a tree that does not run a size keeps an empty list there
+        # runs[size index][tree] lists one (seconds, MB, children's MB) per repeat, pairs aligned
         runs = []
-        for size in all_sizes:
-            timed = trees if size in sizes else trees[-1:]
+        for size in sizes:
             by_tree = [[] for _ in srcs]
             for rep in range(REPEAT):
-                for i in timed if rep % 2 == 0 else reversed(timed):
+                for i in trees if rep % 2 == 0 else reversed(trees):
                     by_tree[i].append(measure(srcs[i], var, size, setup, stmt))
             runs.append(by_tree)
-        out = {var: list(all_sizes), "trees": []}
+        out = {var: list(sizes), "trees": []}
         for i in trees:
-            ran = [(size, by_tree[i]) for size, by_tree in zip(all_sizes, runs) if by_tree[i]]
+            ran = [(size, by_tree[i]) for size, by_tree in zip(sizes, runs)]
             medians = {size: statistics.median(t for t, _, _ in pairs) for size, pairs in ran}
             out["trees"].append({
                 var: list(medians),
@@ -203,7 +197,7 @@ def main(argv=None) -> int:
             })
         if len(srcs) == 2:
             ratios = [
-                [b / a for (a, _, _), (b, _, _) in zip(*by_tree)] for by_tree in runs[: len(sizes)]
+                [b / a for (a, _, _), (b, _, _) in zip(*by_tree)] for by_tree in runs
             ]
             faster = [sum(x < 1 for x in r) for r in ratios]
             out["ratio_change_over_parent"] = {

@@ -31,6 +31,7 @@ from .exactmath import (
     validate_concave,
 )
 from .lefschetz import (
+    NotPrimitive,
     SigmaInstance,
     chain_constant,
     correction_op,

@@ -489,8 +489,9 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except racah.InexactStep as exc:
-        # a step of a principal-weight walk left a remainder: a value is corrupt
+    except (racah.InexactStep, lefschetz.NotPrimitive) as exc:
+        # a principal-weight step left a remainder, or the direct walk's class
+        # is not primitive: a value is corrupt
         print(f"{args.command} FAILED: {exc}", file=sys.stderr)
         return 1
     return 0 if ok else 1

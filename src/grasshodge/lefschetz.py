@@ -6,10 +6,15 @@ lower hyperplane powers L^(n-b) alpha of the primitive class with the
 corrected upper powers C(L^(n+b) alpha), b = 0..n; sigma_walk gets all of
 them from one walk L^0 alpha, ..., L^(2n) alpha on integer coefficient
 vectors, one two-term Pieri step per power, and contracts each lower power
-with the integer staircase of the correction operator.  In closed form, it
-is the principal weight times the margin of row n = N - 2k of the harmonic
-alternating inequality at T = N + 2, read off one row walk of the Racah
-values.  The direct route uses no Racah code, so the two stay independent;
+with the integer staircase of the correction operator.  One table per box
+holds L = lcm(1, ..., N + 1) and the N + 1 staircases that every k of the
+box reads.  The walk takes one step more and requires L^(2n+1) alpha = 0
+with alpha nonzero: the primitive part in codimension 2k is the kernel of
+that power and has rank 1, so the walk proves that its class spans it.  In
+closed form, the certificate is the principal weight times the margin of
+row n = N - 2k of the harmonic alternating inequality at T = N + 2, read off
+one row walk of the Racah values, as one Fraction over L.  The direct route
+uses no Racah code, so the two stay independent;
 sigma_verdict returns the certificate with whether the two agree, and
 sigma_direct, the same pairing on whole Chow classes, is the definitional
 reference for the walk.
@@ -26,7 +31,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
+from operator import add, mul
 
+from . import racah
 from .chowring import (
     ChowElement,
     Partition2,
@@ -35,7 +43,6 @@ from .chowring import (
     primitive_class,
 )
 from .exactmath import harmonic_numerators
-from .racah import alternating_lhs, principal_weight
 
 _ZERO = Fraction(0)
 
@@ -87,6 +94,16 @@ def _staircase(N: int, b: int) -> list[int]:
     return g
 
 
+@lru_cache(maxsize=1)
+def _box_table(N: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """L = lcm(1, ..., N + 1) and the staircases _staircase(N, b), b = 0..N.
+
+    Every k of the box reads its staircases b = 0..N - 2k from this one
+    table, so the last box's table is kept; tuples keep it read-only.
+    """
+    return _harmonic_table(N + 1)[0], tuple(tuple(_staircase(N, b)) for b in range(N + 1))
+
+
 def correction_op(x: ChowElement) -> ChowElement:
     """Degree-preserving correction operator on the box of width N.
 
@@ -135,18 +152,34 @@ def _pieri_step(v: list[int], w: int, N: int) -> list[int]:
     """One hyperplane step on the weight-w coefficients v[j] of s(w - j, j).
 
     s(a, j) goes to s(a + 1, j) + s(a, j + 1), so s(w + 1 - j, j) collects
-    v[j] + v[j - 1].  Two steps leave the box: s(j, j) -> s(j, j + 1), which
-    the slice of v leaves out, and s(N, j) -> s(N + 1, j), which is cleared.
-    Entries j < w - N, below the box, stay 0.
+    v[j] + v[j - 1], and at odd w the last entry also gives the new last,
+    j = (w + 1) / 2.  Two steps leave the box: s(j, j) -> s(j, j + 1), the
+    image of the last entry at even w, which is not appended, and
+    s(N, j) -> s(N + 1, j), which is cleared.  Entries j < w - N, below the
+    box, stay 0.
     """
-    out = [x + y for x, y in zip(v + [0], [0] + v[: (w + 1) // 2])]
+    out = [v[0], *map(add, v[1:], v)]
+    if w & 1:
+        out.append(v[-1])
     if w >= N:
         out[w - N] = 0
     return out
 
 
+def _primitive_coefficients(N: int, k: int) -> list[int]:
+    """The integer coefficients v[j] of chowring.primitive_class(N, k) on
+    s(2k - j, j), j = 0..k: (-1)^j C(N+1-j, n) C(n+j, n) with n = N - 2k."""
+    n = N - 2 * k
+    return [(-1) ** j * comb(N + 1 - j, n) * comb(n + j, n) for j in range(k + 1)]
+
+
+class NotPrimitive(ArithmeticError):
+    """The direct walk's class alpha is zero or L^(2n+1) alpha is not: a
+    coefficient of the walk is corrupt, so its certificate is not decided."""
+
+
 def sigma_walk(inst: SigmaInstance) -> Fraction:
-    """The direct certificate from one integer walk L^0 alpha, ..., L^(2n) alpha.
+    """The direct certificate from one integer walk L^0 alpha, ..., L^(2n+1) alpha.
 
     The walk holds the coefficients v[j] of s(w - j, j) at weight
     w = 2k + r, one Pieri step per power.  The upper power L^(n+b) alpha
@@ -155,31 +188,49 @@ def sigma_walk(inst: SigmaInstance) -> Fraction:
     with s(N - b - i, i) of the lower power L^(n-b) alpha, the coefficient
     v[i] at r = n - b.  So the certificate is sum_b t_b S_b / L, where
     L = lcm(1, ..., N + 1) and S_b = sum_i g_b[i] v[i] contracts the lower
-    power with the integer staircase g_b = L C(s(N, b)).
+    power with the integer staircase g_b = L C(s(N, b)); one table
+    (_box_table) holds L and every staircase the k of one box read.
+
+    The walk ends one step past the pairing, at L^(2n+1) alpha, and requires
+    it to be 0 with alpha nonzero.  The codimension-2k primitive part is the
+    kernel of L^(2n+1) there, of rank betti(N, 2k) - betti(N, 2k - 1) = 1, so
+    that proves alpha spans it.  Raises NotPrimitive otherwise.
     """
     N, k, n = inst.N, inst.k, inst.n
-    L = _harmonic_table(N + 1)[0]
-    alpha = primitive_class(N, k)
-    v = [alpha.coeff(2 * k - j, j) for j in range(k + 1)]
-    lower = [0] * (n + 1)  # S_b, stored at r = n - b until r = n + b reads it
-    total = 0
-    for r in range(2 * n + 1):
-        if r <= n:
-            lower[n - r] = sum(g * c for g, c in zip(_staircase(N, n - r), v))
-        if r >= n:
-            total += v[r - n] * lower[r - n]
-        if r < 2 * n:
-            v = _pieri_step(v, 2 * k + r, N)
-    return Fraction(total, L)
+    L, stairs = _box_table(N)
+    v = _primitive_coefficients(N, k)
+    nonzero = any(v)
+    # weight w = 2k + r, so the lower power L^(n-b) alpha sits at w = N - b
+    # and the upper power L^(n+b) alpha at w = N + b, where t_b = v[w - N]
+    lower = []  # S_n, ..., S_0
+    for w in range(2 * k, N):
+        lower.append(sum(map(mul, stairs[N - w], v)))
+        v = _pieri_step(v, w, N)
+    lower.append(sum(map(mul, stairs[0], v)))
+    tops = []  # t_0, ..., t_n
+    for w in range(N, 2 * (N - k) + 1):
+        tops.append(v[w - N])
+        v = _pieri_step(v, w, N)
+    if not nonzero or any(v):
+        raise NotPrimitive(
+            f"the class alpha at N={N}, k={k} is not primitive: "
+            + ("it is 0" if not nonzero else f"L^{2 * n + 1} alpha is not 0")
+        )
+    return Fraction(sum(map(mul, tops, reversed(lower))), L)
 
 
 def sigma_closed(inst: SigmaInstance) -> Fraction:
     """Certificate from the closed form: the principal weight times the
     margin rhs - lhs of row n of the alternating inequality for the harmonic
-    numbers at T."""
+    numbers at T.
+
+    With h[s] = L H_s, the row walk w_n(s) = P_n R_n(s, T) and P_n = w_n(0),
+    that is one Fraction (P_n sum_s h[s] - sum_s (-1)^(s+1) w_n(s) h[s]) / L.
+    """
     n, T = inst.n, inst.T
     L, h, column_sum = _harmonic_table(T - 1)  # h[i] = L H_i
-    return principal_weight(n, T) * (Fraction(column_sum, L) - alternating_lhs(n, T, h, L))
+    row = racah._principal_row(n, T)
+    return Fraction(row[0] * column_sum - racah._alternating_dot(row, h), L)
 
 
 def sigma_verdict(inst: SigmaInstance, method: str = "both") -> tuple[Fraction, bool]:

@@ -32,7 +32,7 @@ from functools import lru_cache
 from math import comb, lcm
 from operator import ge, mul
 
-from .exactmath import exp_compare
+from .exactmath import exp_compare, validate_concave
 
 
 # ---------------------------------------------------------------------------
@@ -281,9 +281,13 @@ def alternating_lhs(n: int, T: int, h, scale: int) -> Fraction:
     w_n(0) = P_n, so the sum is one integer over P_n scale.
     """
     row = _principal_row(n, T)
-    # odd s add, even s subtract
-    lhs = sum(map(mul, row[1:T:2], h[1:T:2])) - sum(map(mul, row[2:T:2], h[2:T:2]))
-    return Fraction(lhs, row[0] * scale)
+    return Fraction(_alternating_dot(row, h), row[0] * scale)
+
+
+def _alternating_dot(row: list[int], h) -> int:
+    """sum_s (-1)^(s+1) row[s] h[s] over s = 1..len(row)-1: odd s add, even
+    s subtract."""
+    return sum(map(mul, row[1::2], h[1::2])) - sum(map(mul, row[2::2], h[2::2]))
 
 
 def alternating_profile(scale: int, h) -> list[Inequality]:
@@ -312,14 +316,16 @@ def certify_alternating_bound(scale: int, h) -> list[tuple[Inequality, tuple[str
     """Each row of alternating_profile(scale, h), n = 0..T-1, T = len(h),
     paired with the labels of the routes that certify it.
 
-    The labels may be "cauchy" (the sufficient inequality holds),
-    "closed-form" (n <= 3 or n = T-1, rows with explicit formulas), and
-    "legendre" (T >= 90 and n < log T, the comparison-family regime; its
-    supporting checks live with the tests in tests/legendre_checks.py).  A
+    The labels may be "cauchy" (the sufficient inequality holds, for a
+    positive sum), "closed-form" (n <= 3 or n = T-1, rows with explicit
+    formulas), and "legendre" (T >= 90 and n < log T, the comparison-family
+    regime; its supporting checks live with the tests in
+    tests/legendre_checks.py).  The last two rest on a concave increasing
+    sequence (exactmath.validate_concave), so only such input gets them.  A
     row is covered when it has a label; the inequality itself is always
-    decided by direct exact evaluation.  For concave input
-    (exactmath.validate_concave) every row is covered; other input still
-    gets exact rows, but coverage is not guaranteed.
+    decided by direct exact evaluation.  For concave input every row is
+    covered; other input still gets exact rows, but coverage is not
+    guaranteed.
     """
     profile = alternating_profile(scale, h)
     T = len(h)
@@ -334,9 +340,12 @@ def certify_alternating_bound(scale: int, h) -> list[tuple[Inequality, tuple[str
         d = lcm(*range(3, 2 * T, 2))
         cleared = sum(v * v * (d // (2 * s + 1)) for s, v in enumerate(h[1:], 1))
         cauchy_from = (T * T * cleared // (total * total * d) + 1) // 2
-    # e^n < T fails from some n on, so one count of the n below it serves all
+    # the closed forms and the comparison family hold for concave increasing
+    # sequences only; e^n < T fails from some n on, so one count of the n
+    # below it serves all
+    concave = validate_concave(h)
     below_log = 0
-    if T >= 90:
+    if concave and T >= 90:
         while n_below_log(below_log, T):
             below_log += 1
     out = []
@@ -344,7 +353,7 @@ def certify_alternating_bound(scale: int, h) -> list[tuple[Inequality, tuple[str
         labels = []
         if n >= cauchy_from:
             labels.append("cauchy")
-        if n <= 3 or n == T - 1:
+        if concave and (n <= 3 or n == T - 1):
             labels.append("closed-form")
         if n < below_log:
             labels.append("legendre")

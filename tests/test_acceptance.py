@@ -21,12 +21,17 @@ from grasshodge.exactmath import binomial, integer_sequence, random_concave
 from grasshodge.lefschetz import (
     SigmaInstance,
     chain_constant,
-    principal_weight,
     proj_commutator_check,
     sigma_closed,
     sigma_direct,
 )
-from grasshodge.racah import alternating_profile, bound_scan, orthogonality_profile, racah_eval
+from grasshodge.racah import (
+    alternating_profile,
+    bound_scan,
+    orthogonality_profile,
+    principal_weight,
+    racah_eval,
+)
 from legendre_checks import (
     lattice_node,
     legendre_approx_profile,

@@ -394,8 +394,10 @@ def _verify_grassmannian(capsys):
 def test_fault_injection_binomial_row(monkeypatch, capsys):
     # a count off by one in both power routes: the reference powers read
     # C(3, 1) as 4 off every third binomial row, and the certificate walk's
-    # Pieri step into weight 3 collects s(2, 1) once too often; the
-    # certificate cross-check and the power oracles must each see theirs
+    # Pieri step into weight 3 collects s(2, 1) once too often.  The power
+    # oracles must see theirs; the walk ends at L^(2n+1) alpha, which the
+    # stray term leaves nonzero, so its primitivity step stops the direct
+    # route at the first instance, N = 1, k = 0, before any row is printed
     real = chowring.comb
     monkeypatch.setattr(chowring, "comb", lambda r, j: real(r, j) + (r == 3 and j == 1))
     real_step = lefschetz._pieri_step
@@ -407,10 +409,19 @@ def test_fault_injection_binomial_row(monkeypatch, capsys):
         return out
 
     monkeypatch.setattr(lefschetz, "_pieri_step", corrupted)
-    code, rows = _verify_grassmannian(capsys)
-    assert code == 1
-    assert any(not row["agree"] for row in rows)
+    for method in ("both", "direct"):
+        code = main(["verify-grassmannian", "--Nmax", "8", "--method", method])
+        out, err = capsys.readouterr()
+        assert (code, out) == (1, "")
+        assert "FAILED" in err and "N=1, k=0 is not primitive: L^3 alpha is not 0" in err
+    with pytest.raises(lefschetz.NotPrimitive, match="N=4, k=1"):
+        sigma_verdict(SigmaInstance(4, 1), "both")
+    # at k = 0 the last power has weight 2N + 1, past the box, so the step
+    # proves nothing there (every class of codimension 0 is primitive); the
+    # stray term, walked out of the box by then, still moves the certificate
     assert sigma_verdict(SigmaInstance(4, 0), "both")[1] is False
+    # the closed route walks no Pieri step
+    assert main(["verify-grassmannian", "--Nmax", "8", "--method", "closed"]) == 0
     assert _power_mismatches(10)
 
 

@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import hashlib
 import io
 import json
@@ -654,7 +655,11 @@ def test_fault_injection_operator_coefficient(monkeypatch, capsys):
 def test_fault_injection_correction_op(monkeypatch, capsys):
     # one staircase weight off by 1 at N = 5, the weight of the top-row class
     # s(5, b) in L C(s(5, b)): the direct pipeline must disagree with the
-    # closed form on exactly those rows
+    # closed form on exactly those rows.  The walk reads its staircases from
+    # the box table, so the test runs on an empty table of its own: the
+    # patched _staircase is reached whatever box the shared table holds,
+    # and no corrupted table outlives the test
+    lefschetz.sigma_walk(lefschetz.SigmaInstance(5, 0))  # the shared table now holds box 5
     real = lefschetz._staircase
 
     def corrupted(N, b):
@@ -664,6 +669,9 @@ def test_fault_injection_correction_op(monkeypatch, capsys):
         return g
 
     monkeypatch.setattr(lefschetz, "_staircase", corrupted)
+    monkeypatch.setattr(
+        lefschetz, "_box_table", functools.lru_cache(maxsize=1)(lefschetz._box_table.__wrapped__)
+    )
     code, out, err = run_cli(capsys, "verify-grassmannian", "--Nmax", "6", "--method", "both")
     assert code == 1
     rows = [json.loads(line) for line in out.splitlines()]
@@ -672,6 +680,30 @@ def test_fault_injection_correction_op(monkeypatch, capsys):
     assert "FAILED" in err
     for k in range(3):
         assert lefschetz.sigma_verdict(lefschetz.SigmaInstance(5, k), "both")[1] is False
+    code, _, _ = run_cli(capsys, "verify-grassmannian", "--Nmax", "6", "--method", "closed")
+    assert code == 0
+
+
+@pytest.mark.parametrize("method", ["direct", "both"])
+def test_fault_injection_alpha_coefficient(monkeypatch, capsys, method):
+    # the top coefficient of alpha at N = 6, k = 2 off by 1: the walk's last
+    # power L^5 alpha is no longer 0, so the direct route stops at that
+    # instance with exit 1, after the rows before it
+    real = lefschetz._primitive_coefficients
+
+    def corrupted(N, k):
+        v = real(N, k)
+        if (N, k) == (6, 2):
+            v[-1] += 1
+        return v
+
+    monkeypatch.setattr(lefschetz, "_primitive_coefficients", corrupted)
+    code, out, err = run_cli(capsys, "verify-grassmannian", "--Nmax", "6", "--method", method)
+    assert code == 1
+    rows = [json.loads(line) for line in out.splitlines()]
+    assert [(r["N"], r["k"]) for r in rows][-2:] == [(6, 0), (6, 1)]
+    assert "FAILED" in err and "N=6, k=2 is not primitive: L^5 alpha is not 0" in err
+    assert "Traceback" not in err
     code, _, _ = run_cli(capsys, "verify-grassmannian", "--Nmax", "6", "--method", "closed")
     assert code == 0
 
@@ -743,10 +775,12 @@ def test_stdout_pinned(capsys, argv, digest):
 @pytest.mark.parametrize(
     "values, digest",
     [
-        # a zero sum: no row is "cauchy", and 0 < 0 fails on every row
-        ("0\n0\n0\n0\n", "dada2b336e42b33a5a0e5410acb9af00dac80554b8197fe91be04091115724fb"),
-        # mixed signs: a negative right side, not concave
-        ("1\n-1\n2\n-3\n", "2f5005363dfdc83f6638b83f40fe564de93a28139f4064df3fb9d08c355539d4"),
+        # a zero sum: no row is "cauchy", and 0 < 0 fails on every row; the
+        # sequence is not increasing, so no row is "closed-form" either and
+        # every row reads covered: false
+        ("0\n0\n0\n0\n", "590fbaf23c0f8a85b9f423a51370976ac0a747843204bbcd10625f81c9364113"),
+        # mixed signs: a negative right side, not concave, no row labelled
+        ("1\n-1\n2\n-3\n", "51dcfe2abadc8a23df290a79b7c7069802a247574779870497791d9564df5029"),
     ],
     ids=["zero-sum", "mixed-sign"],
 )

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from grasshodge.chowring import (
+    betti,
     box_partitions,
     intersection_pairing,
     lefschetz_power,
@@ -16,14 +17,13 @@ from grasshodge.lefschetz import (
     SigmaInstance,
     chain_constant,
     correction_op,
-    principal_weight,
     proj_commutator_check,
     sigma_closed,
     sigma_direct,
     sigma_verdict,
     sigma_walk,
 )
-from grasshodge.racah import racah_eval
+from grasshodge.racah import principal_weight, racah_eval
 from oracles import (
     apply_label_map,
     correction_weight,
@@ -86,6 +86,47 @@ def test_walk_matches_closed_form():
         for k in range(N // 2 + 1):
             inst = SigmaInstance(N, k)
             assert sigma_walk(inst) == sigma_closed(inst), (N, k)
+
+
+def test_walk_alpha_is_the_primitive_class():
+    # the walk builds alpha's integers directly; they are the coefficients
+    # of chowring.primitive_class, term for term
+    for N in range(1, 41):
+        for k in range(N // 2 + 1):
+            alpha = primitive_class(N, k)
+            v = lefschetz._primitive_coefficients(N, k)
+            assert {(2 * k - j, j): c for j, c in enumerate(v)} == alpha.terms, (N, k)
+
+
+def test_primitive_part_has_rank_one():
+    # the primitivity step proves alpha spans the kernel of L^(2n+1) in
+    # codimension 2k because that kernel has rank betti(2k) - betti(2k-1) = 1
+    for N in range(1, 201):
+        for k in range(N // 2 + 1):
+            assert betti(N, 2 * k) - betti(N, 2 * k - 1) == 1, (N, k)
+
+
+def test_walk_rejects_alpha_off_by_one_in_any_coefficient(monkeypatch):
+    # for k >= 1 the primitive part is spanned by alpha, which has k + 1 >= 2
+    # nonzero coefficients, so no alpha + e_j lies in it: L^(2n+1) of every
+    # such class is nonzero, and the walk must raise on it
+    real = lefschetz._primitive_coefficients
+    for N in range(2, 17):
+        for k in range(1, N // 2 + 1):
+            for j in range(k + 1):
+
+                def corrupted(N_, k_, j=j):
+                    v = real(N_, k_)
+                    v[j] += 1
+                    return v
+
+                monkeypatch.setattr(lefschetz, "_primitive_coefficients", corrupted)
+                with pytest.raises(lefschetz.NotPrimitive, match=f"N={N}, k={k} "):
+                    sigma_walk(SigmaInstance(N, k))
+    # a zero class is in every kernel; the walk asks for alpha != 0 as well
+    monkeypatch.setattr(lefschetz, "_primitive_coefficients", lambda N, k: [0] * (k + 1))
+    with pytest.raises(lefschetz.NotPrimitive, match="N=6, k=2 is not primitive: it is 0"):
+        sigma_walk(SigmaInstance(6, 2))
 
 
 def test_sigma_closed_matches_weighted_harmonic_sum():

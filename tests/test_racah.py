@@ -558,6 +558,20 @@ def test_certify_covers_harmonic():
     assert found == {"cauchy", "closed-form", "legendre"}
 
 
+def test_concave_routes_need_concave_input():
+    # the harmonic numbers at T = 100 with H_3 raised by 1/8: the sequence
+    # still increases, but its step 1/4 - 1/8 into H_4 is below the next,
+    # 1/5, so it is not concave.  "closed-form" and "legendre" rest on
+    # concavity and label no row; "cauchy" does not, and keeps its rows
+    values = list(_harmonic_values(100))
+    values[2] += Fraction(1, 8)
+    scale, h = integer_sequence(values)
+    assert not validate_concave(h)
+    certified = certify_alternating_bound(scale, h)
+    assert {labels for _, labels in certified} == {(), ("cauchy",)}
+    assert all(ineq.holds for ineq, labels in certified if labels)
+
+
 def test_certify_branches_match_per_degree_rules():
     # the legendre cutoff is found once per T; every n must still get the
     # labels that the per-degree rules give, n_below_log(n, T) included
@@ -638,7 +652,8 @@ def test_certify_matches_oracles_on_any_rationals(T, data):
         assert (ineq.lhs, ineq.rhs) == (want.lhs, want.rhs), (T, n)
         assert ineq.holds == want.holds
         want_labels = ["cauchy"] if cauchy_sufficient(values, n, T).holds else []
-        want_labels += ["closed-form"] if n <= 3 or n == T - 1 else []
+        closed_form = n <= 3 or n == T - 1
+        want_labels += ["closed-form"] if closed_form and fraction_concave_increasing(values) else []
         assert labels == tuple(want_labels), (T, n)
 
 
@@ -654,14 +669,26 @@ def test_cauchy_label_only_on_rows_that_hold(T, data):
             assert ineq.holds, (T, n, values)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(3, 12), st.data())
+def test_labelled_rows_hold_on_any_rationals(T, data):
+    # a label names a route that proves its row: whatever the sequence, no
+    # row that carries one may fail
+    values = data.draw(_rationals(T))
+    for n, (ineq, labels) in enumerate(certify_alternating_bound(*integer_sequence(values))):
+        assert ineq.holds or not labels, (T, n, values, labels)
+
+
 def test_cauchy_label_not_on_negative_sum(tmp_path, capsys):
-    # -1, -2, -3: every row fails, the sum is negative, so no row is "cauchy"
+    # -1, -2, -3: every row fails, the sum is negative, so no row is "cauchy";
+    # the sequence falls, so no row is "closed-form" and none is covered
     path = tmp_path / "neg.txt"
     path.write_text("-1\n-2\n-3\n")
     assert cli.main(["verify-needed", "--T", "4", "--sequence", str(path)]) == 1
     rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     assert [row["holds"] for row in rows] == [False] * 4
-    assert [row["branches"] for row in rows] == [["closed-form"]] * 4
+    assert [row["branches"] for row in rows] == [[]] * 4
+    assert [row["covered"] for row in rows] == [False] * 4
 
 
 @pytest.mark.parametrize("T", [2, 1, 0])
