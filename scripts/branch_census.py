@@ -33,7 +33,7 @@ def main():
     header = f"{'T':>4}  " + "".join(f"{r:>12}" for r in ROUTES) + "  min margin"
     print(header)
     for T in range(args.Tmin, args.Tmax + 1):
-        rows = certify_alternating_bound(*harmonic_numerators(T - 1))
+        _, rows = certify_alternating_bound(*harmonic_numerators(T - 1))
         counts = Counter(label for _, labels in rows for label in labels)
         margin = min((ineq.rhs - ineq.lhs) / ineq.rhs for ineq, _ in rows)
         uncovered.extend((T, n) for n, (_, labels) in enumerate(rows) if not labels)

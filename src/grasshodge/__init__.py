@@ -14,11 +14,9 @@ from .chowring import (
     hodge_star,
     intersection_pairing,
     lefschetz_kernel,
-    lefschetz_op,
     lefschetz_power,
     primitive_class,
     primitive_profile,
-    schubert,
 )
 from .exactmath import (
     binomial,

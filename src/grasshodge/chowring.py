@@ -10,13 +10,13 @@ solve, the correction operator) brings in Fraction.
 
 A class built by the public constructor ChowElement(N, terms) is validated:
 every partition must fit in the box, and zero coefficients are dropped from
-a copy of the map.  The library's own operations (Pieri steps, powers, the
-Hodge star, the kernel basis, the correction operator) only ever produce
-in-box partitions with nonzero coefficients, so they build their results
-through the private ChowElement._trusted, which takes ownership of the map
-as it stands and skips the per-term check.  Anything coming from a caller
-goes through the validating constructor.  Classes carry no arithmetic of
-their own: a combination is built as a map and passed to the constructor.
+a copy of the map.  The library's own operations (powers, the Hodge star,
+the primitive class, the kernel basis, the correction operator) only ever
+produce in-box partitions with nonzero coefficients, so they build their
+results through the private ChowElement._trusted, which takes ownership of
+the map as it stands and skips the per-term check.  Anything coming from a
+caller goes through the validating constructor.  Classes carry no arithmetic
+of their own: a combination is built as a map and passed to the constructor.
 """
 
 from __future__ import annotations
@@ -25,27 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, gcd
 
-from .exactmath import binomial
-
 Partition2 = tuple[int, int]
-
-
-def valid_partition(N: int, a: int, b: int) -> bool:
-    return N >= a >= b >= 0
-
-
-def _insert(
-    acc: dict[Partition2, int | Fraction], N: int, a: int, b: int, c: int | Fraction
-) -> None:
-    # Out-of-box Schubert symbols are identically zero, so they are dropped
-    # here rather than policed by every caller.
-    if not c or not valid_partition(N, a, b):
-        return
-    new = acc.get((a, b), 0) + c
-    if new:
-        acc[(a, b)] = new
-    else:
-        del acc[(a, b)]
 
 
 @dataclass(frozen=True)
@@ -64,7 +44,7 @@ class ChowElement:
             raise ValueError(f"box width must be positive, got {self.N}")
         clean: dict[Partition2, int | Fraction] = {}
         for (a, b), c in self.terms.items():
-            if not valid_partition(self.N, a, b):
+            if not self.N >= a >= b >= 0:
                 raise ValueError(f"({a},{b}) does not fit in the 2 x {self.N} box")
             if c:
                 clean[(a, b)] = c
@@ -89,13 +69,6 @@ class ChowElement:
         return not self.terms
 
 
-def schubert(N: int, a: int, b: int) -> ChowElement:
-    """The single Schubert class s(a, b)."""
-    if not valid_partition(N, a, b):
-        raise ValueError(f"({a},{b}) does not fit in the 2 x {N} box")
-    return ChowElement(N, {(a, b): 1})
-
-
 def box_partitions(N: int, p: int) -> list[Partition2]:
     """Weight-p partitions in the 2 x N box, sorted (a, b) descending."""
     out = []
@@ -113,19 +86,6 @@ def betti(N: int, p: int) -> int:
     return len(box_partitions(N, p))
 
 
-def lefschetz_op(x: ChowElement) -> ChowElement:
-    """Hyperplane multiplication by the two-row Pieri rule.
-
-    s(a, b) goes to s(a+1, b) + s(a, b+1), with symbols leaving the box
-    dropped.
-    """
-    acc: dict[Partition2, int | Fraction] = {}
-    for (a, b), c in x.terms.items():
-        _insert(acc, x.N, a + 1, b, c)
-        _insert(acc, x.N, a, b + 1, c)
-    return ChowElement._trusted(x.N, acc)
-
-
 def lefschetz_power(x: ChowElement, r: int) -> ChowElement:
     """r-fold hyperplane multiplication in a single closed-form pass.
 
@@ -134,7 +94,9 @@ def lefschetz_power(x: ChowElement, r: int) -> ChowElement:
     ballot count C(r, a-m1) - C(r, a-m2+1): all words of r row steps with a-m1
     first-row steps, minus, by reflection, those whose second row overtakes.
     Every count reads off one binomial row C(r, 0..N+1), so the result is
-    assembled directly instead of iterating lefschetz_op r times.
+    assembled directly instead of taking r one-step Pieri images; r = 1 is
+    that step, s(a, b) to s(a+1, b) + s(a, b+1) with symbols leaving the box
+    dropped.
     """
     if r < 0:
         raise ValueError(f"need r >= 0, got {r}")
@@ -205,6 +167,13 @@ def intersection_pairing(x: ChowElement, y: ChowElement) -> int | Fraction:
     return Fraction(num, den) if rational else num
 
 
+def _primitive_coefficients(N: int, k: int) -> list[int]:
+    """The integer coefficients of primitive_class(N, k) on s(2k - j, j),
+    j = 0..k: (-1)^j C(N+1-j, n) C(n+j, n) with n = N - 2k, all nonzero."""
+    n = N - 2 * k
+    return [(-1) ** j * comb(N + 1 - j, n) * comb(n + j, n) for j in range(k + 1)]
+
+
 def primitive_class(N: int, k: int) -> ChowElement:
     """Integral generator of the codimension-2k primitive part.
 
@@ -213,12 +182,8 @@ def primitive_class(N: int, k: int) -> ChowElement:
     """
     if not 0 <= 2 * k <= N:
         raise ValueError(f"need 0 <= 2k <= N, got N={N}, k={k}")
-    n = N - 2 * k
-    acc: dict[Partition2, int] = {}
-    for j in range(k + 1):
-        c = (-1) ** j * binomial(N + 1 - j, n) * binomial(n + j, n)
-        _insert(acc, N, 2 * k - j, j, c)
-    return ChowElement(N, acc)
+    v = _primitive_coefficients(N, k)
+    return ChowElement._trusted(N, {(2 * k - j, j): c for j, c in enumerate(v)})
 
 
 def _nullspace(rows: list[list[int | Fraction]], ncols: int) -> list[list[Fraction]]:
@@ -271,13 +236,15 @@ def lefschetz_kernel(N: int, p: int) -> list[ChowElement]:
     if not 0 <= p <= 2 * N:
         raise ValueError(f"need 0 <= p <= 2N, got p={p}, N={N}")
     dom = box_partitions(N, p)
-    cod = box_partitions(N, p + 1)
-    cod_index = {lam: i for i, lam in enumerate(cod)}
-    rows = [[0] * len(dom) for _ in cod]
-    for j, lam in enumerate(dom):
-        image = lefschetz_op(schubert(N, *lam))
-        for mu, c in image.terms.items():
-            rows[cod_index[mu]][j] = c
+    cod_index = {lam: i for i, lam in enumerate(box_partitions(N, p + 1))}
+    rows = [[0] * len(dom) for _ in cod_index]
+    for j, (a, b) in enumerate(dom):
+        # the Pieri rule s(a, b) -> s(a+1, b) + s(a, b+1); a target is in the
+        # box exactly when it is a codimension-(p+1) partition
+        for mu in ((a + 1, b), (a, b + 1)):
+            i = cod_index.get(mu)
+            if i is not None:
+                rows[i][j] = 1
     return [
         ChowElement._trusted(N, {lam: c for lam, c in zip(dom, v) if c})
         for v in _nullspace(rows, len(dom))

@@ -29,7 +29,6 @@ from .exactmath import (
     integer_sequence,
     parse_rational,
     random_concave,
-    validate_concave,
 )
 
 
@@ -251,9 +250,8 @@ def cmd_verify_needed(args: argparse.Namespace, out: TextIO, err: TextIO) -> boo
     if args.T is None or args.T < 3:
         raise UsageError("need --T at least 3")
     scale, h, label, seed = _resolve_sequence(args.sequence_source, args.T, args.seed)
-    concave = validate_concave(h)
     # every row is walked before the first byte; one right side serves all
-    certified = racah.certify_alternating_bound(scale, h)
+    concave, certified = racah.certify_alternating_bound(scale, h)
     rhs = certified[0][0].rhs
     rhs_text, rhs_approx = format_rational(rhs), decimal_approx(rhs)
     columns = [
@@ -490,8 +488,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (racah.InexactStep, lefschetz.NotPrimitive) as exc:
-        # a principal-weight step left a remainder, or the direct walk's class
-        # is not primitive: a value is corrupt
+        # a principal-weight step left a remainder, or the direct walk failed
+        # its primitivity or degree check: a value is corrupt
         print(f"{args.command} FAILED: {exc}", file=sys.stderr)
         return 1
     return 0 if ok else 1

@@ -10,14 +10,14 @@ with the integer staircase of the correction operator.  One table per box
 holds L = lcm(1, ..., N + 1) and the N + 1 staircases that every k of the
 box reads.  The walk takes one step more and requires L^(2n+1) alpha = 0
 with alpha nonzero: the primitive part in codimension 2k is the kernel of
-that power and has rank 1, so the walk proves that its class spans it.  In
-closed form, the certificate is the principal weight times the margin of
+that power and has rank 1, so the walk proves that its class spans it (at
+k = 0, where that power lies past the box, it checks the degree instead).
+In closed form, the certificate is the principal weight times the margin of
 row n = N - 2k of the harmonic alternating inequality at T = N + 2, read off
 one row walk of the Racah values, as one Fraction over L.  The direct route
-uses no Racah code, so the two stay independent;
-sigma_verdict returns the certificate with whether the two agree, and
-sigma_direct, the same pairing on whole Chow classes, is the definitional
-reference for the walk.
+uses no Racah code, so the two stay independent; sigma_verdict returns the
+certificate with whether the two agree, and sigma_direct, the same pairing
+on whole Chow classes, is the definitional reference for the walk.
 
 The module also carries a small model of projective n-space with one extra
 archimedean piece per codimension, used to check the commutator identity
@@ -38,6 +38,7 @@ from . import racah
 from .chowring import (
     ChowElement,
     Partition2,
+    _primitive_coefficients,
     intersection_pairing,
     lefschetz_power,
     primitive_class,
@@ -166,16 +167,10 @@ def _pieri_step(v: list[int], w: int, N: int) -> list[int]:
     return out
 
 
-def _primitive_coefficients(N: int, k: int) -> list[int]:
-    """The integer coefficients v[j] of chowring.primitive_class(N, k) on
-    s(2k - j, j), j = 0..k: (-1)^j C(N+1-j, n) C(n+j, n) with n = N - 2k."""
-    n = N - 2 * k
-    return [(-1) ** j * comb(N + 1 - j, n) * comb(n + j, n) for j in range(k + 1)]
-
-
 class NotPrimitive(ArithmeticError):
-    """The direct walk's class alpha is zero or L^(2n+1) alpha is not: a
-    coefficient of the walk is corrupt, so its certificate is not decided."""
+    """The direct walk's class alpha is zero or L^(2n+1) alpha is not, or at
+    k = 0 the walk misses the degree C(2N, N) on s(N, N): a coefficient of the
+    walk is corrupt, so its certificate is not decided."""
 
 
 def sigma_walk(inst: SigmaInstance) -> Fraction:
@@ -194,7 +189,10 @@ def sigma_walk(inst: SigmaInstance) -> Fraction:
     The walk ends one step past the pairing, at L^(2n+1) alpha, and requires
     it to be 0 with alpha nonzero.  The codimension-2k primitive part is the
     kernel of L^(2n+1) there, of rank betti(N, 2k) - betti(N, 2k - 1) = 1, so
-    that proves alpha spans it.  Raises NotPrimitive otherwise.
+    that proves alpha spans it.  At k = 0, where L^(2N+1) alpha lies past the
+    box, that is vacuous, and the walk checks instead that L^(2N) alpha has
+    C(2N, N) = (N + 1) Catalan(N) on s(N, N): alpha = (N + 1) s(0, 0) and the
+    Grassmannian has degree Catalan(N).  Raises NotPrimitive otherwise.
     """
     N, k, n = inst.N, inst.k, inst.n
     L, stairs = _box_table(N)
@@ -215,6 +213,11 @@ def sigma_walk(inst: SigmaInstance) -> Fraction:
         raise NotPrimitive(
             f"the class alpha at N={N}, k={k} is not primitive: "
             + ("it is 0" if not nonzero else f"L^{2 * n + 1} alpha is not 0")
+        )
+    if not k and tops[-1] != comb(2 * N, N):
+        raise NotPrimitive(
+            f"the walk at N={N}, k=0 is corrupt: L^{2 * N} alpha has {tops[-1]} "
+            f"on s({N}, {N}), not C({2 * N}, {N}) = {comb(2 * N, N)}"
         )
     return Fraction(sum(map(mul, tops, reversed(lower))), L)
 

@@ -312,20 +312,23 @@ def n_below_log(n: int, T: int) -> bool:
     return exp_compare(n, Fraction(T)) < 0
 
 
-def certify_alternating_bound(scale: int, h) -> list[tuple[Inequality, tuple[str, ...]]]:
-    """Each row of alternating_profile(scale, h), n = 0..T-1, T = len(h),
-    paired with the labels of the routes that certify it.
+def certify_alternating_bound(
+    scale: int, h
+) -> tuple[bool, list[tuple[Inequality, tuple[str, ...]]]]:
+    """Whether h is concave increasing, and each row of
+    alternating_profile(scale, h), n = 0..T-1, T = len(h), paired with the
+    labels of the routes that certify it.
 
     The labels may be "cauchy" (the sufficient inequality holds, for a
     positive sum), "closed-form" (n <= 3 or n = T-1, rows with explicit
     formulas), and "legendre" (T >= 90 and n < log T, the comparison-family
     regime; its supporting checks live with the tests in
     tests/legendre_checks.py).  The last two rest on a concave increasing
-    sequence (exactmath.validate_concave), so only such input gets them.  A
-    row is covered when it has a label; the inequality itself is always
-    decided by direct exact evaluation.  For concave input every row is
-    covered; other input still gets exact rows, but coverage is not
-    guaranteed.
+    sequence (exactmath.validate_concave, the flag returned), so only such
+    input gets them.  A row is covered when it has a label; the inequality
+    itself is always decided by direct exact evaluation.  For concave input
+    every row is covered; other input still gets exact rows, but coverage is
+    not guaranteed.
     """
     profile = alternating_profile(scale, h)
     T = len(h)
@@ -358,7 +361,7 @@ def certify_alternating_bound(scale: int, h) -> list[tuple[Inequality, tuple[str
         if n < below_log:
             labels.append("legendre")
         out.append((ineq, tuple(labels)))
-    return out
+    return concave, out
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,8 @@ norm) and its JSON line built as one dict, the coefficient recurrence of the Leg
 alternating sum (the Whipple bridge) and the box-coordinate double sum
 behind the correction weights of the closed certificate, the projective
 model's certificate as the raise chain walked from the unit (its maps
-applied to label combinations by linearity), hyperplane powers
+applied to label combinations by linearity), one hyperplane step by the
+two-row Pieri rule on a map of classes, hyperplane powers
 as sums of validated skew tableau counts, the Poincare pairing as a plain
 sum of products, and the decimal and "p/q" renderings of a rational by
 Fraction arithmetic.
@@ -267,6 +268,16 @@ def apply_label_map(step, args, x):
             out[target] = out.get(target, 0) + c * d
     return {label: c for label, c in out.items() if c}
 
+
+def pieri_step(x):
+    """One hyperplane step by the two-row Pieri rule: s(a, b) goes to
+    s(a+1, b) + s(a, b+1), with symbols leaving the box dropped."""
+    N, acc = x.N, {}
+    for (a, b), c in x.terms.items():
+        for lam in ((a + 1, b), (a, b + 1)):
+            if N >= lam[0] >= lam[1]:
+                acc[lam] = acc.get(lam, 0) + c
+    return ChowElement(N, acc)
 
 
 def skew_syt_count(lam, mu):

@@ -14,15 +14,13 @@ from grasshodge.chowring import (
     hodge_star,
     intersection_pairing,
     lefschetz_kernel,
-    lefschetz_op,
     lefschetz_power,
     primitive_class,
     primitive_profile,
-    schubert,
 )
 from grasshodge.cli import main
 from grasshodge.lefschetz import SigmaInstance, correction_op, sigma_verdict
-from oracles import naive_pairing, skew_count_power, skew_syt_count
+from oracles import naive_pairing, pieri_step, skew_count_power, skew_syt_count
 
 
 def _syt_oracle(lam, mu):
@@ -81,12 +79,12 @@ def test_box_partitions_and_betti():
 
 
 def test_pieri_on_basis():
-    x = lefschetz_op(schubert(4, 2, 1))
+    x = lefschetz_power(ChowElement(4, {(2, 1): 1}), 1)
     assert x.coeff(3, 1) == 1
     assert x.coeff(2, 2) == 1
     assert len(x.terms) == 2
     # at the box corner both moves leave the box
-    assert lefschetz_op(schubert(4, 4, 4)).is_zero()
+    assert lefschetz_power(ChowElement(4, {(4, 4): 1}), 1).is_zero()
 
 
 def test_lefschetz_power_matches_iterated_on_sparse_element():
@@ -95,23 +93,23 @@ def test_lefschetz_power_matches_iterated_on_sparse_element():
     iterated = x
     for r in range(2 * N + 1):
         assert lefschetz_power(x, r).terms == iterated.terms
-        iterated = lefschetz_op(iterated)
+        iterated = pieri_step(iterated)
 
 
 def _power_mismatches(Nmax):
-    """(N, class, r) where lefschetz_power differs from iterated lefschetz_op
-    or from the skew tableau count sum, over every Schubert class with
+    """(N, class, r) where lefschetz_power differs from the iterated Pieri
+    step or from the skew tableau count sum, over every Schubert class with
     N <= Nmax and every r <= 2N+1."""
     bad = []
     for N in range(1, Nmax + 1):
         for p in range(2 * N + 1):
             for lam in box_partitions(N, p):
-                x = iterated = schubert(N, *lam)
+                x = iterated = ChowElement(N, {lam: 1})
                 for r in range(2 * N + 2):
                     got = lefschetz_power(x, r).terms
                     if got != iterated.terms or got != skew_count_power(x, r).terms:
                         bad.append((N, lam, r))
-                    iterated = lefschetz_op(iterated)
+                    iterated = pieri_step(iterated)
     return bad
 
 
@@ -131,16 +129,16 @@ def test_lefschetz_power_linear(N, data):
     lhs = lefschetz_power(x, r)
     rhs = {}
     for c, (a, b) in zip(coeffs, parts):
-        for ab, v in lefschetz_power(schubert(N, a, b), r).terms.items():
+        for ab, v in lefschetz_power(ChowElement(N, {(a, b): 1}), r).terms.items():
             rhs[ab] = rhs.get(ab, 0) + c * v
     assert lhs.terms == {ab: v for ab, v in rhs.items() if v}
 
 
 def test_hodge_star_explicit():
     # star of the fundamental class is the volume normalization
-    x = hodge_star(schubert(3, 0, 0))
+    x = hodge_star(ChowElement(3, {(0, 0): 1}))
     assert x.terms == {(3, 3): Fraction(1 * 1, 6 * 24)}  # 1!0!/(3!4!)
-    y = hodge_star(schubert(3, 2, 1))
+    y = hodge_star(ChowElement(3, {(2, 1): 1}))
     assert y.terms == {(2, 1): Fraction(6 * 1, 1 * 6)}
 
 
@@ -148,7 +146,7 @@ def test_hodge_star_is_involution():
     for N in (2, 3, 5):
         for p in range(2 * N + 1):
             for (a, b) in box_partitions(N, p):
-                x = schubert(N, a, b)
+                x = ChowElement(N, {(a, b): 1})
                 assert hodge_star(hodge_star(x)).terms == x.terms
 
 
@@ -158,7 +156,8 @@ def test_pairing_duality():
         for (a, b) in box_partitions(N, p):
             for (c, d) in box_partitions(N, 2 * N - p):
                 want = 1 if (a, b) == (N - d, N - c) else 0
-                got = intersection_pairing(schubert(N, a, b), schubert(N, c, d))
+                x, y = ChowElement(N, {(a, b): 1}), ChowElement(N, {(c, d): 1})
+                got = intersection_pairing(x, y)
                 assert got == want
 
 
@@ -166,7 +165,7 @@ def test_star_pairing_is_positive_on_basis():
     for N in range(1, 9):
         for p in range(2 * N + 1):
             for a, b in box_partitions(N, p):
-                x = schubert(N, a, b)
+                x = ChowElement(N, {(a, b): 1})
                 assert intersection_pairing(x, hodge_star(x)) > 0
 
 
@@ -175,11 +174,11 @@ def test_lefschetz_op_self_adjoint_for_pairing():
     for N in range(1, 11):
         for p in range(2 * N):
             for xa in box_partitions(N, p):
-                x = schubert(N, *xa)
+                x = ChowElement(N, {xa: 1})
                 for ya in box_partitions(N, 2 * N - p - 1):
-                    y = schubert(N, *ya)
-                    assert intersection_pairing(lefschetz_op(x), y) == (
-                        intersection_pairing(x, lefschetz_op(y))
+                    y = ChowElement(N, {ya: 1})
+                    assert intersection_pairing(lefschetz_power(x, 1), y) == (
+                        intersection_pairing(x, lefschetz_power(y, 1))
                     )
 
 
@@ -226,26 +225,27 @@ def test_built_classes_equal_their_validated_copies(N, data):
     # must already be what the public constructor would make of its terms
     kind, x = _random_class(N, data)
     r = data.draw(st.integers(0, 2 * N + 1))
+    k = data.draw(st.integers(0, N // 2))
     iterated = x
     for _ in range(r):
-        iterated = lefschetz_op(iterated)
+        iterated = pieri_step(iterated)
     built = {
-        "lefschetz_op": lefschetz_op(x),
         "lefschetz_power": lefschetz_power(x, r),
         "hodge_star": hodge_star(x),
         "correction_op": correction_op(x),
+        "primitive_class": primitive_class(N, k),
     }
     assert built["lefschetz_power"] == iterated
     for name, z in built.items():
         assert z == ChowElement(z.N, dict(z.terms)), name
+    assert all(type(c) is int for c in built["primitive_class"].terms.values())
     if kind == "int":
         # the Hodge star and the correction operator are rational steps
-        for name in ("lefschetz_op", "lefschetz_power"):
-            assert all(type(c) is int for c in built[name].terms.values()), name
+        assert all(type(c) is int for c in built["lefschetz_power"].terms.values())
 
 
 def test_pairing_degree_mismatch_is_zero():
-    assert intersection_pairing(schubert(3, 1, 0), schubert(3, 1, 0)) == 0
+    assert intersection_pairing(ChowElement(3, {(1, 0): 1}), ChowElement(3, {(1, 0): 1})) == 0
 
 
 def test_primitive_class_is_primitive():
@@ -283,7 +283,7 @@ def test_kernel_basis_is_the_reduced_one():
             free = [dom[max(map(dom.index, v.terms))] for v in kern]
             for v, own in zip(kern, free):
                 assert v == ChowElement(N, dict(v.terms)), (N, p)
-                assert lefschetz_op(v).is_zero(), (N, p)
+                assert lefschetz_power(v, 1).is_zero(), (N, p)
                 assert all(type(c) is Fraction for c in v.terms.values()), (N, p)
                 assert [v.coeff(*lam) for lam in free] == [int(lam == own) for lam in free]
 
@@ -329,17 +329,26 @@ def test_nullspace_with_non_unit_pivots(rows, nullity):
 
 
 def test_fault_injection_pieri_image(monkeypatch):
-    # the Pieri step at N = 6 loses its s(6, 4) term, so s(6, 3) maps to 0
-    # and the kernel in codimension 9 gains a vector the betti count lacks
-    real = chowring.lefschetz_op
+    # the Pieri matrix at N = 6, p = 9 loses its s(6, 3) -> s(6, 4) entry, so
+    # s(6, 3) maps to 0 and the kernel in codimension 9 gains a vector the
+    # betti count lacks
+    real_kernel, real_nullspace = chowring.lefschetz_kernel, chowring._nullspace
+    box = []
+    row, col = box_partitions(6, 10).index((6, 4)), box_partitions(6, 9).index((6, 3))
 
-    def corrupted(x):
-        y = real(x)
-        if x.N != 6 or (6, 4) not in y.terms:
-            return y
-        return ChowElement(6, {ab: c for ab, c in y.terms.items() if ab != (6, 4)})
+    def kernel(N, p):
+        box.append((N, p))
+        return real_kernel(N, p)
 
-    monkeypatch.setattr(chowring, "lefschetz_op", corrupted)
+    def corrupted(rows, ncols):
+        if box[-1] == (6, 9):
+            assert rows[row][col] == 1
+            rows = [r[:] for r in rows]
+            rows[row][col] = 0
+        return real_nullspace(rows, ncols)
+
+    monkeypatch.setattr(chowring, "lefschetz_kernel", kernel)
+    monkeypatch.setattr(chowring, "_nullspace", corrupted)
     with pytest.raises(ArithmeticError, match="N=6, p=3"):
         primitive_profile(6)
     assert primitive_profile(5).dims == (1, 0, 1, 0, 1, 0)
@@ -360,7 +369,7 @@ def test_chow_element_validation():
     with pytest.raises(ValueError):
         ChowElement(3, {(1, 2): Fraction(1)})
     with pytest.raises(ValueError, match="mixed boxes: 2 and 3"):
-        intersection_pairing(schubert(2, 1, 0), schubert(3, 1, 0))
+        intersection_pairing(ChowElement(2, {(1, 0): 1}), ChowElement(3, {(1, 0): 1}))
 
 
 def _exact(c):
@@ -418,8 +427,10 @@ def test_fault_injection_binomial_row(monkeypatch, capsys):
         sigma_verdict(SigmaInstance(4, 1), "both")
     # at k = 0 the last power has weight 2N + 1, past the box, so the step
     # proves nothing there (every class of codimension 0 is primitive); the
-    # stray term, walked out of the box by then, still moves the certificate
-    assert sigma_verdict(SigmaInstance(4, 0), "both")[1] is False
+    # stray term, walked out of the box by then, moves the top coefficient
+    # of L^(2N) alpha off the degree, and the walk raises on that instead
+    with pytest.raises(lefschetz.NotPrimitive, match=r"N=4, k=0 is corrupt: L\^8 alpha has 75 "):
+        sigma_verdict(SigmaInstance(4, 0), "both")
     # the closed route walks no Pieri step
     assert main(["verify-grassmannian", "--Nmax", "8", "--method", "closed"]) == 0
     assert _power_mismatches(10)

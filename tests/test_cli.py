@@ -708,6 +708,31 @@ def test_fault_injection_alpha_coefficient(monkeypatch, capsys, method):
     assert code == 0
 
 
+def test_fault_injection_walk_at_k0(monkeypatch, capsys):
+    # at k = 0 the last power L^(2N+1) alpha lies past the box, so a stray
+    # term from the Pieri step into weight 3 is caught by the degree instead:
+    # L^(2N) alpha must have C(2N, N) on s(N, N), and the stray s(2, 1)
+    # adds one for each Pieri path on from there to s(N, N)
+    args = ("verify-grassmannian", "--Nmax", "8", "--method", "direct", "--kset", "0")
+    code, out, _ = run_cli(capsys, *args)
+    assert code == 0 and len(out.splitlines()) == 8
+    real = lefschetz._pieri_step
+
+    def corrupted(v, w, N):
+        stepped = real(v, w, N)
+        if w == 2:
+            stepped[1] += 1
+        return stepped
+
+    monkeypatch.setattr(lefschetz, "_pieri_step", corrupted)
+    for N, got, want in ((2, 7, 6), (4, 75, 70), (8, 13299, 12870)):
+        code, out, err = run_cli(capsys, *args, "--Nmin", str(N))
+        assert (code, out) == (1, "")
+        assert f"FAILED: the walk at N={N}, k=0 is corrupt: L^{2 * N} alpha has {got} " in err
+        assert f"on s({N}, {N}), not C({2 * N}, {N}) = {want}" in err
+        assert "Traceback" not in err
+
+
 def test_fault_injection_proj_lower(monkeypatch, capsys):
     # lowering form_2 at n = 4 gains a stray hat_2: the commutator check
     # must fail for n = 4 and for no other n

@@ -4,12 +4,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from grasshodge.chowring import (
+    ChowElement,
     betti,
     box_partitions,
     intersection_pairing,
     lefschetz_power,
     primitive_class,
-    schubert,
 )
 from grasshodge import lefschetz
 from grasshodge.exactmath import binomial, harmonic, harmonic_numerators
@@ -68,7 +68,7 @@ def test_pieri_steps_match_reference_powers():
                 v = [int(j == b) for j in range(p // 2 + 1)]
                 for r in range(2 * N - p + 2):
                     w = p + r
-                    power = lefschetz_power(schubert(N, a, b), r)
+                    power = lefschetz_power(ChowElement(N, {(a, b): 1}), r)
                     assert v == [power.coeff(w - j, j) for j in range(w // 2 + 1)], (N, a, b, r)
                     v = lefschetz._pieri_step(v, w, N)
 
@@ -86,16 +86,6 @@ def test_walk_matches_closed_form():
         for k in range(N // 2 + 1):
             inst = SigmaInstance(N, k)
             assert sigma_walk(inst) == sigma_closed(inst), (N, k)
-
-
-def test_walk_alpha_is_the_primitive_class():
-    # the walk builds alpha's integers directly; they are the coefficients
-    # of chowring.primitive_class, term for term
-    for N in range(1, 41):
-        for k in range(N // 2 + 1):
-            alpha = primitive_class(N, k)
-            v = lefschetz._primitive_coefficients(N, k)
-            assert {(2 * k - j, j): c for j, c in enumerate(v)} == alpha.terms, (N, k)
 
 
 def test_primitive_part_has_rank_one():
@@ -148,12 +138,12 @@ def test_correction_kills_lower_rows():
         for p in range(2 * N):
             for (a, b) in box_partitions(N, p):
                 if a < N:
-                    assert correction_op(schubert(N, a, b)).is_zero()
+                    assert correction_op(ChowElement(N, {(a, b): 1})).is_zero()
 
 
 def test_correction_top_row_structure():
     N = 4
-    x = correction_op(schubert(N, N, 1))
+    x = correction_op(ChowElement(N, {(N, 1): 1}))
     # diagonal term carries the full column sum of harmonic numbers
     column = sum(harmonic(i) for i in range(1, N + 2))
     staircase = harmonic(N) - harmonic(0)  # i = 0 term of the sweep
@@ -174,7 +164,7 @@ def test_correction_staircase_matches_harmonic_numbers():
                 for i in range((N - b) // 2 + 1)
             }
             want[(N, b)] += column
-            assert correction_op(schubert(N, N, b)).terms == want, (N, b)
+            assert correction_op(ChowElement(N, {(N, b): 1})).terms == want, (N, b)
 
 
 def test_principal_weight_examples():
@@ -208,7 +198,7 @@ def test_top_coefficient_matches_pairing():
             alpha = primitive_class(N, k)
             for b in range(n + 1):
                 raised = lefschetz_power(alpha, n + b)
-                got = intersection_pairing(raised, schubert(N, N - b, 0))
+                got = intersection_pairing(raised, ChowElement(N, {(N - b, 0): 1}))
                 assert got == top_coefficient(N, k, b), (N, k, b)
 
 

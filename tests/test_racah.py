@@ -550,10 +550,10 @@ def test_alternating_bound_holds_for_harmonic_sweep():
 def test_certify_covers_harmonic():
     for T in (10, 25, 90):
         scale, h = harmonic_numerators(T - 1)
-        certified = certify_alternating_bound(scale, h)
+        concave, certified = certify_alternating_bound(scale, h)
         assert all(ineq.holds for ineq, _ in certified)
         assert all(labels for _, labels in certified)
-        assert validate_concave(h)
+        assert concave and validate_concave(h)
     found = {b for _, labels in certified for b in labels}
     assert found == {"cauchy", "closed-form", "legendre"}
 
@@ -566,8 +566,8 @@ def test_concave_routes_need_concave_input():
     values = list(_harmonic_values(100))
     values[2] += Fraction(1, 8)
     scale, h = integer_sequence(values)
-    assert not validate_concave(h)
-    certified = certify_alternating_bound(scale, h)
+    concave, certified = certify_alternating_bound(scale, h)
+    assert not concave and not validate_concave(h)
     assert {labels for _, labels in certified} == {(), ("cauchy",)}
     assert all(ineq.holds for ineq, labels in certified if labels)
 
@@ -579,8 +579,8 @@ def test_certify_branches_match_per_degree_rules():
         values = _harmonic_values(T)
         square_sum = sum(h * h / (2 * s + 1) for s, h in enumerate(values, 1))
         mean_sq = (sum(values) / T) ** 2
-        certified = certify_alternating_bound(*harmonic_numerators(T - 1))
-        assert len(certified) == T
+        concave, certified = certify_alternating_bound(*harmonic_numerators(T - 1))
+        assert concave and len(certified) == T
         for n, (_, labels) in enumerate(certified):
             want = []
             if square_sum < (2 * n + 1) * mean_sq:
@@ -595,8 +595,8 @@ def test_certify_branches_match_per_degree_rules():
 def test_certify_flags_non_concave_input(tmp_path, capsys):
     values = [Fraction(1), Fraction(5), Fraction(6)]  # increasing, not concave
     scale, h = integer_sequence(values)
-    certified = certify_alternating_bound(scale, h)
-    assert not validate_concave(h)
+    concave, certified = certify_alternating_bound(scale, h)
+    assert not concave and not validate_concave(h)
     path = tmp_path / "seq.txt"
     path.write_text("1\n5\n6\n")
     assert cli.main(["verify-needed", "--T", "4", "--sequence", str(path)]) == 0
@@ -644,8 +644,8 @@ def test_certify_matches_oracles_on_any_rationals(T, data):
     # against the Fraction-by-Fraction rule
     values = data.draw(_rationals(T))
     scale, h = integer_sequence(values)
-    assert validate_concave(h) == fraction_concave_increasing(values)
-    certified = certify_alternating_bound(scale, h)
+    concave, certified = certify_alternating_bound(scale, h)
+    assert concave == validate_concave(h) == fraction_concave_increasing(values)
     assert len(certified) == T
     for n, (ineq, labels) in enumerate(certified):
         want = alternating_bound(values, n, T)
@@ -664,7 +664,8 @@ def test_cauchy_label_only_on_rows_that_hold(T, data):
     # for a positive mean; a sum of either sign must not carry the label
     # onto a row that fails
     values = data.draw(_rationals(T))
-    for n, (ineq, labels) in enumerate(certify_alternating_bound(*integer_sequence(values))):
+    _, certified = certify_alternating_bound(*integer_sequence(values))
+    for n, (ineq, labels) in enumerate(certified):
         if "cauchy" in labels:
             assert ineq.holds, (T, n, values)
 
@@ -675,7 +676,8 @@ def test_labelled_rows_hold_on_any_rationals(T, data):
     # a label names a route that proves its row: whatever the sequence, no
     # row that carries one may fail
     values = data.draw(_rationals(T))
-    for n, (ineq, labels) in enumerate(certify_alternating_bound(*integer_sequence(values))):
+    _, certified = certify_alternating_bound(*integer_sequence(values))
+    for n, (ineq, labels) in enumerate(certified):
         assert ineq.holds or not labels, (T, n, values, labels)
 
 
