@@ -8,22 +8,18 @@ Schubert classes, the primitive class and its Pieri raises are integral and
 stay int, and only a genuinely rational step (the Hodge star, the kernel
 solve, the correction operator) brings in Fraction.
 
-A class built by the public constructor ChowElement(N, terms) is validated:
-every partition must fit in the box, and zero coefficients are dropped from
-a copy of the map.  The library's own operations (powers, the Hodge star,
-the primitive class, the kernel basis, the correction operator) only ever
-produce in-box partitions with nonzero coefficients, so they build their
-results through the private ChowElement._trusted, which takes ownership of
-the map as it stands and skips the per-term check.  Anything coming from a
-caller goes through the validating constructor.  Classes carry no arithmetic
-of their own: a combination is built as a map and passed to the constructor.
+Every class is built by the constructor ChowElement(N, terms), which
+validates it: the box width must be positive, every partition must fit in
+the box, and zero coefficients are dropped from a copy of the map.  Classes
+carry no arithmetic of their own: a combination is built as a map and passed
+to the constructor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, gcd
+from math import comb, factorial
 
 Partition2 = tuple[int, int]
 
@@ -49,18 +45,6 @@ class ChowElement:
             if c:
                 clean[(a, b)] = c
         object.__setattr__(self, "terms", clean)
-
-    @classmethod
-    def _trusted(cls, N: int, terms: dict[Partition2, int | Fraction]) -> "ChowElement":
-        """A class over terms that already fit the box and are all nonzero.
-
-        Skips the validation and the copy of the public constructor; the
-        map is owned by the new class, so callers pass a fresh one.
-        """
-        x = object.__new__(cls)
-        object.__setattr__(x, "N", N)
-        object.__setattr__(x, "terms", terms)
-        return x
 
     def coeff(self, a: int, b: int) -> int | Fraction:
         return self.terms.get((a, b), 0)
@@ -93,35 +77,21 @@ def lefschetz_power(x: ChowElement, r: int) -> ChowElement:
     standard tableau count of the two-row skew shape (a, b)/(m1, m2), the
     ballot count C(r, a-m1) - C(r, a-m2+1): all words of r row steps with a-m1
     first-row steps, minus, by reflection, those whose second row overtakes.
-    Every count reads off one binomial row C(r, 0..N+1), so the result is
-    assembled directly instead of taking r one-step Pieri images; r = 1 is
-    that step, s(a, b) to s(a+1, b) + s(a, b+1) with symbols leaving the box
-    dropped.
+    The count is taken once per in-box target, so the result is assembled
+    directly instead of taking r one-step Pieri images; r = 1 is that step,
+    s(a, b) to s(a+1, b) + s(a, b+1) with symbols leaving the box dropped.
     """
     if r < 0:
         raise ValueError(f"need r >= 0, got {r}")
-    if r == 0:
-        return x
     N = x.N
-    rev = [comb(r, j) for j in range(N + 1, -1, -1)]  # rev[i] = C(r, N+1-i)
-    by_weight: dict[int, list[int | Fraction]] = {}  # weight -> coefficients by b
+    acc: dict[Partition2, int | Fraction] = {}
     for (m1, m2), c in x.terms.items():
         size = m1 + m2 + r
-        # in-box targets: m2 <= b <= a <= N with a = size - b >= m1, and the
-        # ballot count of (size - b, b) is rev[i + b] - rev[j + b]
-        lo, hi = max(m2, size - N), min(size // 2, m2 + r) + 1
-        i, j = N + 1 - m2 - r, N - m1 - r
-        acc = by_weight.get(size)
-        if acc is None:
-            acc = by_weight[size] = [0] * (size // 2 + 1)
-        acc[lo:hi] = [
-            v + c * (f - g)
-            for v, f, g in zip(acc[lo:hi], rev[i + lo : i + hi], rev[j + lo : j + hi])
-        ]
-    return ChowElement._trusted(
-        N,
-        {(size - b, b): v for size, acc in by_weight.items() for b, v in enumerate(acc) if v},
-    )
+        # in-box targets: m2 <= b <= a <= N with a = size - b >= m1
+        for b in range(max(m2, size - N), min(size // 2, m2 + r) + 1):
+            a = size - b
+            acc[(a, b)] = acc.get((a, b), 0) + c * (comb(r, a - m1) - comb(r, a - m2 + 1))
+    return ChowElement(N, acc)
 
 
 def hodge_star(x: ChowElement) -> ChowElement:
@@ -139,32 +109,24 @@ def hodge_star(x: ChowElement) -> ChowElement:
         )
         # s(a, b) -> s(N-b, N-a) is a bijection of the box: no terms collide
         acc[(N - b, N - a)] = c * w
-    return ChowElement._trusted(N, acc)
+    return ChowElement(N, acc)
 
 
 def intersection_pairing(x: ChowElement, y: ChowElement) -> int | Fraction:
     """Poincare pairing: s(a,b) meets s(N-b, N-a) in a point, all else is 0.
 
-    The products are summed as integers over a running lcm of their
-    denominators and one Fraction is built at the end.  The result is an int
-    when every paired coefficient is, as the plain sum would be.
+    The result is the sum of c * d over the paired terms, so it is an int
+    exactly when every paired coefficient is one.
     """
     N = x.N
     if y.N != N:
         raise ValueError(f"mixed boxes: {N} and {y.N}")
-    num, den, rational = 0, 1, False
+    total: int | Fraction = 0
     for (a, b), c in x.terms.items():
         d = y.terms.get((N - b, N - a))
-        if d is None:
-            continue
-        rational = rational or type(c) is not int or type(d) is not int
-        q = c.denominator * d.denominator
-        if den % q:
-            scale = q // gcd(den, q)
-            num *= scale
-            den *= scale
-        num += c.numerator * d.numerator * (den // q)
-    return Fraction(num, den) if rational else num
+        if d is not None:
+            total += c * d
+    return total
 
 
 def _primitive_coefficients(N: int, k: int) -> list[int]:
@@ -183,7 +145,7 @@ def primitive_class(N: int, k: int) -> ChowElement:
     if not 0 <= 2 * k <= N:
         raise ValueError(f"need 0 <= 2k <= N, got N={N}, k={k}")
     v = _primitive_coefficients(N, k)
-    return ChowElement._trusted(N, {(2 * k - j, j): c for j, c in enumerate(v)})
+    return ChowElement(N, {(2 * k - j, j): c for j, c in enumerate(v)})
 
 
 def _nullspace(rows: list[list[int | Fraction]], ncols: int) -> list[list[Fraction]]:
@@ -245,10 +207,7 @@ def lefschetz_kernel(N: int, p: int) -> list[ChowElement]:
             i = cod_index.get(mu)
             if i is not None:
                 rows[i][j] = 1
-    return [
-        ChowElement._trusted(N, {lam: c for lam, c in zip(dom, v) if c})
-        for v in _nullspace(rows, len(dom))
-    ]
+    return [ChowElement(N, dict(zip(dom, v))) for v in _nullspace(rows, len(dom))]
 
 
 @dataclass(frozen=True)
@@ -267,6 +226,8 @@ def primitive_profile(N: int) -> PrimitiveProfile:
     the kernel of hyperplane multiplication in the complementary codimension.
     A mismatch means a real inconsistency and raises rather than returning.
     """
+    if N < 1:
+        raise ValueError(f"box width must be positive, got {N}")
     dims = []
     for p in range(N + 1):
         counted = max(betti(N, p) - betti(N, p - 1), 0)

@@ -6,18 +6,20 @@ lower hyperplane powers L^(n-b) alpha of the primitive class with the
 corrected upper powers C(L^(n+b) alpha), b = 0..n; sigma_walk gets all of
 them from one walk L^0 alpha, ..., L^(2n) alpha on integer coefficient
 vectors, one two-term Pieri step per power, and contracts each lower power
-with the integer staircase of the correction operator.  One table per box
-holds L = lcm(1, ..., N + 1) and the N + 1 staircases that every k of the
-box reads.  The walk takes one step more and requires L^(2n+1) alpha = 0
-with alpha nonzero: the primitive part in codimension 2k is the kernel of
-that power and has rank 1, so the walk proves that its class spans it (at
-k = 0, where that power lies past the box, it checks the degree instead).
-In closed form, the certificate is the principal weight times the margin of
-row n = N - 2k of the harmonic alternating inequality at T = N + 2, read off
-one row walk of the Racah values, as one Fraction over L.  The direct route
-uses no Racah code, so the two stay independent; sigma_verdict returns the
-certificate with whether the two agree, and sigma_direct, the same pairing
-on whole Chow classes, is the definitional reference for the walk.
+with the integer staircase of the correction operator.  The walk takes one
+step more and requires L^(2n+1) alpha = 0 with alpha nonzero: the primitive
+part in codimension 2k is the kernel of that power and has rank 1, so the
+walk proves that its class spans it (at k = 0, where that power lies past
+the box, it checks the degree instead).  In closed form, the certificate is
+the principal weight times the margin of row n = N - 2k of the harmonic
+alternating inequality at T = N + 2, read off one row walk of the Racah
+values, as one Fraction over L = lcm(1, ..., N + 1).  One table per box
+holds L, the harmonic integers L H_0, ..., L H_(N+1) and the N + 1
+staircases built from them, and both routes at every k of the box read it.
+The direct route uses no Racah code, so the two stay independent;
+sigma_verdict returns the certificate with whether the two agree, and
+sigma_direct, the same pairing on whole Chow classes, is the definitional
+reference for the walk.
 
 The module also carries a small model of projective n-space with one extra
 archimedean piece per codimension, used to check the commutator identity
@@ -48,18 +50,6 @@ from .exactmath import harmonic_numerators
 _ZERO = Fraction(0)
 
 
-@lru_cache(maxsize=1)
-def _harmonic_table(m: int) -> tuple[int, tuple[int, ...], int]:
-    """L = lcm(1, ..., m), the integers L H_0, ..., L H_m and their sum.
-
-    One box of width N reads the table at m = N + 1 for its correction
-    operator and at m = T - 1 = N + 1 for its closed certificate, so the last
-    table is kept; the tuple keeps the shared result read-only.
-    """
-    L, h = harmonic_numerators(m)
-    return L, tuple(h), sum(h)
-
-
 @dataclass(frozen=True)
 class SigmaInstance:
     """One certificate instance: box width N and primitive codimension 2k."""
@@ -82,27 +72,34 @@ class SigmaInstance:
         return self.N + 2
 
 
-def _staircase(N: int, b: int) -> list[int]:
+def _staircase(N: int, b: int, h: list[int], column_sum: int) -> list[int]:
     """L C(s(N, b)) as integers: the coefficients g[i] on s(N - i, b + i),
-    i = 0..(N - b) // 2, with L = lcm(1, ..., N + 1).
+    i = 0..(N - b) // 2, from h[i] = L H_i, i = 0..N + 1, and their sum,
+    with L = lcm(1, ..., N + 1).
 
     g[0] = sum_i L H_i - L H_(N-b+1) and g[i] = L H_i - L H_(N-b+1-i) for
     i >= 1; every entry is nonzero (g[0] > 0 > g[i]).
     """
-    _, h, column_sum = _harmonic_table(N + 1)  # h[i] = L H_i
     g = [h[i] - h[N - b + 1 - i] for i in range((N - b) // 2 + 1)]
     g[0] += column_sum
     return g
 
 
 @lru_cache(maxsize=1)
-def _box_table(N: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """L = lcm(1, ..., N + 1) and the staircases _staircase(N, b), b = 0..N.
+def _box_table(N: int) -> tuple[int, tuple[int, ...], int, tuple[tuple[int, ...], ...]]:
+    """The integers one box of width N reads: L = lcm(1, ..., N + 1),
+    h[i] = L H_i for i = 0..N + 1, their sum, and the staircases
+    _staircase(N, b), b = 0..N.
 
-    Every k of the box reads its staircases b = 0..N - 2k from this one
-    table, so the last box's table is kept; tuples keep it read-only.
+    The correction operator and the direct walk read the staircases, and the
+    closed certificate at T = N + 2 reads L, h and their sum.  Every k of
+    the box reads this one table, so the last box's table is kept; tuples
+    keep it read-only.
     """
-    return _harmonic_table(N + 1)[0], tuple(tuple(_staircase(N, b)) for b in range(N + 1))
+    L, h = harmonic_numerators(N + 1)
+    column_sum = sum(h)
+    stairs = tuple(tuple(_staircase(N, b, h, column_sum)) for b in range(N + 1))
+    return L, tuple(h), column_sum, stairs
 
 
 def correction_op(x: ChowElement) -> ChowElement:
@@ -121,16 +118,16 @@ def correction_op(x: ChowElement) -> ChowElement:
     becomes one Fraction over L at the end.
     """
     N = x.N
-    L = _harmonic_table(N + 1)[0]
+    L, _, _, stairs = _box_table(N)
     terms: dict[Partition2, Fraction] = {}
     for (a, b), c in x.terms.items():
         if a < N:
             continue
         # no two source terms share a target and no staircase weight is 0,
         # so every coefficient is set once and none cancels
-        for i, g in enumerate(_staircase(N, b)):
+        for i, g in enumerate(stairs[b]):
             terms[(N - i, b + i)] = Fraction(c * g, L)
-    return ChowElement._trusted(N, terms)
+    return ChowElement(N, terms)
 
 
 def sigma_direct(inst: SigmaInstance) -> Fraction:
@@ -195,7 +192,7 @@ def sigma_walk(inst: SigmaInstance) -> Fraction:
     Grassmannian has degree Catalan(N).  Raises NotPrimitive otherwise.
     """
     N, k, n = inst.N, inst.k, inst.n
-    L, stairs = _box_table(N)
+    L, _, _, stairs = _box_table(N)
     v = _primitive_coefficients(N, k)
     nonzero = any(v)
     # weight w = 2k + r, so the lower power L^(n-b) alpha sits at w = N - b
@@ -231,7 +228,7 @@ def sigma_closed(inst: SigmaInstance) -> Fraction:
     that is one Fraction (P_n sum_s h[s] - sum_s (-1)^(s+1) w_n(s) h[s]) / L.
     """
     n, T = inst.n, inst.T
-    L, h, column_sum = _harmonic_table(T - 1)  # h[i] = L H_i
+    L, h, column_sum, _ = _box_table(inst.N)  # h[i] = L H_i, i <= T - 1
     row = racah._principal_row(n, T)
     return Fraction(row[0] * column_sum - racah._alternating_dot(row, h), L)
 

@@ -658,12 +658,13 @@ def test_fault_injection_correction_op(monkeypatch, capsys):
     # closed form on exactly those rows.  The walk reads its staircases from
     # the box table, so the test runs on an empty table of its own: the
     # patched _staircase is reached whatever box the shared table holds,
-    # and no corrupted table outlives the test
+    # and no corrupted table outlives the test.  The closed route reads only
+    # the table's harmonic integers, which the patch leaves alone
     lefschetz.sigma_walk(lefschetz.SigmaInstance(5, 0))  # the shared table now holds box 5
     real = lefschetz._staircase
 
-    def corrupted(N, b):
-        g = real(N, b)
+    def corrupted(N, b, h, column_sum):
+        g = real(N, b, h, column_sum)
         if N == 5:
             g[0] += 1
         return g
