@@ -6,6 +6,13 @@ when every check passed, 1 when some mathematical check failed, and 2 on a
 usage or parse error.  Usage errors are found before the first byte of
 output.  Reruns with the same flags and seed produce byte-identical output;
 anything timing-dependent goes to standard error only.
+
+The range commands, verify-grassmannian and table --kind sigma over boxes N,
+verify-ortho and scan-bound over T, deal their keys to racah's range pool on
+--jobs processes (default: the CPUs this process may run on).  Their output
+is byte-identical whatever the worker count, failures included: a corrupt
+value stops the run at the same row with the same message, and a worker
+that dies ends the command with exit 1 and one line on standard error.
 """
 
 from __future__ import annotations
@@ -34,6 +41,12 @@ from .exactmath import (
 
 class UsageError(Exception):
     """Bad flags, an infeasible range, or a malformed sequence file."""
+
+
+# A principal-weight step left a remainder, or the direct walk failed its
+# primitivity or degree check: a value is corrupt.  A range worker hands
+# these back for its key, and the command fails on them with exit 1.
+_CORRUPT = (racah.InexactStep, lefschetz.NotPrimitive)
 
 
 # ---------------------------------------------------------------------------
@@ -178,9 +191,21 @@ def _sigma_row(inst: lefschetz.SigmaInstance, method: str) -> tuple:
     )
 
 
-def _sigma_rows(args: argparse.Namespace, method: str) -> Iterator[tuple]:
+def _box_rows(method: str, k_set: tuple[int, ...] | None, N: int) -> Iterator[tuple]:
+    """Output row for each k of box N in k_set (every k when None), in k
+    order, by method."""
+    for k in range(N // 2 + 1):
+        if k_set is None or k in k_set:
+            yield _sigma_row(lefschetz.SigmaInstance(N, k), method)
+
+
+def _sigma_rows(args: argparse.Namespace, method: str, jobs: int) -> Iterator[tuple]:
     """Output row for each (N, k) in the range, in (N, k) order, by method.
 
+    Each box N is one key of the range pool on jobs processes, so each
+    process builds the table of a box once.  A box that fails part way is
+    run again in this process, which puts out its rows before the failing
+    instance and then raises the same error, as the serial run does.
     The range is checked on the call, before any row is computed; an unset
     Nmin is 1.  A range that holds no (N, k) is a usage error.
     """
@@ -190,16 +215,27 @@ def _sigma_rows(args: argparse.Namespace, method: str) -> Iterator[tuple]:
     # some N <= Nmax holds a k with 2k <= N exactly when the smallest k fits
     if args.k_set is not None and 2 * min(args.k_set) > args.Nmax:
         raise UsageError("no (N, k) instances in the requested range")
-    return (
-        _sigma_row(lefschetz.SigmaInstance(N, k), method)
-        for N in range(n_lo, args.Nmax + 1)
-        for k in range(N // 2 + 1)
-        if args.k_set is None or k in args.k_set
-    )
+    return _box_sweep(range(n_lo, args.Nmax + 1), partial(_box_rows, method, args.k_set), jobs)
+
+
+def _box_sweep(boxes: range, rows_of, jobs: int) -> Iterator[tuple]:
+    """The rows of every box, box by box from the range pool.  A box whose
+    key raised is run again here, so that its rows before the failing
+    instance come out, and the run here raises the same error (or, should
+    it not, the box's error is raised after its rows)."""
+    results = racah._range_pool(lambda N: list(rows_of(N)), boxes, jobs, _CORRUPT)
+    for N in boxes:
+        try:
+            rows = next(results)
+        except _CORRUPT:
+            yield from rows_of(N)
+            raise
+        yield from rows
 
 
 def cmd_verify_grassmannian(args: argparse.Namespace, out: TextIO, err: TextIO) -> bool:
-    rows = _Tally(_sigma_rows(args, args.method), _SIGMA_COLUMNS, ("positive", "agree"))
+    jobs = _jobs(args.jobs)
+    rows = _Tally(_sigma_rows(args, args.method, jobs), _SIGMA_COLUMNS, ("positive", "agree"))
     emit_table(rows, _SIGMA_COLUMNS, args.output_format, out)
     print(
         f"{rows.count} certificates: " + ("all positive" if rows.ok else "FAILED"),
@@ -233,10 +269,16 @@ def cmd_verify_pn(args: argparse.Namespace, out: TextIO, err: TextIO) -> bool:
     return rows.ok
 
 
+def _ortho_row(T: int) -> tuple[int, int, bool]:
+    """The verify-ortho row of one T."""
+    return (T, *racah.orthogonality_profile(T))
+
+
 def cmd_verify_ortho(args: argparse.Namespace, out: TextIO, err: TextIO) -> bool:
     t_lo, t_hi = _t_range(args)
+    jobs = _jobs(args.jobs)
     columns = ["T", "pairs_checked", "ok"]
-    profiles = ((T, *racah.orthogonality_profile(T)) for T in range(t_lo, t_hi + 1))
+    profiles = racah._range_pool(_ortho_row, range(t_lo, t_hi + 1), jobs, _CORRUPT)
     rows = _Tally(profiles, columns, ("ok",))
     emit_table(rows, columns, args.output_format, out)
     print(
@@ -285,9 +327,7 @@ def cmd_verify_needed(args: argparse.Namespace, out: TextIO, err: TextIO) -> boo
 
 def cmd_scan_bound(args: argparse.Namespace, out: TextIO, err: TextIO) -> bool:
     t_lo, t_hi = _t_range(args)
-    if args.jobs < 1:
-        raise UsageError("--jobs must be a positive integer")
-    report = racah.bound_scan(t_lo, t_hi, jobs=args.jobs)
+    report = racah.bound_scan(t_lo, t_hi, jobs=_jobs(args.jobs))
     emit_scan_report(report, out)
     half_grid = sum(T * (T + 1) // 2 for T in range(t_lo, t_hi + 1))
     print(
@@ -322,7 +362,7 @@ def _racah_rows(args: argparse.Namespace, t_lo: int, t_hi: int) -> Iterator[tupl
 
 # flag: argparse dest, per table kind
 _TABLE_FLAGS = {
-    "sigma": {"--Nmax": "Nmax", "--Nmin": "Nmin", "--kset": "k_set"},
+    "sigma": {"--Nmax": "Nmax", "--Nmin": "Nmin", "--kset": "k_set", "--jobs": "jobs"},
     "racah": {"--T": "T", "--Tmin": "Tmin", "--Tmax": "Tmax", "--n": "n", "--s": "s"},
 }
 
@@ -335,7 +375,8 @@ def cmd_table(args: argparse.Namespace, out: TextIO, err: TextIO) -> bool:
     if args.kind == "sigma":
         # the first seven columns: no method or agree flag
         columns = _SIGMA_COLUMNS[:7]
-        rows = _Tally((row[:7] for row in _sigma_rows(args, "closed")), columns)
+        jobs = _jobs(racah.default_jobs() if args.jobs is None else args.jobs)
+        rows = _Tally((row[:7] for row in _sigma_rows(args, "closed", jobs)), columns)
     elif args.kind == "racah":
         t_lo, t_hi = _t_range(args)
         # the bound T-1 only grows with T, so the first T decides
@@ -350,6 +391,13 @@ def cmd_table(args: argparse.Namespace, out: TextIO, err: TextIO) -> bool:
     emit_table(rows, columns, args.output_format, out)
     print(f"{rows.count} rows", file=err)
     return True
+
+
+def _jobs(jobs: int) -> int:
+    """The --jobs value, checked."""
+    if jobs < 1:
+        raise UsageError("--jobs must be a positive integer")
+    return jobs
 
 
 def _t_range(args: argparse.Namespace) -> tuple[int, int]:
@@ -382,6 +430,15 @@ def _parse_k_set(text: str) -> tuple[int, ...]:
     return values
 
 
+def _add_jobs_flag(p: argparse.ArgumentParser, default: int | None) -> None:
+    p.add_argument(
+        "--jobs",
+        type=int,
+        default=default,
+        help="worker processes (default: the CPUs this process may run on)",
+    )
+
+
 def _add_format_flag(p: argparse.ArgumentParser, default: str = "json") -> None:
     p.add_argument(
         "--format",
@@ -400,6 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
         "and the |R_n(s,T)| <= 1 scan.",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
+    jobs = racah.default_jobs()
 
     p = sub.add_parser(
         "verify-grassmannian",
@@ -416,6 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated k values (default: every k with 2k <= N)",
     )
     p.add_argument("--method", choices=("direct", "closed", "both"), default="closed")
+    _add_jobs_flag(p, jobs)
     _add_format_flag(p)
 
     p = sub.add_parser("verify-pn", help="projective-space model relations")
@@ -429,6 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--T", type=int, default=None)
     p.add_argument("--Tmin", type=int, default=None)
     p.add_argument("--Tmax", type=int, default=None)
+    _add_jobs_flag(p, jobs)
     _add_format_flag(p)
 
     p = sub.add_parser(
@@ -451,12 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--T", type=int, default=None)
     p.add_argument("--Tmin", type=int, default=None)
     p.add_argument("--Tmax", type=int, default=None)
-    p.add_argument(
-        "--jobs",
-        type=int,
-        default=racah.default_jobs(),
-        help="worker processes (default: the CPUs this process may run on)",
-    )
+    _add_jobs_flag(p, jobs)
 
     p = sub.add_parser("sigma", help="one certificate value, exact")
     p.set_defaults(handler=cmd_sigma)
@@ -475,6 +530,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--Tmax", type=int, default=None)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--s", type=int, default=None)
+    # None, so that a racah table can tell it was given
+    _add_jobs_flag(p, None)
     _add_format_flag(p, default="csv")
 
     return parser
@@ -487,9 +544,8 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (racah.InexactStep, lefschetz.NotPrimitive) as exc:
-        # a principal-weight step left a remainder, or the direct walk failed
-        # its primitivity or degree check: a value is corrupt
+    except (*_CORRUPT, racah.WorkerError) as exc:
+        # a value is corrupt, or a range worker died before handing back its key
         print(f"{args.command} FAILED: {exc}", file=sys.stderr)
         return 1
     return 0 if ok else 1

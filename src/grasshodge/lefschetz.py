@@ -14,8 +14,9 @@ the box, it checks the degree instead).  In closed form, the certificate is
 the principal weight times the margin of row n = N - 2k of the harmonic
 alternating inequality at T = N + 2, read off one row walk of the Racah
 values, as one Fraction over L = lcm(1, ..., N + 1).  One table per box
-holds L, the harmonic integers L H_0, ..., L H_(N+1) and the N + 1
-staircases built from them, and both routes at every k of the box read it.
+holds L, the harmonic integers L H_0, ..., L H_(N+1) and, once the direct
+route first asks for them, the N + 1 staircases built from them; both
+routes at every k of the box read it.
 The direct route uses no Racah code, so the two stay independent;
 sigma_verdict returns the certificate with whether the two agree, and
 sigma_direct, the same pairing on whole Chow classes, is the definitional
@@ -86,20 +87,27 @@ def _staircase(N: int, b: int, h: list[int], column_sum: int) -> list[int]:
 
 
 @lru_cache(maxsize=1)
-def _box_table(N: int) -> tuple[int, tuple[int, ...], int, tuple[tuple[int, ...], ...]]:
+def _box_table(N: int) -> tuple[int, tuple[int, ...], int, list[tuple[int, ...]]]:
     """The integers one box of width N reads: L = lcm(1, ..., N + 1),
-    h[i] = L H_i for i = 0..N + 1, their sum, and the staircases
-    _staircase(N, b), b = 0..N.
+    h[i] = L H_i for i = 0..N + 1, their sum, and a list that _box_stairs
+    fills with the staircases _staircase(N, b), b = 0..N, on first need.
 
-    The correction operator and the direct walk read the staircases, and the
-    closed certificate at T = N + 2 reads L, h and their sum.  Every k of
-    the box reads this one table, so the last box's table is kept; tuples
-    keep it read-only.
+    The closed certificate at T = N + 2 reads L, h and their sum; the
+    correction operator and the direct walk also read the staircases, so a
+    closed-only run never builds them.  Every k of the box reads this one
+    table, so the last box's table is kept, staircases and all.
     """
     L, h = harmonic_numerators(N + 1)
-    column_sum = sum(h)
-    stairs = tuple(tuple(_staircase(N, b, h, column_sum)) for b in range(N + 1))
-    return L, tuple(h), column_sum, stairs
+    return L, tuple(h), sum(h), []
+
+
+def _box_stairs(N: int) -> list[tuple[int, ...]]:
+    """The staircases of _box_table(N), built at the first call for that
+    table and kept in it."""
+    _, h, column_sum, stairs = _box_table(N)
+    if not stairs:
+        stairs.extend(tuple(_staircase(N, b, h, column_sum)) for b in range(N + 1))
+    return stairs
 
 
 def correction_op(x: ChowElement) -> ChowElement:
@@ -118,7 +126,7 @@ def correction_op(x: ChowElement) -> ChowElement:
     becomes one Fraction over L at the end.
     """
     N = x.N
-    L, _, _, stairs = _box_table(N)
+    L, stairs = _box_table(N)[0], _box_stairs(N)
     terms: dict[Partition2, Fraction] = {}
     for (a, b), c in x.terms.items():
         if a < N:
@@ -181,7 +189,8 @@ def sigma_walk(inst: SigmaInstance) -> Fraction:
     v[i] at r = n - b.  So the certificate is sum_b t_b S_b / L, where
     L = lcm(1, ..., N + 1) and S_b = sum_i g_b[i] v[i] contracts the lower
     power with the integer staircase g_b = L C(s(N, b)); one table
-    (_box_table) holds L and every staircase the k of one box read.
+    (_box_table, _box_stairs) holds L and every staircase the k of one box
+    read.
 
     The walk ends one step past the pairing, at L^(2n+1) alpha, and requires
     it to be 0 with alpha nonzero.  The codimension-2k primitive part is the
@@ -192,7 +201,7 @@ def sigma_walk(inst: SigmaInstance) -> Fraction:
     Grassmannian has degree Catalan(N).  Raises NotPrimitive otherwise.
     """
     N, k, n = inst.N, inst.k, inst.n
-    L, _, _, stairs = _box_table(N)
+    L, stairs = _box_table(N)[0], _box_stairs(N)
     v = _primitive_coefficients(N, k)
     nonzero = any(v)
     # weight w = 2k + r, so the lower power L^(n-b) alpha sits at w = N - b

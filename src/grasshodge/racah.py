@@ -15,9 +15,11 @@ lives in the tests as the independent oracle.  Around it sit the alternating
 inequality driven by a concave sequence, whose rows
 certify_alternating_bound returns paired with their route labels, and the
 scan that checks |R_n(s, T)| <= 1 across a whole parameter range.  The
-Legendre comparison family behind the "legendre" route label, and the window
-checks that support that regime, live with the tests in
-tests/legendre_checks.py.
+range pool (_range_pool) runs a per-key function over a range of keys on
+forked worker processes and yields the results in key order; the scan and
+the CLI's range commands all run on it.  The Legendre comparison family
+behind the "legendre" route label, and the window checks that support that
+regime, live with the tests in tests/legendre_checks.py.
 """
 
 from __future__ import annotations
@@ -365,6 +367,145 @@ def certify_alternating_bound(
 
 
 # ---------------------------------------------------------------------------
+# The range pool: one per-key function over a range of keys on J processes.
+#
+# Key i runs in process i mod J.  This process runs keys 0, J, 2J, ... when
+# their turn comes; forked worker j runs keys j, j + J, ... and writes one
+# length-prefixed marshal record per key to its pipe as soon as that key is
+# done.  The results come back in key order, so a range of any length is
+# held only as far as the pipe buffers let a worker run ahead.  A worker
+# that hits one of the caller's arithmetic errors on a key hands it back,
+# and it is raised here, with its class and message, once every earlier key
+# is out: the run fails where the serial run fails, after the same output.
+# Results hold only what marshal carries: ints, strings, bools, tuples and
+# lists.  The pool needs os.fork and a process without threads (grasshodge
+# starts none); without os.fork, or with one key, it forks nothing.
+# ---------------------------------------------------------------------------
+
+
+def default_jobs() -> int:
+    """The worker count when none is given: the CPUs this process may run
+    on (its affinity mask, which a cpuset-limited container narrows), or
+    the CPU count where the mask cannot be read."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+class WorkerError(RuntimeError):
+    """A forked worker ended without handing back its key: it was killed
+    (say, by the out-of-memory killer), or it failed outside the caller's
+    arithmetic errors."""
+
+
+def _pool_size(jobs: int, keys: int) -> int:
+    """The processes a range of keys runs on: jobs, at most one per key,
+    and only this one without os.fork."""
+    return max(1, min(jobs, keys)) if hasattr(os, "fork") else 1
+
+
+def _pool_worker(func: Callable, keys, errors: tuple, write_end: int) -> None:
+    """In a forked worker: write the record of func(key) for each key, in
+    order, until the keys run out or one fails.  A record is (0, result), or
+    (1 + i, message) for an instance of errors[i], the worker's last.  Any
+    other exception ends the worker with exit status 2 and (-1, its repr) as
+    the last record.  It leaves only by os._exit, so no buffer it inherited
+    is flushed."""
+    code = 2
+    try:
+        with open(write_end, "wb") as pipe:
+            try:
+                for key in keys:
+                    try:
+                        record = (0, func(key))
+                    except errors as exc:
+                        tag = next(i for i, cls in enumerate(errors, 1) if isinstance(exc, cls))
+                        record = (tag, str(exc))
+                    _write_record(pipe, record)
+                    if record[0]:
+                        break
+                code = 0
+            except Exception as exc:
+                _write_record(pipe, (-1, repr(exc)))
+    finally:
+        os._exit(code)
+
+
+def _write_record(pipe, record: tuple) -> None:
+    """One record on a worker's pipe: its marshal length, then its marshal,
+    flushed at once."""
+    payload = marshal.dumps(record)
+    pipe.write(len(payload).to_bytes(8, "little") + payload)
+    pipe.flush()
+
+
+def _read_record(pipe) -> tuple | None:
+    """The next record on a worker's pipe, or None at its end or at a record
+    cut short."""
+    header = pipe.read(8)
+    if len(header) < 8:
+        return None
+    size = int.from_bytes(header, "little")
+    payload = pipe.read(size)
+    return marshal.loads(payload) if len(payload) == size else None
+
+
+def _range_pool(func: Callable, keys, jobs: int, errors: tuple = (InexactStep,)) -> Iterator:
+    """func(key) for each key of a sequence, yielded in key order, with key i
+    run in process i mod jobs (process 0 is this one).
+
+    A key's instance of one of the errors, raised in this process or handed
+    back by a worker, is raised here when that key's turn comes.  A worker
+    that ends without its key's record raises WorkerError with its exit
+    status (and its exception, if it had one), and so does one that exits
+    non-zero after its last.  On every path, interrupts and an abandoned
+    iteration included, workers still running are killed and every worker
+    is reaped.
+    """
+    jobs = _pool_size(jobs, len(keys))
+    workers = {}  # j: (pid, read end of its pipe), not yet reaped
+    try:
+        for j in range(1, jobs):
+            read_end, write_end = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                os.close(read_end)
+                _pool_worker(func, keys[j::jobs], errors, write_end)
+            os.close(write_end)
+            workers[j] = (pid, open(read_end, "rb"))
+        for i, key in enumerate(keys):
+            j = i % jobs
+            if not j:
+                yield func(key)
+                continue
+            record = _read_record(workers[j][1])
+            if record is None or record[0] < 0:
+                pid, code = _reap(workers.pop(j))
+                detail = "" if record is None else f": {record[1]}"
+                raise WorkerError(f"worker {pid} exited with status {code}{detail}")
+            if record[0]:
+                raise errors[record[0] - 1](record[1])
+            yield record[1]
+        while workers:
+            pid, code = _reap(workers.popitem()[1])
+            if code:
+                raise WorkerError(f"worker {pid} exited with status {code}")
+    finally:
+        for pid, pipe in workers.values():
+            pipe.close()
+            os.kill(pid, 9)  # SIGKILL, without importing signal and its enums
+            os.waitpid(pid, 0)
+
+
+def _reap(worker: tuple) -> tuple[int, int]:
+    """Close a worker's pipe, wait for it, and return its pid and exit
+    status (minus the signal number if a signal ended it)."""
+    pid, pipe = worker
+    pipe.close()
+    return pid, os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+
+
+# ---------------------------------------------------------------------------
 # Bound scan: |R_n(s, T)| <= 1 over a whole T range.
 #
 # The scan walks each column s of the half grid down to n_s (_scan_depths)
@@ -375,7 +516,8 @@ def certify_alternating_bound(
 # give |R_n(s)| < 1 strictly once T^2 < (2n+2)(2s+1).  Every division of
 # the column walk was exact on T 3..1000.  The edge row n = 0 is R_0 = 1 by
 # definition, so the walk compares n >= 1 only and the CLI prints the edge
-# row from that definition.
+# row from that definition.  Each T is one key of the range pool, the
+# largest first.
 # ---------------------------------------------------------------------------
 
 
@@ -413,8 +555,9 @@ def _scan_one_T(T: int) -> tuple[int, list, list, int]:
     Column s stops at n_s; below it Wilson's orthogonality, which
     verify-ortho certifies, decides.  Returns T, the violations and the
     interior equality cases (n >= 1) as plain tuples in (n, s) order (ints
-    only, which _fork_map's marshal carries), violations carrying the exact
-    value as the pair (w_n(s), P_n), and the number of points walked.
+    only, which the range pool's marshal records carry), violations carrying
+    the exact value as the pair (w_n(s), P_n), and the number of points
+    walked.
     """
     depths = _scan_depths(T)
     deepest = max(depths)
@@ -438,90 +581,15 @@ def _scan_one_T(T: int) -> tuple[int, list, list, int]:
     return T, violations, equalities, T + sum(depths)
 
 
-def _scan_batch(ts: range) -> list[tuple[int, list, list, int]]:
-    """_scan_one_T for every T of one worker's share."""
-    return [_scan_one_T(T) for T in ts]
-
-
-def default_jobs() -> int:
-    """The worker count when none is given: the CPUs this process may run
-    on (its affinity mask, which a cpuset-limited container narrows), or
-    the CPU count where the mask cannot be read."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _fork_child(func: Callable, share, write_end: int) -> None:
-    """In a forked child: write marshal(func(share)) to the pipe and exit 0,
-    or the message of an InexactStep (exit 1) or of another error (exit 2).
-    It leaves only by os._exit, so no buffer it inherited is flushed."""
-    code = 2
-    try:
-        try:
-            payload, status = marshal.dumps(func(share)), 0
-        except InexactStep as exc:
-            payload, status = str(exc).encode(), 1
-        except Exception as exc:
-            payload, status = repr(exc).encode(), 2
-        with open(write_end, "wb") as pipe:
-            pipe.write(payload)
-        code = status
-    finally:
-        os._exit(code)
-
-
-def _fork_map(func: Callable, shares: list) -> list:
-    """[func(share) for share in shares], each share after the first run by
-    a forked child while this process runs the first.
-
-    Results come back by marshal, so they hold only ints, tuples and lists.
-    A child's InexactStep is raised here again; any other child failure
-    raises RuntimeError with its exit status.  On every path, interrupts
-    included, children still running are killed and all are reaped.  Needs
-    os.fork and a process without threads (grasshodge starts none).
-    """
-    children = []  # (pid, read end of its pipe), not yet reaped
-    try:
-        for share in shares[1:]:
-            read_end, write_end = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                _fork_child(func, share, write_end)
-            os.close(write_end)
-            children.append((pid, open(read_end, "rb")))
-        results = [func(shares[0])]
-        while children:
-            pid, pipe = children[0]
-            with pipe:
-                payload = pipe.read()
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            children.pop(0)
-            if code == 1:
-                raise InexactStep(payload.decode())
-            if code:
-                detail = f": {payload.decode()}" if payload else ""
-                raise RuntimeError(f"worker {pid} exited with status {code}{detail}")
-            results.append(marshal.loads(payload))
-        return results
-    finally:
-        for pid, pipe in children:
-            pipe.close()
-            os.kill(pid, 9)  # SIGKILL, without importing signal and its enums
-            os.waitpid(pid, 0)
-
-
 def bound_scan(T_min: int, T_max: int, jobs: int | None = None) -> ScanReport:
     """Check |R_n(s, T)| <= 1 on the half grid n <= s for every T in range.
 
-    Work is split by T across jobs processes (default: default_jobs()),
-    each T one self-contained chunk of rows, and merged back in T order, so
-    the report is identical whatever the worker count.  The T values,
-    largest first, are dealt round-robin into jobs shares (share i gets
-    T_max - i, T_max - i - jobs, ...), so each share carries a similar part
-    of the cost (about T^2.5 per T); this process walks the first share
-    while one forked child walks each other (_fork_map), so one share forks
-    nothing.  Without os.fork the one share is every T.
+    Each T is one key of the range pool on jobs processes (default:
+    default_jobs()), and the results are merged back in T order, so the
+    report is identical whatever the worker count.  The keys run largest
+    first, T_max, T_max - 1, ..., so that key i, run in process i mod jobs,
+    deals each process a similar part of the cost (about T^2.5 per T); one
+    T, or no os.fork, forks nothing.
     Each T walks about 0.6 of its half grid (points_walked); Wilson's
     orthogonality, which verify-ortho certifies, decides the rest.
     Raises InexactStep when a step of the walk leaves a remainder.
@@ -534,9 +602,8 @@ def bound_scan(T_min: int, T_max: int, jobs: int | None = None) -> ScanReport:
         raise ValueError(f"need jobs >= 1, got {jobs}")
     start = time.monotonic()
     ts = range(T_max, T_min - 1, -1)
-    jobs = min(jobs, len(ts)) if hasattr(os, "fork") else 1
-    shares = [ts[i::jobs] for i in range(jobs)]
-    results = sorted(result for batch in _fork_map(_scan_batch, shares) for result in batch)
+    jobs = _pool_size(jobs, len(ts))
+    results = sorted(_range_pool(_scan_one_T, ts, jobs))
     elapsed_ms = int((time.monotonic() - start) * 1000)
     return ScanReport(
         T_min=T_min,

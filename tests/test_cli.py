@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -23,6 +24,17 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_on_1_and_2_jobs(capsys, *argv):
+    """run_cli with --jobs 1 and with --jobs 2, which must agree byte for
+    byte on the exit code, stdout and stderr, and leave no worker behind;
+    the one result."""
+    serial, pooled = (run_cli(capsys, *argv, "--jobs", jobs) for jobs in ("1", "2"))
+    assert pooled == serial
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return serial
 
 
 def test_sigma_json_object(capsys):
@@ -316,7 +328,7 @@ def test_fault_injection_flips_exit_code(monkeypatch, capsys):
         return sigma, agree
 
     monkeypatch.setattr(lefschetz, "sigma_verdict", corrupted)
-    code, out, err = run_cli(capsys, "verify-grassmannian", "--Nmax", "5")
+    code, out, err = run_on_1_and_2_jobs(capsys, "verify-grassmannian", "--Nmax", "5")
     assert code == 1
     rows = [json.loads(line) for line in out.splitlines()]
     flagged = [r for r in rows if not r["positive"]]
@@ -516,6 +528,48 @@ def test_fault_injection_ortho_remainder(monkeypatch, capsys):
     assert "Traceback" not in err
 
 
+def test_fault_injection_ortho_remainder_in_a_worker(monkeypatch, capsys):
+    # T = 8 is key 5 of the range 3..10, so on two processes a worker
+    # certifies it: its InexactStep comes back and the run stops there,
+    # after the rows of T 3..7, as it does on one
+    _corrupt_steps_at(monkeypatch, 8)
+    code, out, err = run_on_1_and_2_jobs(capsys, "verify-ortho", "--Tmin", "3", "--Tmax", "10")
+    assert code == 1
+    assert [json.loads(line)["T"] for line in out.splitlines()] == [3, 4, 5, 6, 7]
+    assert err.startswith("verify-ortho FAILED: ") and "T=8, s=0" in err and "remainder" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, patched",
+    [
+        (("verify-grassmannian", "--Nmax", "5"), "_box_rows"),
+        (("table", "--kind", "sigma", "--Nmax", "5"), "_box_rows"),
+        (("verify-ortho", "--Tmin", "3", "--Tmax", "6", "--format", "csv"), "_ortho_row"),
+    ],
+    ids=["verify-grassmannian", "table", "verify-ortho"],
+)
+def test_dead_worker_fails_the_command_in_one_line(monkeypatch, capsys, argv, patched):
+    # a worker that dies on its first key, as one the out-of-memory killer
+    # takes would: the rows before that key, then exit 1 with one stderr
+    # line and no worker left running
+    parent = os.getpid()
+    real = getattr(cli, patched)
+
+    def dying(*args):
+        if os.getpid() != parent:
+            os._exit(3)
+        return real(*args)
+
+    monkeypatch.setattr(cli, patched, dying)
+    code, out, err = run_cli(capsys, *argv, "--jobs", "2")
+    assert code == 1
+    assert len(out.splitlines()) == 1 + (argv[0] != "verify-grassmannian")  # CSV header
+    assert re.fullmatch(rf"{argv[0]} FAILED: worker \d+ exited with status 3\n", err), err
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_fault_injection_row_remainder(monkeypatch, capsys):
     # every row walk at T = 6 started from P_n + 1: row 0 stays exact (it is
     # constant), but row 1's first step divides (1 + 4 - 36) * 36 by
@@ -699,13 +753,14 @@ def test_fault_injection_alpha_coefficient(monkeypatch, capsys, method):
         return v
 
     monkeypatch.setattr(lefschetz, "_primitive_coefficients", corrupted)
-    code, out, err = run_cli(capsys, "verify-grassmannian", "--Nmax", "6", "--method", method)
+    argv = ("verify-grassmannian", "--Nmax", "6", "--method", method)
+    code, out, err = run_on_1_and_2_jobs(capsys, *argv)
     assert code == 1
     rows = [json.loads(line) for line in out.splitlines()]
     assert [(r["N"], r["k"]) for r in rows][-2:] == [(6, 0), (6, 1)]
     assert "FAILED" in err and "N=6, k=2 is not primitive: L^5 alpha is not 0" in err
     assert "Traceback" not in err
-    code, _, _ = run_cli(capsys, "verify-grassmannian", "--Nmax", "6", "--method", "closed")
+    code, _, _ = run_on_1_and_2_jobs(capsys, *argv[:-1], "closed")
     assert code == 0
 
 
@@ -715,7 +770,7 @@ def test_fault_injection_walk_at_k0(monkeypatch, capsys):
     # L^(2N) alpha must have C(2N, N) on s(N, N), and the stray s(2, 1)
     # adds one for each Pieri path on from there to s(N, N)
     args = ("verify-grassmannian", "--Nmax", "8", "--method", "direct", "--kset", "0")
-    code, out, _ = run_cli(capsys, *args)
+    code, out, _ = run_on_1_and_2_jobs(capsys, *args)
     assert code == 0 and len(out.splitlines()) == 8
     real = lefschetz._pieri_step
 
@@ -727,7 +782,7 @@ def test_fault_injection_walk_at_k0(monkeypatch, capsys):
 
     monkeypatch.setattr(lefschetz, "_pieri_step", corrupted)
     for N, got, want in ((2, 7, 6), (4, 75, 70), (8, 13299, 12870)):
-        code, out, err = run_cli(capsys, *args, "--Nmin", str(N))
+        code, out, err = run_on_1_and_2_jobs(capsys, *args, "--Nmin", str(N))
         assert (code, out) == (1, "")
         assert f"FAILED: the walk at N={N}, k=0 is corrupt: L^{2 * N} alpha has {got} " in err
         assert f"on s({N}, {N}), not C({2 * N}, {N}) = {want}" in err
@@ -788,6 +843,17 @@ STDOUT_PINS = [
     ("verify-needed --T 100 --format csv", "0dc431b8b562bf499d4331429706d6734666f7df4fa1795c7b981e5b5c2ee632"),
     ("verify-ortho --Tmin 3 --Tmax 30 --format csv", "29c084454825070531698c288480c8ce0a19bb3ce9fdcaf60884833c6029cf6b"),
     ("verify-grassmannian --Nmax 12 --format csv", "a9ac3ab4b31b90b2a403aae13047afdfc87d73f0c25575e10964bb8bf6732b05"),
+    ("verify-grassmannian --Nmax 16 --method direct", "1a5bea275082bbb155c4ecca9046a76e3fd41d384620dc544a977f94c9461a9b"),
+    ("verify-grassmannian --Nmax 16 --method both --kset 0,3,5 --Nmin 4 --format csv", "87c10328a8cad50825046d65c5bc30791633a0aacb0d150d721aaac5b619e3b4"),
+    ("table --kind sigma --Nmax 40", "00f25e1e057bc0185a60cea4b1788fd0f52a2d8ced6341627b37a40cf9949f92"),
+]
+
+# the entries over a range of keys, boxes N or T values, which the range
+# pool deals to its processes
+RANGE_PINS = [
+    (argv, digest)
+    for argv, digest in STDOUT_PINS
+    if argv.startswith(("verify-grassmannian", "verify-ortho --Tmin", "table --kind sigma"))
 ]
 
 
@@ -796,6 +862,57 @@ def test_stdout_pinned(capsys, argv, digest):
     code, out, _ = run_cli(capsys, *argv.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("jobs", ["1", "2", "3"])
+@pytest.mark.parametrize("argv, digest", RANGE_PINS, ids=[a for a, _ in RANGE_PINS])
+def test_range_pins_hold_on_any_worker_count(capsys, argv, digest, jobs):
+    code, out, _ = run_cli(capsys, *argv.split(), "--jobs", jobs)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_jobs_flag_checked_before_output(capsys):
+    cases = [
+        ("verify-grassmannian", "--Nmax", "5", "--jobs", "0"),
+        ("verify-ortho", "--Tmin", "3", "--Tmax", "9", "--jobs", "0"),
+        ("verify-ortho", "--T", "5", "--jobs", "-1"),
+        ("table", "--kind", "sigma", "--Nmax", "5", "--jobs", "0"),
+        ("scan-bound", "--T", "5", "--jobs", "0"),
+        # a racah table takes no --jobs: it is a stray flag there
+        ("table", "--kind", "racah", "--T", "5", "--jobs", "2"),
+    ]
+    for argv in cases:
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: "), argv
+    assert err == "error: --kind racah takes no --jobs\n"
+
+
+def test_closed_runs_build_no_staircase(monkeypatch, capsys):
+    # the closed certificate reads L, h and their sum, never a staircase,
+    # and the direct walk builds each box's staircases once.  The spy sees
+    # this process alone, so every run pins --jobs 1
+    built = []
+    real = lefschetz._staircase
+
+    def spy(N, b, h, column_sum):
+        built.append((N, b))
+        return real(N, b, h, column_sum)
+
+    monkeypatch.setattr(lefschetz, "_staircase", spy)
+    lefschetz._box_table.cache_clear()
+    for argv in (
+        ("verify-grassmannian", "--Nmax", "8", "--method", "closed"),
+        ("table", "--kind", "sigma", "--Nmax", "8"),
+    ):
+        assert run_cli(capsys, *argv, "--jobs", "1")[0] == 0
+    assert built == []
+    argv = ("verify-grassmannian", "--Nmax", "8", "--method", "both", "--jobs", "1")
+    assert run_cli(capsys, *argv)[0] == 0
+    assert built == [(N, b) for N in range(1, 9) for b in range(N + 1)]
 
 
 @pytest.mark.parametrize(

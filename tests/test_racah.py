@@ -2,6 +2,7 @@ import io
 import json
 import os
 import random
+import select
 import time
 from fractions import Fraction
 from math import comb
@@ -18,6 +19,7 @@ from grasshodge.exactmath import (
     validate_concave,
 )
 from grasshodge.racah import (
+    InexactStep,
     _principal_column,
     _principal_row,
     _principal_steps,
@@ -248,36 +250,120 @@ def test_one_share_scan_never_forks(monkeypatch):
     assert _scan_line(bound_scan(3, 12, jobs=1)) == pooled
 
 
-def _split_scan_batch(monkeypatch, in_parent, in_child):
-    # _scan_batch is in_parent in this process and in_child in a forked worker
+def _split_scan_one_T(monkeypatch, in_parent, in_child):
+    # _scan_one_T is in_parent in this process and in_child in a forked worker
     parent = os.getpid()
     monkeypatch.setattr(
-        racah, "_scan_batch", lambda ts: (in_parent if os.getpid() == parent else in_child)(ts)
+        racah, "_scan_one_T", lambda T: (in_parent if os.getpid() == parent else in_child)(T)
     )
 
 
 def test_scan_raises_when_a_worker_dies(monkeypatch):
     # a worker that exits without a result fails the scan, never shrinks it
-    _split_scan_batch(monkeypatch, racah._scan_batch, lambda ts: os._exit(3))
+    _split_scan_one_T(monkeypatch, racah._scan_one_T, lambda T: os._exit(3))
     with pytest.raises(RuntimeError, match="exited with status 3"):
         bound_scan(3, 12, jobs=2)
     with pytest.raises(ChildProcessError):  # every child reaped
         os.waitpid(-1, os.WNOHANG)
 
 
-def _interrupt(ts):
+def _interrupt(T):
     raise KeyboardInterrupt
 
 
 def test_scan_interrupt_leaves_no_worker(monkeypatch):
     # workers that would sleep for a minute are killed, not awaited
-    _split_scan_batch(monkeypatch, _interrupt, lambda ts: time.sleep(60))
+    _split_scan_one_T(monkeypatch, _interrupt, lambda T: time.sleep(60))
     start = time.monotonic()
     with pytest.raises(KeyboardInterrupt):
         bound_scan(3, 12, jobs=3)
     assert time.monotonic() - start < 30
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def _no_worker_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_pool_yields_each_record_as_it_comes():
+    # with 2 jobs the worker runs keys 1 and 3; key 3 waits on a gate the
+    # test opens only after the worker's record for key 1 is out, so a pool
+    # that held a worker's records back to its end would time the gate out
+    gate_r, gate_w = os.pipe()
+
+    def func(key):
+        if key == 3:
+            return "released" if select.select([gate_r], [], [], 20)[0] else "timed out"
+        return key
+
+    try:
+        pool = racah._range_pool(func, range(4), 2)
+        assert [next(pool), next(pool), next(pool)] == [0, 1, 2]
+        os.write(gate_w, b"x")
+        assert list(pool) == ["released"]
+    finally:
+        os.close(gate_r)
+        os.close(gate_w)
+    _no_worker_left()
+
+
+@pytest.mark.parametrize("jobs", [1, 2, 3])
+def test_pool_raises_a_keys_error_after_every_earlier_key(jobs):
+    # key 4 runs in this process on 1 job and in a worker on 2 or 3; either
+    # way keys 0..3 come out first and the error keeps its class and message
+    def func(key):
+        if key == 4:
+            raise InexactStep(f"step at key {key}")
+        if key == 5:
+            return 1 // 0  # never reached: the run stops at key 4
+        return key * key
+
+    got = []
+    with pytest.raises(InexactStep, match="^step at key 4$"):
+        got.extend(racah._range_pool(func, range(8), jobs))
+    assert got == [0, 1, 4, 9]
+    # any class the caller names is handed back the same way
+    errors = (InexactStep, ZeroDivisionError)
+    with pytest.raises(ZeroDivisionError, match="by zero"):
+        list(racah._range_pool(lambda key: 1 // (key - 3), range(6), jobs, errors))
+    _no_worker_left()
+
+
+def test_pool_worker_failures_name_the_worker():
+    parent = os.getpid()
+
+    def in_worker(fail):
+        return lambda key: fail(key) if os.getpid() != parent else key
+
+    with pytest.raises(racah.WorkerError, match=r"^worker \d+ exited with status 3$"):
+        list(racah._range_pool(in_worker(lambda key: os._exit(3)), range(4), 2))
+    # a worker's other exception ends it with status 2 and the exception
+    with pytest.raises(
+        racah.WorkerError, match=r"^worker \d+ exited with status 2: KeyError\(1\)$"
+    ):
+        list(racah._range_pool(in_worker(lambda key: {}[key]), range(4), 2))
+    # a result marshal cannot carry is such an exception, not a silent loss
+    with pytest.raises(racah.WorkerError, match="status 2: ValueError"):
+        list(racah._range_pool(in_worker(Fraction), range(4), 2))
+    _no_worker_left()
+
+
+def test_pool_abandoned_leaves_no_worker():
+    pool = racah._range_pool(lambda key: time.sleep(60) if key else key, range(4), 3)
+    start = time.monotonic()
+    assert next(pool) == 0
+    pool.close()
+    assert time.monotonic() - start < 30
+    _no_worker_left()
+
+
+def test_pool_forks_nothing_for_one_key_or_without_fork(monkeypatch):
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+    assert list(racah._range_pool(str, [7], 4)) == ["7"]
+    monkeypatch.delattr(os, "fork")
+    assert list(racah._range_pool(str, range(5), 3)) == list("01234")
 
 
 def test_scan_validation():
