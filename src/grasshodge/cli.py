@@ -11,8 +11,10 @@ The range commands, verify-grassmannian and table --kind sigma over boxes N,
 verify-ortho and scan-bound over T, deal their keys to racah's range pool on
 --jobs processes (default: the CPUs this process may run on).  Their output
 is byte-identical whatever the worker count, failures included: a corrupt
-value stops the run at the same row with the same message, and a worker
-that dies ends the command with exit 1 and one line on standard error.
+value stops the run at the same row with the same message, since a key's
+rows before it come back with its error and no key is run twice, and a
+worker that dies ends the command with exit 1 and one line on standard
+error.
 """
 
 from __future__ import annotations
@@ -203,9 +205,10 @@ def _sigma_rows(args: argparse.Namespace, method: str, jobs: int) -> Iterator[tu
     """Output row for each (N, k) in the range, in (N, k) order, by method.
 
     Each box N is one key of the range pool on jobs processes, so each
-    process builds the table of a box once.  A box that fails part way is
-    run again in this process, which puts out its rows before the failing
-    instance and then raises the same error, as the serial run does.
+    process builds the table of a box once.  A box that fails part way, in
+    this process or in a worker, gives its rows before the failing instance
+    and then raises that instance's error, as the serial run does; no box
+    is run twice.
     The range is checked on the call, before any row is computed; an unset
     Nmin is 1.  A range that holds no (N, k) is a usage error.
     """
@@ -215,22 +218,8 @@ def _sigma_rows(args: argparse.Namespace, method: str, jobs: int) -> Iterator[tu
     # some N <= Nmax holds a k with 2k <= N exactly when the smallest k fits
     if args.k_set is not None and 2 * min(args.k_set) > args.Nmax:
         raise UsageError("no (N, k) instances in the requested range")
-    return _box_sweep(range(n_lo, args.Nmax + 1), partial(_box_rows, method, args.k_set), jobs)
-
-
-def _box_sweep(boxes: range, rows_of, jobs: int) -> Iterator[tuple]:
-    """The rows of every box, box by box from the range pool.  A box whose
-    key raised is run again here, so that its rows before the failing
-    instance come out, and the run here raises the same error (or, should
-    it not, the box's error is raised after its rows)."""
-    results = racah._range_pool(lambda N: list(rows_of(N)), boxes, jobs, _CORRUPT)
-    for N in boxes:
-        try:
-            rows = next(results)
-        except _CORRUPT:
-            yield from rows_of(N)
-            raise
-        yield from rows
+    boxes = range(n_lo, args.Nmax + 1)
+    return racah._range_pool(partial(_box_rows, method, args.k_set), boxes, jobs, _CORRUPT)
 
 
 def cmd_verify_grassmannian(args: argparse.Namespace, out: TextIO, err: TextIO) -> bool:
@@ -269,9 +258,9 @@ def cmd_verify_pn(args: argparse.Namespace, out: TextIO, err: TextIO) -> bool:
     return rows.ok
 
 
-def _ortho_row(T: int) -> tuple[int, int, bool]:
+def _ortho_row(T: int) -> Iterator[tuple[int, int, bool]]:
     """The verify-ortho row of one T."""
-    return (T, *racah.orthogonality_profile(T))
+    yield (T, *racah.orthogonality_profile(T))
 
 
 def cmd_verify_ortho(args: argparse.Namespace, out: TextIO, err: TextIO) -> bool:

@@ -16,8 +16,8 @@ inequality driven by a concave sequence, whose rows
 certify_alternating_bound returns paired with their route labels, and the
 scan that checks |R_n(s, T)| <= 1 across a whole parameter range.  The
 range pool (_range_pool) runs a per-key function over a range of keys on
-forked worker processes and yields the results in key order; the scan and
-the CLI's range commands all run on it.  The Legendre comparison family
+forked worker processes and yields each key's items in key order; the scan
+and the CLI's range commands all run on it.  The Legendre comparison family
 behind the "legendre" route label, and the window checks that support that
 regime, live with the tests in tests/legendre_checks.py.
 """
@@ -274,18 +274,6 @@ class Inequality:
         return self.lhs < self.rhs
 
 
-def alternating_lhs(n: int, T: int, h, scale: int) -> Fraction:
-    """Left side of row n of the alternating inequality,
-    sum_s (-1)^(s+1) R_n(s,T) H_s over s = 1..T-1, from the integers
-    h[s] = scale H_s (h[0] = 0).
-
-    The row walk gives w_n(s) = P_n R_n(s, T) at every s, starting from
-    w_n(0) = P_n, so the sum is one integer over P_n scale.
-    """
-    row = _principal_row(n, T)
-    return Fraction(_alternating_dot(row, h), row[0] * scale)
-
-
 def _alternating_dot(row: list[int], h) -> int:
     """sum_s (-1)^(s+1) row[s] h[s] over s = 1..len(row)-1: odd s add, even
     s subtract."""
@@ -304,7 +292,10 @@ def alternating_profile(scale: int, h) -> list[Inequality]:
     if scale < 1:
         raise ValueError(f"need scale >= 1, got {scale}")
     rhs = Fraction(sum(h), scale)
-    return [Inequality(alternating_lhs(n, T, h, scale), rhs) for n in range(T)]
+    # the row walk gives w_n(s) = P_n R_n(s, T) at every s, starting from
+    # w_n(0) = P_n, so each left side is one integer over P_n scale
+    rows = (_principal_row(n, T) for n in range(T))
+    return [Inequality(Fraction(_alternating_dot(row, h), row[0] * scale), rhs) for row in rows]
 
 
 def n_below_log(n: int, T: int) -> bool:
@@ -369,17 +360,20 @@ def certify_alternating_bound(
 # ---------------------------------------------------------------------------
 # The range pool: one per-key function over a range of keys on J processes.
 #
-# Key i runs in process i mod J.  This process runs keys 0, J, 2J, ... when
-# their turn comes; forked worker j runs keys j, j + J, ... and writes one
-# length-prefixed marshal record per key to its pipe as soon as that key is
-# done.  The results come back in key order, so a range of any length is
-# held only as far as the pipe buffers let a worker run ahead.  A worker
-# that hits one of the caller's arithmetic errors on a key hands it back,
-# and it is raised here, with its class and message, once every earlier key
-# is out: the run fails where the serial run fails, after the same output.
-# Results hold only what marshal carries: ints, strings, bools, tuples and
-# lists.  The pool needs os.fork and a process without threads (grasshodge
-# starts none); without os.fork, or with one key, it forks nothing.
+# A key's function returns an iterable of items, and every key is turned
+# into one record by _key_record: (0, items), or (1 + i, the items before
+# the error, its message) when the key ends in an instance of the caller's
+# errors[i].  Key i runs in process i mod J.  This process makes the records
+# of keys 0, J, 2J, ... when their turn comes; forked worker j makes those
+# of keys j, j + J, ... and writes each to its pipe, length-prefixed
+# marshal, as soon as it is made.  Every record is handled alike, in key
+# order: its items are yielded, then its error, if it has one, is raised
+# with its class and message.  So the run fails where the serial run fails,
+# after the same output, and no key is run twice; a range of any length is
+# held only as far as the pipe buffers let a worker run ahead.  Items hold
+# only what marshal carries: ints, strings, bools, tuples and lists.  The
+# pool needs os.fork and a process without threads (grasshodge starts
+# none); without os.fork, or with one key, it forks nothing.
 # ---------------------------------------------------------------------------
 
 
@@ -404,23 +398,32 @@ def _pool_size(jobs: int, keys: int) -> int:
     return max(1, min(jobs, keys)) if hasattr(os, "fork") else 1
 
 
+def _key_record(func: Callable, key, errors: tuple) -> tuple:
+    """The record of one key: (0, the items of func(key)), or (1 + i, the
+    items before the error, its message) when func(key) ends in an instance
+    of errors[i].  Any other exception propagates."""
+    items = []
+    try:
+        for item in func(key):
+            items.append(item)
+    except errors as exc:
+        tag = next(i for i, cls in enumerate(errors, 1) if isinstance(exc, cls))
+        return tag, items, str(exc)
+    return 0, items
+
+
 def _pool_worker(func: Callable, keys, errors: tuple, write_end: int) -> None:
-    """In a forked worker: write the record of func(key) for each key, in
-    order, until the keys run out or one fails.  A record is (0, result), or
-    (1 + i, message) for an instance of errors[i], the worker's last.  Any
-    other exception ends the worker with exit status 2 and (-1, its repr) as
-    the last record.  It leaves only by os._exit, so no buffer it inherited
-    is flushed."""
+    """In a forked worker: write the record of each key, in order, until the
+    keys run out or one ends in an error, which is the worker's last record.
+    Any other exception ends the worker with exit status 2 and (-1, its
+    repr) as the last record.  It leaves only by os._exit, so no buffer it
+    inherited is flushed."""
     code = 2
     try:
         with open(write_end, "wb") as pipe:
             try:
                 for key in keys:
-                    try:
-                        record = (0, func(key))
-                    except errors as exc:
-                        tag = next(i for i, cls in enumerate(errors, 1) if isinstance(exc, cls))
-                        record = (tag, str(exc))
+                    record = _key_record(func, key, errors)
                     _write_record(pipe, record)
                     if record[0]:
                         break
@@ -451,16 +454,16 @@ def _read_record(pipe) -> tuple | None:
 
 
 def _range_pool(func: Callable, keys, jobs: int, errors: tuple = (InexactStep,)) -> Iterator:
-    """func(key) for each key of a sequence, yielded in key order, with key i
-    run in process i mod jobs (process 0 is this one).
+    """The items of func(key) for each key of a sequence, yielded in key
+    order, with key i run in process i mod jobs (process 0 is this one).
 
-    A key's instance of one of the errors, raised in this process or handed
-    back by a worker, is raised here when that key's turn comes.  A worker
-    that ends without its key's record raises WorkerError with its exit
-    status (and its exception, if it had one), and so does one that exits
-    non-zero after its last.  On every path, interrupts and an abandoned
-    iteration included, workers still running are killed and every worker
-    is reaped.
+    A key that ends in an instance of one of the errors, in this process or
+    in a worker, yields the items it made before it, and then the error is
+    raised here with its class and message.  A worker that ends without its
+    key's record raises WorkerError with its exit status (and its
+    exception, if it had one), and so does one that exits non-zero after
+    its last.  On every path, interrupts and an abandoned iteration
+    included, workers still running are killed and every worker is reaped.
     """
     jobs = _pool_size(jobs, len(keys))
     workers = {}  # j: (pid, read end of its pipe), not yet reaped
@@ -476,16 +479,16 @@ def _range_pool(func: Callable, keys, jobs: int, errors: tuple = (InexactStep,))
         for i, key in enumerate(keys):
             j = i % jobs
             if not j:
-                yield func(key)
-                continue
-            record = _read_record(workers[j][1])
-            if record is None or record[0] < 0:
-                pid, code = _reap(workers.pop(j))
-                detail = "" if record is None else f": {record[1]}"
-                raise WorkerError(f"worker {pid} exited with status {code}{detail}")
+                record = _key_record(func, key, errors)
+            else:
+                record = _read_record(workers[j][1])
+                if record is None or record[0] < 0:
+                    pid, code = _reap(workers.pop(j))
+                    detail = "" if record is None else f": {record[1]}"
+                    raise WorkerError(f"worker {pid} exited with status {code}{detail}")
+            yield from record[1]
             if record[0]:
-                raise errors[record[0] - 1](record[1])
-            yield record[1]
+                raise errors[record[0] - 1](record[2])
         while workers:
             pid, code = _reap(workers.popitem()[1])
             if code:
@@ -603,7 +606,7 @@ def bound_scan(T_min: int, T_max: int, jobs: int | None = None) -> ScanReport:
     start = time.monotonic()
     ts = range(T_max, T_min - 1, -1)
     jobs = _pool_size(jobs, len(ts))
-    results = sorted(_range_pool(_scan_one_T, ts, jobs))
+    results = sorted(_range_pool(lambda T: (_scan_one_T(T),), ts, jobs))
     elapsed_ms = int((time.monotonic() - start) * 1000)
     return ScanReport(
         T_min=T_min,

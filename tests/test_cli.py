@@ -739,20 +739,29 @@ def test_fault_injection_correction_op(monkeypatch, capsys):
     assert code == 0
 
 
+def _corrupt_alpha_at_6_2(monkeypatch, calls, in_worker_only):
+    # the top coefficient of alpha at N = 6, k = 2 off by 1, in a forked
+    # worker only or everywhere; calls gets the N of each call made in this
+    # process
+    parent = os.getpid()
+    real = lefschetz._primitive_coefficients
+
+    def corrupted(N, k):
+        calls.append(N)
+        v = real(N, k)
+        if (N, k) == (6, 2) and not (in_worker_only and os.getpid() == parent):
+            v[-1] += 1
+        return v
+
+    monkeypatch.setattr(lefschetz, "_primitive_coefficients", corrupted)
+
+
 @pytest.mark.parametrize("method", ["direct", "both"])
 def test_fault_injection_alpha_coefficient(monkeypatch, capsys, method):
     # the top coefficient of alpha at N = 6, k = 2 off by 1: the walk's last
     # power L^5 alpha is no longer 0, so the direct route stops at that
     # instance with exit 1, after the rows before it
-    real = lefschetz._primitive_coefficients
-
-    def corrupted(N, k):
-        v = real(N, k)
-        if (N, k) == (6, 2):
-            v[-1] += 1
-        return v
-
-    monkeypatch.setattr(lefschetz, "_primitive_coefficients", corrupted)
+    _corrupt_alpha_at_6_2(monkeypatch, [], in_worker_only=False)
     argv = ("verify-grassmannian", "--Nmax", "6", "--method", method)
     code, out, err = run_on_1_and_2_jobs(capsys, *argv)
     assert code == 1
@@ -762,6 +771,33 @@ def test_fault_injection_alpha_coefficient(monkeypatch, capsys, method):
     assert "Traceback" not in err
     code, _, _ = run_on_1_and_2_jobs(capsys, *argv[:-1], "closed")
     assert code == 0
+
+
+def test_fault_injection_alpha_coefficient_in_a_worker_only(monkeypatch, capsys):
+    # box 6 is key 5 of 1..6, a worker's on two processes; the fault shows
+    # only there, and the run stops after that worker's rows (6, 0), (6, 1),
+    # with no row of box 6 made anywhere else
+    _corrupt_alpha_at_6_2(monkeypatch, [], in_worker_only=True)
+    argv = ("verify-grassmannian", "--Nmax", "6", "--method", "direct", "--jobs", "2")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    rows = [json.loads(line) for line in out.splitlines()]
+    assert [(r["N"], r["k"]) for r in rows][-2:] == [(6, 0), (6, 1)]
+    assert "FAILED" in err and "N=6, k=2 is not primitive: L^5 alpha is not 0" in err
+    assert "Traceback" not in err
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_failing_box_is_walked_once(monkeypatch, capsys):
+    # box 6 stops at its third class, k = 2: each of its classes is built
+    # once, 3 calls, where a rerun of the box would make 6
+    calls = []
+    _corrupt_alpha_at_6_2(monkeypatch, calls, in_worker_only=False)
+    argv = ("verify-grassmannian", "--Nmax", "6", "--method", "direct", "--jobs", "1")
+    code, _, _ = run_cli(capsys, *argv)
+    assert code == 1
+    assert calls.count(6) == 3
 
 
 def test_fault_injection_walk_at_k0(monkeypatch, capsys):

@@ -295,8 +295,8 @@ def test_pool_yields_each_record_as_it_comes():
 
     def func(key):
         if key == 3:
-            return "released" if select.select([gate_r], [], [], 20)[0] else "timed out"
-        return key
+            return ["released" if select.select([gate_r], [], [], 20)[0] else "timed out"]
+        return [key]
 
     try:
         pool = racah._range_pool(func, range(4), 2)
@@ -311,14 +311,14 @@ def test_pool_yields_each_record_as_it_comes():
 
 @pytest.mark.parametrize("jobs", [1, 2, 3])
 def test_pool_raises_a_keys_error_after_every_earlier_key(jobs):
-    # key 4 runs in this process on 1 job and in a worker on 2 or 3; either
+    # key 4 runs in this process on 1 or 2 jobs and in a worker on 3; either
     # way keys 0..3 come out first and the error keeps its class and message
     def func(key):
         if key == 4:
             raise InexactStep(f"step at key {key}")
         if key == 5:
-            return 1 // 0  # never reached: the run stops at key 4
-        return key * key
+            return [1 // 0]  # never reached: the run stops at key 4
+        return [key * key]
 
     got = []
     with pytest.raises(InexactStep, match="^step at key 4$"):
@@ -327,7 +327,24 @@ def test_pool_raises_a_keys_error_after_every_earlier_key(jobs):
     # any class the caller names is handed back the same way
     errors = (InexactStep, ZeroDivisionError)
     with pytest.raises(ZeroDivisionError, match="by zero"):
-        list(racah._range_pool(lambda key: 1 // (key - 3), range(6), jobs, errors))
+        list(racah._range_pool(lambda key: [1 // (key - 3)], range(6), jobs, errors))
+    _no_worker_left()
+
+
+@pytest.mark.parametrize("jobs", [1, 2, 3])
+def test_pool_gives_a_keys_items_before_its_error(jobs):
+    # key 5 runs in this process on 1 job and in a worker on 2 or 3: the two
+    # items it made before its error come out after keys 0..4, then the error
+    def func(key):
+        yield key
+        if key == 5:
+            yield "before"
+            raise InexactStep(f"step at key {key}")
+
+    got = []
+    with pytest.raises(InexactStep, match="^step at key 5$"):
+        got.extend(racah._range_pool(func, range(8), jobs))
+    assert got == [0, 1, 2, 3, 4, 5, "before"]
     _no_worker_left()
 
 
@@ -335,7 +352,7 @@ def test_pool_worker_failures_name_the_worker():
     parent = os.getpid()
 
     def in_worker(fail):
-        return lambda key: fail(key) if os.getpid() != parent else key
+        return lambda key: fail(key) if os.getpid() != parent else [key]
 
     with pytest.raises(racah.WorkerError, match=r"^worker \d+ exited with status 3$"):
         list(racah._range_pool(in_worker(lambda key: os._exit(3)), range(4), 2))
@@ -343,15 +360,15 @@ def test_pool_worker_failures_name_the_worker():
     with pytest.raises(
         racah.WorkerError, match=r"^worker \d+ exited with status 2: KeyError\(1\)$"
     ):
-        list(racah._range_pool(in_worker(lambda key: {}[key]), range(4), 2))
+        list(racah._range_pool(in_worker(lambda key: [{}[key]]), range(4), 2))
     # a result marshal cannot carry is such an exception, not a silent loss
     with pytest.raises(racah.WorkerError, match="status 2: ValueError"):
-        list(racah._range_pool(in_worker(Fraction), range(4), 2))
+        list(racah._range_pool(in_worker(lambda key: [Fraction(key)]), range(4), 2))
     _no_worker_left()
 
 
 def test_pool_abandoned_leaves_no_worker():
-    pool = racah._range_pool(lambda key: time.sleep(60) if key else key, range(4), 3)
+    pool = racah._range_pool(lambda key: [time.sleep(60) if key else key], range(4), 3)
     start = time.monotonic()
     assert next(pool) == 0
     pool.close()
@@ -361,9 +378,9 @@ def test_pool_abandoned_leaves_no_worker():
 
 def test_pool_forks_nothing_for_one_key_or_without_fork(monkeypatch):
     monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
-    assert list(racah._range_pool(str, [7], 4)) == ["7"]
+    assert list(racah._range_pool(lambda key: [str(key)], [7], 4)) == ["7"]
     monkeypatch.delattr(os, "fork")
-    assert list(racah._range_pool(str, range(5), 3)) == list("01234")
+    assert list(racah._range_pool(lambda key: [str(key)], range(5), 3)) == list("01234")
 
 
 def test_scan_validation():
