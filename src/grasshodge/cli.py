@@ -3,9 +3,10 @@
 Every subcommand writes its report rows to standard out (JSON lines or CSV)
 as they are computed and a one-line summary to standard error, then exits 0
 when every check passed, 1 when some mathematical check failed, and 2 on a
-usage or parse error.  Usage errors are found before the first byte of
-output.  Reruns with the same flags and seed produce byte-identical output;
-anything timing-dependent goes to standard error only.
+usage or parse error.  A call builds only its own subcommand's parser, and
+finds usage errors before the first byte of output.  Reruns with the same
+flags and seed produce byte-identical output; anything timing-dependent goes
+to standard error only.
 
 The range commands, verify-grassmannian and table --kind sigma over boxes N,
 verify-ortho and scan-bound over T, deal their keys to racah's range pool on
@@ -438,21 +439,7 @@ def _add_format_flag(p: argparse.ArgumentParser, default: str = "json") -> None:
     )
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="grasshodge",
-        description="Exact verification suites for the hard Lefschetz "
-        "certificate on Grassmannians of lines, its hypergeometric identities, "
-        "and the |R_n(s,T)| <= 1 scan.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-    jobs = racah.default_jobs()
-
-    p = sub.add_parser(
-        "verify-grassmannian",
-        help="certificate positivity over a range of Grassmannians",
-    )
-    p.set_defaults(handler=cmd_verify_grassmannian)
+def _grassmannian_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--Nmax", type=int, required=True)
     p.add_argument("--Nmin", type=int, default=1)
     p.add_argument(
@@ -463,28 +450,17 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated k values (default: every k with 2k <= N)",
     )
     p.add_argument("--method", choices=("direct", "closed", "both"), default="closed")
-    _add_jobs_flag(p, jobs)
+    _add_jobs_flag(p, racah.default_jobs())
     _add_format_flag(p)
 
-    p = sub.add_parser("verify-pn", help="projective-space model relations")
-    p.set_defaults(handler=cmd_verify_pn)
+
+def _pn_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--nmax", type=int, required=True)
     p.add_argument("--nmin", type=int, default=1)
     _add_format_flag(p)
 
-    p = sub.add_parser("verify-ortho", help="weighted orthogonality of the R rows")
-    p.set_defaults(handler=cmd_verify_ortho)
-    p.add_argument("--T", type=int, default=None)
-    p.add_argument("--Tmin", type=int, default=None)
-    p.add_argument("--Tmax", type=int, default=None)
-    _add_jobs_flag(p, jobs)
-    _add_format_flag(p)
 
-    p = sub.add_parser(
-        "verify-needed",
-        help="alternating bound for a concave sequence, all n at one T",
-    )
-    p.set_defaults(handler=cmd_verify_needed)
+def _needed_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--T", type=int, required=True)
     p.add_argument(
         "--sequence",
@@ -495,21 +471,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="seed for --sequence random")
     _add_format_flag(p)
 
-    p = sub.add_parser("scan-bound", help="scan |R_n(s,T)| <= 1 over a T range")
-    p.set_defaults(handler=cmd_scan_bound)
+
+def _scan_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--T", type=int, default=None)
     p.add_argument("--Tmin", type=int, default=None)
     p.add_argument("--Tmax", type=int, default=None)
-    _add_jobs_flag(p, jobs)
+    _add_jobs_flag(p, racah.default_jobs())
 
-    p = sub.add_parser("sigma", help="one certificate value, exact")
-    p.set_defaults(handler=cmd_sigma)
+
+def _ortho_flags(p: argparse.ArgumentParser) -> None:
+    _scan_flags(p)
+    _add_format_flag(p)
+
+
+def _sigma_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--method", choices=("direct", "closed", "both"), default="both")
 
-    p = sub.add_parser("table", help="plot-ready value tables")
-    p.set_defaults(handler=cmd_table)
+
+def _table_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--kind", choices=("sigma", "racah"), required=True)
     p.add_argument("--Nmax", type=int, default=None)
     p.add_argument("--Nmin", type=int, default=None, help="default 1")
@@ -523,11 +504,45 @@ def build_parser() -> argparse.ArgumentParser:
     _add_jobs_flag(p, None)
     _add_format_flag(p, default="csv")
 
+
+# command: (help, handler, flags), in the order --help lists them
+_COMMANDS = {
+    "verify-grassmannian": (
+        "certificate positivity over a range of Grassmannians", cmd_verify_grassmannian, _grassmannian_flags
+    ),
+    "verify-pn": ("projective-space model relations", cmd_verify_pn, _pn_flags),
+    "verify-ortho": ("weighted orthogonality of the R rows", cmd_verify_ortho, _ortho_flags),
+    "verify-needed": (
+        "alternating bound for a concave sequence, all n at one T", cmd_verify_needed, _needed_flags
+    ),
+    "scan-bound": ("scan |R_n(s,T)| <= 1 over a T range", cmd_scan_bound, _scan_flags),
+    "sigma": ("one certificate value, exact", cmd_sigma, _sigma_flags),
+    "table": ("plot-ready value tables", cmd_table, _table_flags),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The grasshodge parser with the subparser of command only, or of all when it is None."""
+    parser = argparse.ArgumentParser(
+        prog="grasshodge",
+        description="Exact verification suites for the hard Lefschetz "
+        "certificate on Grassmannians of lines, its hypergeometric identities, "
+        "and the |R_n(s,T)| <= 1 scan.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True, metavar="command")
+    for name, (text, handler, add_flags) in _COMMANDS.items():
+        if command in (None, name):
+            p = sub.add_parser(name, help=text)
+            p.set_defaults(handler=handler)
+            add_flags(p)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # the top level takes no flag but -h, so a valid call starts with its command
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         ok = args.handler(args, sys.stdout, sys.stderr)
     except UsageError as exc:

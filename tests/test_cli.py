@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import functools
 import hashlib
@@ -1041,6 +1042,8 @@ def test_default_jobs_counts_the_cpus_this_process_may_run_on(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
     assert racah.default_jobs() == 3
     assert cli.build_parser().parse_args(["scan-bound", "--T", "5"]).jobs == 3
+    # a one-command parser reads the count afresh too: nothing is cached
+    assert cli.build_parser("scan-bound").parse_args(["scan-bound", "--T", "5"]).jobs == 3
     # bound_scan(jobs=None) reads the same count: one CPU, so no fork
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked with one CPU allowed"))
@@ -1060,3 +1063,75 @@ def test_parser_owns_the_defaults(capsys):
     rows = [json.loads(line) for line in out.splitlines()]
     assert code == 0 and len(rows) == 3
     assert all(row["method"] == "closed" for row in rows)
+
+
+def _outcome(capsys, argv):
+    """main's exit code, stdout and stderr on argv, argparse exits included."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+# per command: a valid call, and a flag of its own that takes an int
+PARSER_CASES = {
+    "verify-grassmannian": (["--Nmax", "3"], "--Nmax"),
+    "verify-pn": (["--nmax", "3"], "--nmax"),
+    "verify-ortho": (["--T", "4"], "--T"),
+    "verify-needed": (["--T", "4"], "--T"),
+    "scan-bound": (["--T", "4"], "--T"),
+    "sigma": (["--N", "4", "--k", "1"], "--k"),
+    "table": (["--kind", "racah", "--T", "4"], "--T"),
+}
+
+
+@pytest.mark.parametrize("command", list(PARSER_CASES))
+def test_one_command_parser_answers_as_the_full_parser(monkeypatch, capsys, command):
+    valid, int_flag = PARSER_CASES[command]
+    calls = [
+        [command, "-h"],
+        [command, *valid],
+        [command, *valid, int_flag, "x"],
+        [command, *valid, "--T", "x"],
+        [command, *valid, "--method", "nope"],
+        [command, *valid, "--format", "xml"],
+        [command],
+        [command, *valid, "--bogus"],
+        [command, *valid, "--kset", "1,x"],
+    ]
+    own = [_outcome(capsys, argv) for argv in calls]
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: build(None))
+    full = [_outcome(capsys, argv) for argv in calls]
+    for argv, mine, theirs in zip(calls, own, full):
+        assert mine == theirs, argv
+    assert own[0][0] == 0 and own[0][1].startswith(f"usage: grasshodge {command} ")
+    assert own[1][0] == 0
+    assert own[2][0] == 2 and "invalid int value: 'x'" in own[2][2]
+
+
+@pytest.mark.parametrize("argv", [[], ["-h"], ["nope"], ["-h", "verify-ortho"], ["--bogus"]])
+def test_no_command_builds_the_full_parser(monkeypatch, capsys, argv):
+    build = cli.build_parser
+    own = _outcome(capsys, argv)
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: build(None))
+    assert own == _outcome(capsys, argv)
+    assert own[0] in (0, 2) and "command" in own[1] + own[2]
+
+
+def test_a_call_builds_only_its_own_subparser(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert run_cli(capsys, "verify-ortho", "--T", "3")[0] == 0
+    assert built == ["grasshodge", "grasshodge verify-ortho"]
+    built.clear()
+    assert _outcome(capsys, ["nope"])[0] == 2
+    assert len(built) == 8
