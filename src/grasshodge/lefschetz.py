@@ -26,7 +26,8 @@ The module also carries a small model of projective n-space with one extra
 archimedean piece per codimension, used to check the commutator identity
 that pins down the correction in the simplest case.  Its raising and
 lowering maps act on basis labels (kind, i), each image a sparse map from
-label to coefficient.
+label to coefficient; the check runs them on integers, in the basis
+f_i = tau form_i, where the chain constant tau drops out.
 """
 
 from __future__ import annotations
@@ -261,7 +262,8 @@ def sigma_verdict(inst: SigmaInstance, method: str = "both") -> tuple[Fraction, 
 # (form_i).  Each map is given on one basis label (kind, i) as the sparse map
 # {label: coefficient} of its image, so both composites of the commutator
 # follow by linearity.  The single nonclassical constant is the chain
-# constant tau_n = H_1 + ... + H_n, which closes the raising chain.
+# constant tau_n = H_1 + ... + H_n, which closes the raising chain; lowering
+# carries w = (n+1)/tau, so tau enters the commutator only as tau w = n + 1.
 # ---------------------------------------------------------------------------
 
 Label = tuple[str, int]
@@ -273,7 +275,7 @@ def chain_constant(n: int) -> Fraction:
     return Fraction(sum(h), L)
 
 
-def _raise(n: int, tau: Fraction, label: Label) -> dict[Label, int | Fraction]:
+def _raise(n: int, tau: int | Fraction, label: Label) -> dict[Label, int | Fraction]:
     """Hyperplane raising: hat_i -> hat_(i+1), hat_n -> tau form_n,
     form_i -> form_(i+1), form_n -> 0."""
     kind, i = label
@@ -282,7 +284,7 @@ def _raise(n: int, tau: Fraction, label: Label) -> dict[Label, int | Fraction]:
     return {("form", n): tau} if kind == "hat" else {}
 
 
-def _lower(n: int, w: Fraction, label: Label) -> dict[Label, int | Fraction]:
+def _lower(n: int, w: int | Fraction, label: Label) -> dict[Label, int | Fraction]:
     """Adjoint lowering, w = (n+1)/tau: hat_i -> i (n+2-i) hat_(i-1) and
     form_i -> w hat_i + i (n-i) form_(i-1)."""
     kind, i = label
@@ -298,21 +300,25 @@ def proj_commutator_check(n: int) -> bool:
     """Check [lower, raise] = (n + 1 - 2p) id on every model basis label.
 
     The codimension p is i for hat_i and i + 1 for form_i, so the eigenvalue
-    runs from n + 1 down to -(n + 1) along the chain.  Raising and lowering
-    are taken once on each label; both composites are then assembled from
-    those images by linearity.
+    runs from n + 1 down to -(n + 1) along the chain.  The maps are taken in
+    the basis hat_i, f_i = tau form_i, where raise is _raise(n, 1, .) and
+    lower is _lower(n, n + 1, .): f_i lowers to tau w hat_i = (n + 1) hat_i
+    plus i (n - i) f_(i-1).  A commutator is the same map in any basis and
+    the ladder is diagonal, so the check runs on integers.  It holds for
+    every nonzero tau and so does not constrain tau: verify-pn checks its
+    sign (tau_positive), the tests its value as the degree of the raise
+    chain.  Raising and lowering are taken once on each label; both
+    composites are then assembled by linearity.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    tau = chain_constant(n)
-    w = Fraction(n + 1) / tau
     labels = [(kind, i) for kind in ("hat", "form") for i in range(n + 1)]
-    up = {label: _raise(n, tau, label) for label in labels}
-    down = {label: _lower(n, w, label) for label in labels}
+    up = {label: _raise(n, 1, label) for label in labels}
+    down = {label: _lower(n, n + 1, label) for label in labels}
 
     for label in labels:
         # lower(raise(x)) - raise(lower(x)), accumulated coordinate by coordinate
-        acc: dict[Label, int | Fraction] = {}
+        acc: dict[Label, int] = {}
         for first, second, sign in ((up, down, 1), (down, up, -1)):
             for mid, c in first[label].items():
                 for target, d in second[mid].items():

@@ -9,8 +9,9 @@ over the whole half grid (the library leaves part of it to the orthogonality
 norm) and its JSON line built as one dict, the coefficient recurrence of the Legendre polynomials, the binomial
 alternating sum (the Whipple bridge) and the box-coordinate double sum
 behind the correction weights of the closed certificate, the projective
-model's certificate as the raise chain walked from the unit (its maps
-applied to label combinations by linearity), one hyperplane step by the
+model's certificate as the raise chain walked from the unit and its
+commutator residue in the basis hat_i, form_i (its maps applied to label
+combinations by linearity), one hyperplane step by the
 two-row Pieri rule on a map of classes, hyperplane powers
 as sums of validated skew tableau counts, the Poincare pairing as a plain
 sum of products, and the decimal and "p/q" renderings of a rational by
@@ -256,6 +257,28 @@ def proj_sigma(n: int) -> Fraction:
     for _ in range(n + 1):
         x = apply_label_map(lefschetz._raise, (n, tau), x)
     return x.get(("form", n), 0)
+
+
+def proj_commutator_residue(n: int, tau: Fraction) -> dict:
+    """The nonzero coefficients of [lower, raise] - (n + 1 - 2p) id on the
+    model basis hat_i, form_i, with raise at tau and lower at w = (n+1)/tau,
+    as {(label, target): coefficient}; empty when the identity holds.
+
+    The Fraction form of lefschetz.proj_commutator_check, which takes the
+    same maps in the basis f_i = tau form_i, where tau drops out.
+    """
+    up = (lefschetz._raise, (n, tau))
+    down = (lefschetz._lower, (n, Fraction(n + 1) / tau))
+    residue = {}
+    for kind in ("hat", "form"):
+        for i in range(n + 1):
+            label = (kind, i)
+            comm = apply_label_map(*down, apply_label_map(*up, {label: 1}))
+            for target, c in apply_label_map(*up, apply_label_map(*down, {label: 1})).items():
+                comm[target] = comm.get(target, 0) - c
+            comm[label] = comm.get(label, 0) - (n + 1 - 2 * (i if kind == "hat" else i + 1))
+            residue.update({(label, target): c for target, c in comm.items() if c})
+    return residue
 
 
 def apply_label_map(step, args, x):

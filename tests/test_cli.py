@@ -18,7 +18,7 @@ import grasshodge
 from grasshodge import cli, lefschetz, racah
 from grasshodge.cli import UsageError, emit_table, load_sequence, main
 from grasshodge.exactmath import harmonic
-from oracles import orthogonality_pairs, scan_json, scan_report_json
+from oracles import orthogonality_pairs, proj_commutator_residue, scan_json, scan_report_json
 
 
 def run_cli(capsys, *argv):
@@ -844,6 +844,42 @@ def test_fault_injection_proj_lower(monkeypatch, capsys):
     assert [r["n"] for r in rows if not r["commutator_ok"]] == [4]
     assert all(r["tau_positive"] for r in rows)
     assert "FAILED" in err
+
+
+def test_fault_injection_proj_raise(monkeypatch, capsys):
+    # raising hat_2 at n = 5 doubles its hat_3 coefficient: the commutator
+    # check must fail for n = 5 and for no other n, and so must the oracle
+    real = lefschetz._raise
+
+    def corrupted(n, tau, label):
+        image = real(n, tau, label)
+        if n == 5 and label == ("hat", 2):
+            image[("hat", 3)] *= 2
+        return image
+
+    monkeypatch.setattr(lefschetz, "_raise", corrupted)
+    code, out, err = run_cli(capsys, "verify-pn", "--nmax", "7")
+    assert code == 1
+    rows = [json.loads(line) for line in out.splitlines()]
+    assert [r["n"] for r in rows if not r["commutator_ok"]] == [5]
+    assert all(r["tau_positive"] for r in rows)
+    assert "FAILED" in err
+    assert proj_commutator_residue(5, lefschetz.chain_constant(5))
+
+
+def test_verify_pn_takes_each_chain_constant_once(monkeypatch, capsys):
+    # the chain constant feeds only the tau columns, one call per row
+    calls = []
+    real = lefschetz.chain_constant
+
+    def counted(n):
+        calls.append(n)
+        return real(n)
+
+    monkeypatch.setattr(lefschetz, "chain_constant", counted)
+    code, out, _ = run_cli(capsys, "verify-pn", "--nmax", "30")
+    assert code == 0 and len(out.splitlines()) == 30
+    assert calls == list(range(1, 31))
 
 
 def test_table_racah_filters_match_full_table(capsys):

@@ -29,6 +29,7 @@ from oracles import (
     correction_weight,
     correction_weight_box,
     overlap_sum,
+    proj_commutator_residue,
     proj_sigma,
     top_coefficient,
 )
@@ -288,12 +289,49 @@ def test_raise_lower_on_basis():
 
 
 def test_commutator_eigenvalues():
-    for n in range(1, 16):
+    for n in range(1, 201):
         assert proj_commutator_check(n)
 
 
+def test_commutator_residue_matches_check():
+    # the Fraction oracle in the basis hat_i, form_i agrees with the integer
+    # check in the basis f_i = tau form_i
+    for n in range(1, 61):
+        assert proj_commutator_residue(n, chain_constant(n)) == {}, n
+        assert proj_commutator_check(n), n
+
+
+def test_commutator_holds_for_every_nonzero_tau():
+    # tau enters the commutator only as tau w = n + 1, so the identity the
+    # integer check rests on holds whatever tau is
+    for n in range(1, 13):
+        for tau in (Fraction(1, 7), Fraction(3), Fraction(-2, 5)):
+            assert proj_commutator_residue(n, tau) == {}, (n, tau)
+
+
+def test_commutator_check_stays_on_integers(monkeypatch):
+    # every scalar the check hands to or gets from the maps is an int
+    scalars = []
+
+    def spy(real):
+        def step(n, scalar, label):
+            image = real(n, scalar, label)
+            scalars.append(scalar)
+            scalars.extend(image.values())
+            return image
+
+        return step
+
+    monkeypatch.setattr(lefschetz, "_raise", spy(lefschetz._raise))
+    monkeypatch.setattr(lefschetz, "_lower", spy(lefschetz._lower))
+    for n in range(1, 11):
+        assert proj_commutator_check(n), n
+    assert scalars and {type(c) for c in scalars} == {int}
+
+
 def test_commutator_eigenvalues_by_hand():
-    # same computation as the check function, but spelled out independently:
+    # the commutator in the basis hat_i, form_i, with Fraction tau, spelled
+    # out independently of the check, which works in the basis f_i = tau form_i:
     # the eigenvalue ladder n+1, n-1, ..., -(n+1) indexed by codimension
     n = 4
     tau = chain_constant(n)
