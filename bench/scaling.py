@@ -2,7 +2,7 @@
 
     python3 bench/scaling.py [--src DIR [--src DIR2]] [--layer NAME [--layer NAME2]]
 
-Times the direct certificate as the CLI runs it,
+Times the direct certificate,
 `sigma_verdict(SigmaInstance(N, k), "direct")` (the walk, its primitivity
 step and the box's staircase table), over every k of one N at
 N = 30, 60, 90, 120, 200, `primitive_profile(N)` at N = 12, 24, 36,

@@ -185,12 +185,12 @@ _SIGMA_COLUMNS = ["N", "k", "n", "T", "sigma", "sigma_approx", "positive", "meth
 
 def _sigma_row(inst: lefschetz.SigmaInstance, method: str) -> tuple:
     """The output row of one certificate by method, in the order of
-    _SIGMA_COLUMNS."""
-    sigma, agree = lefschetz.sigma_verdict(inst, method=method)
+    _SIGMA_COLUMNS, printed from its integer numerator over L."""
+    num, L, agree = lefschetz._certificate(inst, method)
     return (
         inst.N, inst.k, inst.n, inst.T,
-        format_rational(sigma), decimal_approx(sigma),
-        sigma > 0, method, agree,
+        format_ratio(num, L), decimal_ratio(num, L),
+        num > 0, method, agree,
     )
 
 

@@ -13,10 +13,11 @@ walk proves that its class spans it (at k = 0, where that power lies past
 the box, it checks the degree instead).  In closed form, the certificate is
 the principal weight times the margin of row n = N - 2k of the harmonic
 alternating inequality at T = N + 2, read off one row walk of the Racah
-values, as one Fraction over L = lcm(1, ..., N + 1).  One table per box
-holds L, the harmonic integers L H_0, ..., L H_(N+1) and, once the direct
-route first asks for them, the N + 1 staircases built from them; both
-routes at every k of the box read it.
+values.  Both routes give one integer numerator over L = lcm(1, ..., N + 1),
+so they compare as ints and the CLI prints the ratio with no Fraction.  One
+table per box holds L, the harmonic integers L H_0, ..., L H_(N+1) and,
+once the direct route first asks for them, the N + 1 staircases built from
+them; both routes at every k of the box read it.
 The direct route uses no Racah code, so the two stay independent;
 sigma_verdict returns the certificate with whether the two agree, and
 sigma_direct, the same pairing on whole Chow classes, is the definitional
@@ -156,20 +157,19 @@ def sigma_direct(inst: SigmaInstance) -> Fraction:
 
 
 def _pieri_step(v: list[int], w: int, N: int) -> list[int]:
-    """One hyperplane step on the weight-w coefficients v[j] of s(w - j, j).
+    """One hyperplane step on the in-box band of weight w: v[i] is the
+    coefficient of s(w - j, j), j = max(0, w - N) + i, up to j = w // 2.
 
     s(a, j) goes to s(a + 1, j) + s(a, j + 1), so s(w + 1 - j, j) collects
-    v[j] + v[j - 1], and at odd w the last entry also gives the new last,
-    j = (w + 1) / 2.  Two steps leave the box: s(j, j) -> s(j, j + 1), the
-    image of the last entry at even w, which is not appended, and
-    s(N, j) -> s(N + 1, j), which is cleared.  Entries j < w - N, below the
-    box, stay 0.
+    the entries at j and j - 1, and at odd w the last entry also gives the
+    new last, j = (w + 1) / 2.  Two steps leave the box and are dropped:
+    s(j, j) -> s(j, j + 1), the image of the last entry at even w, and,
+    once w >= N, s(N, w - N) -> s(N + 1, w - N), the image of the first
+    entry, where the band's lower end moves up by one.
     """
-    out = [v[0], *map(add, v[1:], v)]
+    out = list(map(add, v[1:], v)) if w >= N else [v[0], *map(add, v[1:], v)]
     if w & 1:
         out.append(v[-1])
-    if w >= N:
-        out[w - N] = 0
     return out
 
 
@@ -179,19 +179,19 @@ class NotPrimitive(ArithmeticError):
     walk is corrupt, so its certificate is not decided."""
 
 
-def sigma_walk(inst: SigmaInstance) -> Fraction:
-    """The direct certificate from one integer walk L^0 alpha, ..., L^(2n+1) alpha.
+def _walk_numerator(inst: SigmaInstance) -> int:
+    """The direct numerator over L, by one walk L^0 alpha, ..., L^(2n+1) alpha.
 
-    The walk holds the coefficients v[j] of s(w - j, j) at weight
+    The walk holds the in-box coefficients v of s(w - j, j) at weight
     w = 2k + r, one Pieri step per power.  The upper power L^(n+b) alpha
     meets the correction operator only through its top-row term
-    t_b s(N, b), t_b = v[b] at r = n + b, and C(s(N, b)) pairs s(N - i, b + i)
-    with s(N - b - i, i) of the lower power L^(n-b) alpha, the coefficient
-    v[i] at r = n - b.  So the certificate is sum_b t_b S_b / L, where
-    L = lcm(1, ..., N + 1) and S_b = sum_i g_b[i] v[i] contracts the lower
-    power with the integer staircase g_b = L C(s(N, b)); one table
-    (_box_table, _box_stairs) holds L and every staircase the k of one box
-    read.
+    t_b s(N, b), the band's first entry at r = n + b, and C(s(N, b)) pairs
+    s(N - i, b + i) with s(N - b - i, i) of the lower power L^(n-b) alpha,
+    the coefficient v[i] at r = n - b.  So the certificate is
+    sum_b t_b S_b / L, where L = lcm(1, ..., N + 1) and S_b = sum_i g_b[i] v[i]
+    contracts the lower power with the integer staircase g_b = L C(s(N, b));
+    one table (_box_table, _box_stairs) holds L and every staircase the k of
+    one box read.
 
     The walk ends one step past the pairing, at L^(2n+1) alpha, and requires
     it to be 0 with alpha nonzero.  The codimension-2k primitive part is the
@@ -202,11 +202,12 @@ def sigma_walk(inst: SigmaInstance) -> Fraction:
     Grassmannian has degree Catalan(N).  Raises NotPrimitive otherwise.
     """
     N, k, n = inst.N, inst.k, inst.n
-    L, stairs = _box_table(N)[0], _box_stairs(N)
+    stairs = _box_stairs(N)
     v = _primitive_coefficients(N, k)
     nonzero = any(v)
-    # weight w = 2k + r, so the lower power L^(n-b) alpha sits at w = N - b
-    # and the upper power L^(n+b) alpha at w = N + b, where t_b = v[w - N]
+    # weight w = 2k + r, so the lower power L^(n-b) alpha sits at w = N - b,
+    # where the band is all of j = 0..w // 2, and the upper power
+    # L^(n+b) alpha at w = N + b, where the band starts at t_b on s(N, b)
     lower = []  # S_n, ..., S_0
     for w in range(2 * k, N):
         lower.append(sum(map(mul, stairs[N - w], v)))
@@ -214,7 +215,7 @@ def sigma_walk(inst: SigmaInstance) -> Fraction:
     lower.append(sum(map(mul, stairs[0], v)))
     tops = []  # t_0, ..., t_n
     for w in range(N, 2 * (N - k) + 1):
-        tops.append(v[w - N])
+        tops.append(v[0])
         v = _pieri_step(v, w, N)
     if not nonzero or any(v):
         raise NotPrimitive(
@@ -226,32 +227,43 @@ def sigma_walk(inst: SigmaInstance) -> Fraction:
             f"the walk at N={N}, k=0 is corrupt: L^{2 * N} alpha has {tops[-1]} "
             f"on s({N}, {N}), not C({2 * N}, {N}) = {comb(2 * N, N)}"
         )
-    return Fraction(sum(map(mul, tops, reversed(lower))), L)
+    return sum(map(mul, tops, reversed(lower)))
+
+
+def _certificate(inst: SigmaInstance, method: str) -> tuple[int, int, bool]:
+    """The certificate by "direct", "closed" or "both" as its numerator over
+    L = lcm(1, ..., N + 1), and whether the routes agree (vacuously true for
+    one); both numerators are over the one L of the box, so they compare as
+    ints.  The closed numerator is L times the principal weight times the
+    margin rhs - lhs of row n of the alternating inequality for the harmonic
+    numbers at T: with h[s] = L H_s, the row walk w_n(s) = P_n R_n(s, T) and
+    P_n = w_n(0), it is P_n sum_s h[s] - sum_s (-1)^(s+1) w_n(s) h[s].
+    """
+    if method not in ("direct", "closed", "both"):
+        raise ValueError(f"unknown method {method!r}")
+    L, h, column_sum, _ = _box_table(inst.N)  # h[i] = L H_i, i <= T - 1
+    if method == "direct":
+        return _walk_numerator(inst), L, True
+    row = racah._principal_row(inst.n, inst.T)
+    num = row[0] * column_sum - racah._alternating_dot(row, h)
+    return num, L, method == "closed" or _walk_numerator(inst) == num
+
+
+def sigma_walk(inst: SigmaInstance) -> Fraction:
+    """The direct certificate, _walk_numerator(inst) / L, as one Fraction."""
+    return Fraction(*_certificate(inst, "direct")[:2])
 
 
 def sigma_closed(inst: SigmaInstance) -> Fraction:
-    """Certificate from the closed form: the principal weight times the
-    margin rhs - lhs of row n of the alternating inequality for the harmonic
-    numbers at T.
-
-    With h[s] = L H_s, the row walk w_n(s) = P_n R_n(s, T) and P_n = w_n(0),
-    that is one Fraction (P_n sum_s h[s] - sum_s (-1)^(s+1) w_n(s) h[s]) / L.
-    """
-    n, T = inst.n, inst.T
-    L, h, column_sum, _ = _box_table(inst.N)  # h[i] = L H_i, i <= T - 1
-    row = racah._principal_row(n, T)
-    return Fraction(row[0] * column_sum - racah._alternating_dot(row, h), L)
+    """The closed certificate of _certificate as one Fraction."""
+    return Fraction(*_certificate(inst, "closed")[:2])
 
 
 def sigma_verdict(inst: SigmaInstance, method: str = "both") -> tuple[Fraction, bool]:
-    """The certificate by the requested pipeline(s), "direct", "closed" or
-    "both", and whether the pipelines agree (vacuously true for one)."""
-    if method not in ("direct", "closed", "both"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "direct":
-        return sigma_walk(inst), True
-    value = sigma_closed(inst)
-    return value, method == "closed" or sigma_walk(inst) == value
+    """The certificate of _certificate as one Fraction, with whether the
+    routes agree."""
+    num, L, agree = _certificate(inst, method)
+    return Fraction(num, L), agree
 
 
 # ---------------------------------------------------------------------------

@@ -425,32 +425,37 @@ def _verify_grassmannian(capsys):
 def test_fault_injection_binomial_row(monkeypatch, capsys):
     # a count off by one in both power routes: the reference powers read
     # C(3, 1) as 4 off every third binomial row, and the certificate walk's
-    # Pieri step into weight 3 collects s(2, 1) once too often.  The power
-    # oracles must see theirs; the walk ends at L^(2n+1) alpha, which the
-    # stray term leaves nonzero, so its primitivity step stops the direct
-    # route at the first instance, N = 1, k = 0, before any row is printed
+    # Pieri step into weight 3 collects s(2, 1), the last class of the band,
+    # once too often.  The power oracles must see theirs.  At N = 1 no class
+    # of the box has weight 3, so the first instance passes; at N = 2, k = 0
+    # the stray term reaches s(2, 2), and the walk's degree check stops the
+    # direct route there, after the one row of N = 1
     real = chowring.comb
     monkeypatch.setattr(chowring, "comb", lambda r, j: real(r, j) + (r == 3 and j == 1))
     real_step = lefschetz._pieri_step
 
     def corrupted(v, w, N):
         out = real_step(v, w, N)
-        if w == 2:
-            out[1] += 1
+        if w == 2 and out:
+            out[-1] += 1
         return out
 
     monkeypatch.setattr(lefschetz, "_pieri_step", corrupted)
     for method in ("both", "direct"):
         code = main(["verify-grassmannian", "--Nmax", "8", "--method", method])
         out, err = capsys.readouterr()
-        assert (code, out) == (1, "")
-        assert "FAILED" in err and "N=1, k=0 is not primitive: L^3 alpha is not 0" in err
-    with pytest.raises(lefschetz.NotPrimitive, match="N=4, k=1"):
+        assert code == 1
+        assert [(row["N"], row["k"]) for row in map(json.loads, out.splitlines())] == [(1, 0)]
+        assert "FAILED" in err
+        assert "N=2, k=0 is corrupt: L^4 alpha has 7 on s(2, 2), not C(4, 2) = 6" in err
+    # for k >= 1 the walk ends at L^(2n+1) alpha, which the stray term leaves
+    # nonzero, so its primitivity step raises
+    with pytest.raises(lefschetz.NotPrimitive, match="N=4, k=1 is not primitive: L.5 alpha"):
         sigma_verdict(SigmaInstance(4, 1), "both")
     # at k = 0 the last power has weight 2N + 1, past the box, so the step
     # proves nothing there (every class of codimension 0 is primitive); the
-    # stray term, walked out of the box by then, moves the top coefficient
-    # of L^(2N) alpha off the degree, and the walk raises on that instead
+    # stray term moves the top coefficient of L^(2N) alpha off the degree,
+    # and the walk raises on that instead
     with pytest.raises(lefschetz.NotPrimitive, match=r"N=4, k=0 is corrupt: L\^8 alpha has 75 "):
         sigma_verdict(SigmaInstance(4, 0), "both")
     # the closed route walks no Pieri step
@@ -458,19 +463,13 @@ def test_fault_injection_binomial_row(monkeypatch, capsys):
     assert _power_mismatches(10)
 
 
-def test_fault_injection_pairing_denominator(monkeypatch, capsys):
-    # the one Fraction the certificate walk builds, its sum over L, gets its
-    # denominator off by 1
-    real = lefschetz.Fraction
-    real_walk = lefschetz.sigma_walk
-
-    def corrupted(inst):
-        with monkeypatch.context() as m:
-            m.setattr(lefschetz, "Fraction", lambda num, den=1: real(num, den + 1))
-            return real_walk(inst)
-
-    monkeypatch.setattr(lefschetz, "sigma_walk", corrupted)
+def test_fault_injection_pairing_numerator(monkeypatch, capsys):
+    # the walk's integer result, sum_b t_b S_b over L, off by 1: the two
+    # routes compare numerators over the one L of the box, so every row of
+    # the cross-check disagrees
+    real_walk = lefschetz._walk_numerator
+    monkeypatch.setattr(lefschetz, "_walk_numerator", lambda inst: real_walk(inst) + 1)
     code, rows = _verify_grassmannian(capsys)
     assert code == 1
-    assert any(not row["agree"] for row in rows)
+    assert rows and not any(row["agree"] for row in rows)
     assert sigma_verdict(SigmaInstance(6, 1), "both")[1] is False

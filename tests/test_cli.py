@@ -17,7 +17,7 @@ import pytest
 import grasshodge
 from grasshodge import cli, lefschetz, racah
 from grasshodge.cli import UsageError, emit_table, load_sequence, main
-from grasshodge.exactmath import harmonic
+from grasshodge.exactmath import decimal_approx, format_rational, harmonic
 from oracles import orthogonality_pairs, proj_commutator_residue, scan_json, scan_report_json
 
 
@@ -320,15 +320,17 @@ def test_usage_error_from_argparse():
 
 
 def test_fault_injection_flips_exit_code(monkeypatch, capsys):
-    real = lefschetz.sigma_verdict
+    # the certificate's integer numerator negated at (4, 2), where the CLI
+    # reads it: that row alone is not positive
+    real = lefschetz._certificate
 
-    def corrupted(inst, method="both"):
-        sigma, agree = real(inst, method=method)
+    def corrupted(inst, method):
+        num, L, agree = real(inst, method)
         if inst.N == 4 and inst.k == 2:
-            return -sigma, agree
-        return sigma, agree
+            return -num, L, agree
+        return num, L, agree
 
-    monkeypatch.setattr(lefschetz, "sigma_verdict", corrupted)
+    monkeypatch.setattr(lefschetz, "_certificate", corrupted)
     code, out, err = run_on_1_and_2_jobs(capsys, "verify-grassmannian", "--Nmax", "5")
     assert code == 1
     rows = [json.loads(line) for line in out.splitlines()]
@@ -814,7 +816,7 @@ def test_fault_injection_walk_at_k0(monkeypatch, capsys):
     def corrupted(v, w, N):
         stepped = real(v, w, N)
         if w == 2:
-            stepped[1] += 1
+            stepped[-1] += 1  # s(2, 1), the last class of the band at N >= 2
         return stepped
 
     monkeypatch.setattr(lefschetz, "_pieri_step", corrupted)
@@ -824,6 +826,72 @@ def test_fault_injection_walk_at_k0(monkeypatch, capsys):
         assert f"FAILED: the walk at N={N}, k=0 is corrupt: L^{2 * N} alpha has {got} " in err
         assert f"on s({N}, {N}), not C({2 * N}, {N}) = {want}" in err
         assert "Traceback" not in err
+
+
+def test_fault_injection_upper_band(monkeypatch, capsys):
+    # a stray term in the upper walk of N = 7, k = 2 alone: the Pieri step
+    # from weight 8 >= N adds one to s(5, 4), the last class of the band at
+    # weight 9.  Every coefficient of a power of a Schubert class is
+    # positive up to weight 2N, so the walk's last power L^7 alpha, at weight
+    # 11, is then not 0, and the direct route stops at exactly that instance
+    instance = []
+    real_alpha, real_step = lefschetz._primitive_coefficients, lefschetz._pieri_step
+
+    def alpha(N, k):
+        instance[:] = [(N, k)]
+        return real_alpha(N, k)
+
+    def corrupted(v, w, N):
+        out = real_step(v, w, N)
+        if instance == [(7, 2)] and w == 8:
+            out[-1] += 1
+        return out
+
+    monkeypatch.setattr(lefschetz, "_primitive_coefficients", alpha)
+    monkeypatch.setattr(lefschetz, "_pieri_step", corrupted)
+    failing = []
+    for N in range(1, 11):
+        for k in range(N // 2 + 1):
+            try:
+                lefschetz.sigma_walk(lefschetz.SigmaInstance(N, k))
+            except lefschetz.NotPrimitive as exc:
+                failing.append((N, k, str(exc)))
+    assert failing == [(7, 2, "the class alpha at N=7, k=2 is not primitive: L^7 alpha is not 0")]
+    for method in ("direct", "both"):
+        argv = ("verify-grassmannian", "--Nmax", "8", "--method", method)
+        code, out, err = run_on_1_and_2_jobs(capsys, *argv)
+        assert code == 1
+        rows = [json.loads(line) for line in out.splitlines()]
+        assert [(r["N"], r["k"]) for r in rows][-2:] == [(7, 0), (7, 1)]
+        assert "FAILED" in err and "N=7, k=2 is not primitive: L^7 alpha is not 0" in err
+        assert "Traceback" not in err
+
+
+def test_sigma_cells_match_the_fraction_of_sigma_verdict():
+    # the CLI prints the certificate from its numerator over L; the cells
+    # are those of the reduced Fraction the library returns
+    for N in range(1, 41):
+        for k in range(N // 2 + 1):
+            inst = lefschetz.SigmaInstance(N, k)
+            for method in ("direct", "closed", "both"):
+                row = dict(zip(cli._SIGMA_COLUMNS, cli._sigma_row(inst, method)))
+                sigma, agree = lefschetz.sigma_verdict(inst, method)
+                assert row["sigma"] == format_rational(sigma), (N, k, method)
+                assert row["sigma_approx"] == decimal_approx(sigma), (N, k, method)
+                assert (row["positive"], row["agree"]) == (sigma > 0, agree), (N, k, method)
+
+
+def test_certificate_rows_build_no_fraction(monkeypatch, capsys):
+    # both routes and the cross-check stay in integers up to the printed text
+    argv = ("verify-grassmannian", "--Nmax", "12", "--method", "both", "--jobs", "1")
+    expected = run_cli(capsys, *argv)
+
+    def no_fraction(*args):
+        raise AssertionError("a Fraction on the certificate path")
+
+    monkeypatch.setattr(lefschetz, "Fraction", no_fraction)
+    assert run_cli(capsys, *argv) == expected
+    assert expected[0] == 0
 
 
 def test_fault_injection_proj_lower(monkeypatch, capsys):

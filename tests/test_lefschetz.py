@@ -60,18 +60,40 @@ def test_pipelines_agree_small():
 
 
 def test_pieri_steps_match_reference_powers():
-    # the walk's vector at weight w is the whole box class sum_j v[j] s(w - j, j):
-    # steps from each Schubert class past the top weight equal the ballot-count
-    # powers, terms leaving the box included
+    # the walk's vector at weight w is the in-box band sum_i v[i] s(w - j, j),
+    # j = max(0, w - N) + i up to w // 2: steps from each Schubert class past
+    # the top weight equal the ballot-count powers on it, and the band holds
+    # every class of the power and no class outside the box (none at 2N + 1)
     for N in range(1, 11):
         for p in range(2 * N + 1):
             for a, b in box_partitions(N, p):
-                v = [int(j == b) for j in range(p // 2 + 1)]
+                v = [int(j == b) for j in range(max(0, p - N), p // 2 + 1)]
                 for r in range(2 * N - p + 2):
                     w = p + r
+                    band = range(max(0, w - N), w // 2 + 1)
+                    assert len(v) == max(0, w // 2 - max(0, w - N) + 1), (N, a, b, r)
                     power = lefschetz_power(ChowElement(N, {(a, b): 1}), r)
-                    assert v == [power.coeff(w - j, j) for j in range(w // 2 + 1)], (N, a, b, r)
-                    v = lefschetz._pieri_step(v, w, N)
+                    assert v == [power.coeff(w - j, j) for j in band], (N, a, b, r)
+                    assert power.terms.keys() <= {(w - j, j) for j in band}, (N, a, b, r)
+                    if w <= 2 * N:  # the walk takes no step from the empty band
+                        v = lefschetz._pieri_step(v, w, N)
+
+
+def test_upper_walk_holds_only_in_box_entries(monkeypatch):
+    # at N = 200, k = 0 the upper walk steps from weight 200 to 401; the
+    # in-box band at weight u > N has u // 2 - (u - N) + 1 entries, 10100 in
+    # all, where a whole column j = 0..u // 2 would hold 30401
+    real, built = lefschetz._pieri_step, []
+
+    def spy(v, w, N):
+        out = real(v, w, N)
+        if w >= N:
+            built.append(len(out))
+        return out
+
+    monkeypatch.setattr(lefschetz, "_pieri_step", spy)
+    sigma_walk(SigmaInstance(200, 0))
+    assert len(built) == 201 and sum(built) == 10100 and built[-1] == 0
 
 
 def test_walk_matches_direct_reference():
