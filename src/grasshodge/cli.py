@@ -6,7 +6,8 @@ when every check passed, 1 when some mathematical check failed, and 2 on a
 usage or parse error.  A call builds only its own subcommand's parser, and
 finds usage errors before the first byte of output.  Reruns with the same
 flags and seed produce byte-identical output; anything timing-dependent goes
-to standard error only.
+to standard error only.  Report rows go through emit_table, save those of
+the racah table: no cell there needs quoting, so they print from templates.
 
 The range commands, verify-grassmannian and table --kind sigma over boxes N,
 verify-ortho and scan-bound over T, deal their keys to racah's range pool on
@@ -26,7 +27,7 @@ import json
 import sys
 from fractions import Fraction
 from functools import partial
-from itertools import chain
+from itertools import chain, islice
 from typing import Iterable, Iterator, TextIO
 
 from . import lefschetz, racah
@@ -67,7 +68,9 @@ def _csv_cells(at: list[int], row: tuple) -> list:
 
 
 def emit_table(rows: Iterable[tuple], columns: list[str], fmt: str, out: TextIO) -> None:
-    """Write rows, tuples of cells in the column order, as CSV or JSON lines.
+    """Write rows, tuples of cells in the column order, as CSV or JSON lines:
+    the reports of the verify commands and the sigma table, whose cells
+    mix kinds and may hold free text (a sequence file name).
 
     Each row is written as soon as the iterable yields it.  CSV always
     starts with the header row, so an empty row set still emits one line.
@@ -282,10 +285,12 @@ def cmd_verify_needed(args: argparse.Namespace, out: TextIO, err: TextIO) -> boo
     if args.T is None or args.T < 3:
         raise UsageError("need --T at least 3")
     scale, h, label, seed = _resolve_sequence(args.sequence_source, args.T, args.seed)
-    # every row is walked before the first byte; one right side serves all
-    concave, certified = racah.certify_alternating_bound(scale, h)
-    rhs = certified[0][0].rhs
-    rhs_text, rhs_approx = format_rational(rhs), decimal_approx(rhs)
+    # every row is walked before the first byte.  Row n reads dot / (P scale)
+    # < total / scale, and P, scale > 0, so it holds exactly when dot < P total
+    walked = racah._alternating_rows(h)
+    concave, branches = racah._route_labels(h)
+    total = sum(h)
+    rhs_text, rhs_approx = format_ratio(total, scale), decimal_ratio(total, scale)
     columns = [
         "T", "n", "sequence", "seed",
         "lhs", "lhs_approx", "rhs", "rhs_approx",
@@ -295,11 +300,11 @@ def cmd_verify_needed(args: argparse.Namespace, out: TextIO, err: TextIO) -> boo
         (
             (
                 args.T, n, label, seed,
-                format_rational(ineq.lhs), decimal_approx(ineq.lhs),
+                format_ratio(dot, p * scale), decimal_ratio(dot, p * scale),
                 rhs_text, rhs_approx,
-                ineq.holds, labels, bool(labels), concave,
+                dot < p * total, labels, bool(labels), concave,
             )
-            for n, (ineq, labels) in enumerate(certified)
+            for n, ((dot, p), labels) in enumerate(zip(walked, branches))
         ),
         columns,
         ("holds",),
@@ -342,13 +347,13 @@ def cmd_sigma(args: argparse.Namespace, out: TextIO, err: TextIO) -> bool:
     return row["positive"] and row["agree"]
 
 
-def _racah_rows(args: argparse.Namespace, t_lo: int, t_hi: int) -> Iterator[tuple]:
-    """Rows of R_n(s, T) in (T, n, s) order, at every n and s or at the
-    selected one; the caller has checked the selection against T = t_lo."""
-    for T in range(t_lo, t_hi + 1):
-        for n, s, w, p in racah.racah_grid(T, args.n, args.s):
-            yield T, n, s, format_ratio(w, p), decimal_ratio(w, p)
-
+# format: (header, line template) of the racah table.  Every cell is an int
+# or ASCII text made only of digits, "-", "/" and ".", which csv never quotes
+# and json never escapes, so a template writes each cell as both would.
+_RACAH_LINES = {
+    "csv": ("T,n,s,value,value_approx\n", "%d,%d,%d,%s,%s\n"),
+    "json": ("", '{"T": %d, "n": %d, "s": %d, "value": "%s", "value_approx": "%s"}\n'),
+}
 
 # flag: argparse dest, per table kind
 _TABLE_FLAGS = {
@@ -358,6 +363,8 @@ _TABLE_FLAGS = {
 
 
 def cmd_table(args: argparse.Namespace, out: TextIO, err: TextIO) -> bool:
+    """A sigma table goes through emit_table.  A racah table goes through the
+    line templates of _RACAH_LINES, one table row (<= T cells) per write."""
     other = _TABLE_FLAGS["racah" if args.kind == "sigma" else "sigma"]
     stray = [flag for flag, dest in other.items() if getattr(args, dest) is not None]
     if stray:
@@ -367,6 +374,8 @@ def cmd_table(args: argparse.Namespace, out: TextIO, err: TextIO) -> bool:
         columns = _SIGMA_COLUMNS[:7]
         jobs = _jobs(racah.default_jobs() if args.jobs is None else args.jobs)
         rows = _Tally((row[:7] for row in _sigma_rows(args, "closed", jobs)), columns)
+        emit_table(rows, columns, args.output_format, out)
+        count = rows.count
     elif args.kind == "racah":
         t_lo, t_hi = _t_range(args)
         # the bound T-1 only grows with T, so the first T decides
@@ -374,12 +383,20 @@ def cmd_table(args: argparse.Namespace, out: TextIO, err: TextIO) -> bool:
             raise UsageError(f"need 0 <= n <= T-1, got n={args.n}, T={t_lo}")
         if args.s is not None and not 0 <= args.s <= t_lo - 1:
             raise UsageError(f"need 0 <= s <= T-1, got s={args.s}, T={t_lo}")
-        columns = ["T", "n", "s", "value", "value_approx"]
-        rows = _Tally(_racah_rows(args, t_lo, t_hi), columns)
+        header, line = _RACAH_LINES[args.output_format]
+        out.write(header)
+        count = 0
+        for T in range(t_lo, t_hi + 1):
+            cells = racah.racah_grid(T, args.n, args.s)
+            while block := [
+                line % (T, n, s, format_ratio(w, p), decimal_ratio(w, p))
+                for n, s, w, p in islice(cells, T)
+            ]:
+                out.write("".join(block))
+                count += len(block)
     else:
         raise UsageError(f"unknown table kind {args.kind!r}")
-    emit_table(rows, columns, args.output_format, out)
-    print(f"{rows.count} rows", file=err)
+    print(f"{count} rows", file=err)
     return True
 
 

@@ -11,15 +11,16 @@ and Swarttouw, Hypergeometric Orthogonal Polynomials, section 9.2).  It is
 held exactly as one integer form, w_n(s) = P_n R_n(s, T) with the principal
 weight P_n = C(T-1, n) C(T+n, n), walked down a column by the three-term
 recurrence in n or along a row by the same recurrence in s; the sum itself
-lives in the tests as the independent oracle.  Around it sit the alternating
-inequality driven by a concave sequence, whose rows
-certify_alternating_bound returns paired with their route labels, and the
-scan that checks |R_n(s, T)| <= 1 across a whole parameter range.  The
-range pool (_range_pool) runs a per-key function over a range of keys on
-forked worker processes and yields each key's items in key order; the scan
-and the CLI's range commands all run on it.  The Legendre comparison family
-behind the "legendre" route label, and the window checks that support that
-regime, live with the tests in tests/legendre_checks.py.
+lives in the tests as the independent oracle.  Around it sit the
+alternating inequality driven by a concave sequence, decided in integers
+(_alternating_rows) and returned by certify_alternating_bound as Fractions
+paired with their route labels, and the scan that checks |R_n(s, T)| <= 1
+across a whole parameter range.  The range pool (_range_pool) runs a
+per-key function over a range of keys on forked worker processes and
+yields each key's items in key order; the scan and the CLI's range commands
+all run on it.  The Legendre comparison family behind the "legendre" route
+label, and the window checks that support that regime, live with the tests
+in tests/legendre_checks.py.
 """
 
 from __future__ import annotations
@@ -280,50 +281,40 @@ def _alternating_dot(row: list[int], h) -> int:
     return sum(map(mul, row[1::2], h[1::2])) - sum(map(mul, row[2::2], h[2::2]))
 
 
+def _alternating_rows(h) -> list[tuple[int, int]]:
+    """(dot_n, P_n) for n = 0..T-1, T = len(h), with h[s] = scale H_s:
+    dot_n = sum_s (-1)^(s+1) w_n(s) h[s], s = 1..T-1, so row n of the
+    alternating inequality reads dot_n / (P_n scale) < sum(h) / scale.  P_n
+    is w_n(0), read off row n's walk; one row is held at a time."""
+    rows = (_principal_row(n, len(h)) for n in range(len(h)))
+    return [(_alternating_dot(row, h), row[0]) for row in rows]
+
+
 def alternating_profile(scale: int, h) -> list[Inequality]:
     """Row n of sum_s (-1)^(s+1) R_n(s,T) H_s < sum_s H_s over s = 1..T-1
     for every n = 0..T-1, T = len(h), from the sequence form h[s] = scale H_s
-    (exactmath.integer_sequence); the right side, which no row changes, is
-    built once, and one row is held at a time.  The scale must be positive:
-    the sign of every row's denominator rests on it."""
+    (exactmath.integer_sequence): the Fractions of _alternating_rows(h), one
+    right side for all.  The scale must be positive: the sign of every row's
+    denominator rests on it."""
     T = len(h)
     if T < 3:
         raise ValueError(f"need T >= 3, got {T}")
     if scale < 1:
         raise ValueError(f"need scale >= 1, got {scale}")
     rhs = Fraction(sum(h), scale)
-    # the row walk gives w_n(s) = P_n R_n(s, T) at every s, starting from
-    # w_n(0) = P_n, so each left side is one integer over P_n scale
-    rows = (_principal_row(n, T) for n in range(T))
-    return [Inequality(Fraction(_alternating_dot(row, h), row[0] * scale), rhs) for row in rows]
+    return [Inequality(Fraction(dot, p * scale), rhs) for dot, p in _alternating_rows(h)]
 
 
 def n_below_log(n: int, T: int) -> bool:
     """True iff n < log T, decided exactly as e^n < T."""
     if n < 0 or T < 1:
         raise ValueError(f"need n >= 0 and T >= 1, got n={n}, T={T}")
-    return exp_compare(n, Fraction(T)) < 0
+    return exp_compare(n, T) < 0
 
 
-def certify_alternating_bound(
-    scale: int, h
-) -> tuple[bool, list[tuple[Inequality, tuple[str, ...]]]]:
-    """Whether h is concave increasing, and each row of
-    alternating_profile(scale, h), n = 0..T-1, T = len(h), paired with the
-    labels of the routes that certify it.
-
-    The labels may be "cauchy" (the sufficient inequality holds, for a
-    positive sum), "closed-form" (n <= 3 or n = T-1, rows with explicit
-    formulas), and "legendre" (T >= 90 and n < log T, the comparison-family
-    regime; its supporting checks live with the tests in
-    tests/legendre_checks.py).  The last two rest on a concave increasing
-    sequence (exactmath.validate_concave, the flag returned), so only such
-    input gets them.  A row is covered when it has a label; the inequality
-    itself is always decided by direct exact evaluation.  For concave input
-    every row is covered; other input still gets exact rows, but coverage is
-    not guaranteed.
-    """
-    profile = alternating_profile(scale, h)
+def _route_labels(h) -> tuple[bool, list[tuple[str, ...]]]:
+    """Whether h is concave increasing, and the route labels of each row n,
+    as certify_alternating_bound gives them: they read h, never a row walk."""
     T = len(h)
     total = sum(h)
     # "cauchy": sum_s H_s^2/(2s+1) < (2n+1) (mean of H_0..H_(T-1))^2, that
@@ -345,7 +336,7 @@ def certify_alternating_bound(
         while n_below_log(below_log, T):
             below_log += 1
     out = []
-    for n, ineq in enumerate(profile):
+    for n in range(T):
         labels = []
         if n >= cauchy_from:
             labels.append("cauchy")
@@ -353,8 +344,30 @@ def certify_alternating_bound(
             labels.append("closed-form")
         if n < below_log:
             labels.append("legendre")
-        out.append((ineq, tuple(labels)))
+        out.append(tuple(labels))
     return concave, out
+
+
+def certify_alternating_bound(
+    scale: int, h
+) -> tuple[bool, list[tuple[Inequality, tuple[str, ...]]]]:
+    """Whether h is concave increasing, and each row of
+    alternating_profile(scale, h), n = 0..T-1, T = len(h), paired with the
+    labels of the routes that certify it (_route_labels).
+
+    The labels may be "cauchy" (the sufficient inequality holds, for a
+    positive sum), "closed-form" (n <= 3 or n = T-1, rows with explicit
+    formulas), and "legendre" (T >= 90 and n < log T, the comparison-family
+    regime; its supporting checks live with the tests in
+    tests/legendre_checks.py).  The last two rest on a concave increasing
+    sequence (exactmath.validate_concave, the flag returned), so only such
+    input gets them.  A row is covered when it has a label; the inequality
+    itself is always decided by direct exact evaluation.  For concave input
+    every row is covered; other input still gets exact rows, but coverage is
+    not guaranteed.
+    """
+    concave, labels = _route_labels(h)
+    return concave, list(zip(alternating_profile(scale, h), labels))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import csv
 import functools
 import hashlib
 import io
@@ -17,7 +18,16 @@ import pytest
 import grasshodge
 from grasshodge import cli, lefschetz, racah
 from grasshodge.cli import UsageError, emit_table, load_sequence, main
-from grasshodge.exactmath import decimal_approx, format_rational, harmonic
+from grasshodge.exactmath import (
+    decimal_approx,
+    decimal_ratio,
+    format_ratio,
+    format_rational,
+    harmonic,
+    harmonic_numerators,
+    integer_sequence,
+    random_concave,
+)
 from oracles import orthogonality_pairs, proj_commutator_residue, scan_json, scan_report_json
 
 
@@ -894,6 +904,77 @@ def test_certificate_rows_build_no_fraction(monkeypatch, capsys):
     assert expected[0] == 0
 
 
+
+def _needed_cases(tmp_path):
+    """(argv, (scale, h)) of verify-needed runs at T <= 40: the harmonic
+    default, three random seeds, and a zero-sum and a mixed-sign file."""
+    cases = [(("--T", str(T)), harmonic_numerators(T - 1)) for T in (3, 4, 7, 16, 33, 40)]
+    for T, seed in ((5, 1), (24, 2), (40, 3)):
+        form = integer_sequence(random_concave(T - 1, seed))
+        cases.append((("--T", str(T), "--sequence", "random", "--seed", str(seed)), form))
+    for name, values in (("zero", "0\n0\n0\n0\n"), ("mixed", "1\n-1\n2\n-3\n")):
+        path = tmp_path / f"{name}.txt"
+        path.write_text(values)
+        form = integer_sequence(load_sequence(str(path))[:4])
+        cases.append((("--T", "5", "--sequence", str(path)), form))
+    return cases
+
+
+def test_verify_needed_cells_match_the_library_inequalities(tmp_path, capsys):
+    # the CLI prints each row from (dot, P) in integers; its cells are those
+    # of certify_alternating_bound's Fractions, right sides <= 0 included
+    for argv, (scale, h) in _needed_cases(tmp_path):
+        code, out, _ = run_cli(capsys, "verify-needed", *argv)
+        concave, certified = racah.certify_alternating_bound(scale, h)
+        rows = [json.loads(line) for line in out.splitlines()]
+        assert len(rows) == len(certified), argv
+        for row, (ineq, labels) in zip(rows, certified):
+            assert row["lhs"] == format_rational(ineq.lhs), argv
+            assert row["lhs_approx"] == decimal_approx(ineq.lhs), argv
+            assert row["rhs"] == format_rational(ineq.rhs), argv
+            assert row["rhs_approx"] == decimal_approx(ineq.rhs), argv
+            assert row["holds"] is ineq.holds, argv
+            assert (row["branches"], row["concave"]) == (list(labels), concave), argv
+        assert code == (0 if all(ineq.holds for ineq, _ in certified) else 1), argv
+
+
+def test_verify_needed_rows_build_no_fraction(monkeypatch, capsys):
+    # the row path stays in integers up to the printed text, the legendre
+    # labels of T >= 90 included
+    argvs = [
+        ("verify-needed", "--T", "100"),
+        ("verify-needed", "--T", "60", "--sequence", "random", "--seed", "7", "--format", "csv"),
+    ]
+    expected = [run_cli(capsys, *argv) for argv in argvs]
+
+    def no_fraction(*args):
+        raise AssertionError("a Fraction on the verify-needed row path")
+
+    monkeypatch.setattr(racah, "Fraction", no_fraction)
+    monkeypatch.setattr(cli, "Fraction", no_fraction)
+    assert [run_cli(capsys, *argv) for argv in argvs] == expected
+    assert [code for code, _, _ in expected] == [0, 0]
+
+
+def test_fault_injection_alternating_dot_at_the_right_side(monkeypatch, capsys):
+    # row 7's dot set to P sum(h): its lhs equals the rhs, so 7 is the one
+    # row where the strict inequality fails
+    real = racah._alternating_rows
+
+    def corrupted(h):
+        rows = real(h)
+        rows[7] = (rows[7][1] * sum(h), rows[7][1])
+        return rows
+
+    monkeypatch.setattr(racah, "_alternating_rows", corrupted)
+    code, out, err = run_cli(capsys, "verify-needed", "--T", "20")
+    assert code == 1
+    rows = [json.loads(line) for line in out.splitlines()]
+    assert [r["n"] for r in rows if not r["holds"]] == [7]
+    assert (rows[7]["lhs"], rows[7]["lhs_approx"]) == (rows[7]["rhs"], rows[7]["rhs_approx"])
+    assert "FAILED" in err
+
+
 def test_fault_injection_proj_lower(monkeypatch, capsys):
     # lowering form_2 at n = 4 gains a stray hat_2: the commutator check
     # must fail for n = 4 and for no other n
@@ -964,6 +1045,62 @@ def test_table_racah_filters_match_full_table(capsys):
                 assert table(T, "--n", n, "--s", s) == [full[0], row[(T, n, s)]]
             assert table(T, "--n", n)[1:] == [row[(T, n, s)] for s in range(T)]
         assert table(T, "--s", 1)[1:] == [row[(T, n, 1)] for n in range(T)]
+
+
+
+_RACAH_COLUMNS = ["T", "n", "s", "value", "value_approx"]
+
+
+def _racah_table_oracle(fmt, T_values, n=None, s=None):
+    """The racah table as the generic writers render it: racah_grid's cells
+    through csv.writer, or json.dumps of each row as a dict."""
+    rows = [
+        (T, row, col, format_ratio(w, p), decimal_ratio(w, p))
+        for T in T_values
+        for row, col, w, p in racah.racah_grid(T, n, s)
+    ]
+    buf = io.StringIO()
+    if fmt == "csv":
+        csv.writer(buf, lineterminator="\n").writerows([_RACAH_COLUMNS, *rows])
+    else:
+        buf.writelines(json.dumps(dict(zip(_RACAH_COLUMNS, row))) + "\n" for row in rows)
+    return buf.getvalue(), len(rows)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_racah_table_templates_match_the_csv_and_json_writers(capsys, fmt):
+    # the line templates write each cell as csv.writer and json.dumps would,
+    # under every filter set and over a T range
+    cases = []
+    for T in range(3, 13):
+        for n, s in ((None, None), (T // 2, None), (None, T - 1), (1, T - 2)):
+            cases.append((["--T", T], [T], n, s))
+    for n, s in ((None, None), (2, None), (None, 0), (2, 1)):
+        cases.append((["--Tmin", 3, "--Tmax", 12], range(3, 13), n, s))
+    for T_flags, T_values, n, s in cases:
+        filters = [*(["--n", n] if n is not None else []), *(["--s", s] if s is not None else [])]
+        argv = ["table", "--kind", "racah", *T_flags, *filters, "--format", fmt]
+        expected, count = _racah_table_oracle(fmt, T_values, n, s)
+        assert run_cli(capsys, *map(str, argv)) == (0, expected, f"{count} rows\n"), argv
+
+
+def test_racah_table_skips_the_generic_writers(monkeypatch, capsys):
+    # the racah table prints from its templates alone; a sigma table still
+    # goes through emit_table and csv.writer
+    argvs = [
+        ("table", "--kind", "racah", "--Tmin", "3", "--Tmax", "20", *fmt)
+        for fmt in ((), ("--format", "json"))
+    ]
+    expected = [run_cli(capsys, *argv) for argv in argvs]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a generic writer on the racah table")
+
+    monkeypatch.setattr(cli, "emit_table", forbidden)
+    monkeypatch.setattr(csv, "writer", forbidden)
+    assert [run_cli(capsys, *argv) for argv in argvs] == expected
+    with pytest.raises(AssertionError, match="generic writer"):
+        main(["table", "--kind", "sigma", "--Nmax", "3", "--jobs", "1"])
 
 
 # sha256 of stdout for commands whose every row carries exact values and
