@@ -3,7 +3,7 @@
     python3 bench/scaling.py [--src DIR [--src DIR2]] [--layer NAME [--layer NAME2]]
 
 Times the direct certificate,
-`sigma_verdict(SigmaInstance(N, k), "direct")` (the walk, its primitivity
+`certificate(SigmaInstance(N, k), "direct")` (the walk, its primitivity
 step and the box's staircase table), over every k of one N at
 N = 30, 60, 90, 120, 200, `primitive_profile(N)` at N = 12, 24, 36,
 `sigma_closed` over every k of one N at N = 60, 120, 200, 300,
@@ -57,8 +57,8 @@ LAYERS = {
     "sigma_direct_all_k": (
         "N",
         (30, 60, 90, 120, 200),
-        "from grasshodge.lefschetz import SigmaInstance, sigma_verdict",
-        "for k in range(N // 2 + 1): sigma_verdict(SigmaInstance(N, k), 'direct')",
+        "from grasshodge.lefschetz import SigmaInstance, certificate",
+        "for k in range(N // 2 + 1): certificate(SigmaInstance(N, k), 'direct')",
     ),
     "primitive_profile": (
         "N",

@@ -31,25 +31,26 @@ from .exactmath import (
 from .lefschetz import (
     NotPrimitive,
     SigmaInstance,
+    certificate,
     chain_constant,
     correction_op,
     proj_commutator_check,
     sigma_closed,
     sigma_direct,
-    sigma_verdict,
-    sigma_walk,
 )
 from .racah import (
     Inequality,
     InexactStep,
     ScanReport,
     alternating_profile,
+    alternating_row,
     bound_scan,
     certify_alternating_bound,
     n_below_log,
     orthogonality_profile,
     principal_weight,
     racah_eval,
+    route_labels,
 )
 
 __version__ = "0.1.0"

@@ -6,8 +6,12 @@ when every check passed, 1 when some mathematical check failed, and 2 on a
 usage or parse error.  A call builds only its own subcommand's parser, and
 finds usage errors before the first byte of output.  Reruns with the same
 flags and seed produce byte-identical output; anything timing-dependent goes
-to standard error only.  Report rows go through emit_table, save those of
+to standard error only.  Report rows go through emit_table, which also
+counts them and checks their flag cells for the summary line, save those of
 the racah table: no cell there needs quoting, so they print from templates.
+Certificate rows read lefschetz.certificate, and verify-needed rows read
+racah.alternating_row and racah.route_labels: each row prints from the
+integers of its object's one core, with no Fraction on the way.
 
 The range commands, verify-grassmannian and table --kind sigma over boxes N,
 verify-ortho and scan-bound over T, deal their keys to racah's range pool on
@@ -67,10 +71,15 @@ def _csv_cells(at: list[int], row: tuple) -> list:
     return row
 
 
-def emit_table(rows: Iterable[tuple], columns: list[str], fmt: str, out: TextIO) -> None:
+def emit_table(
+    rows: Iterable[tuple], columns: list[str], fmt: str, out: TextIO, flags: tuple[str, ...] = ()
+) -> tuple[int, bool]:
     """Write rows, tuples of cells in the column order, as CSV or JSON lines:
     the reports of the verify commands and the sigma table, whose cells
-    mix kinds and may hold free text (a sequence file name).
+    mix kinds and may hold free text (a sequence file name).  Returns the
+    number of rows and whether every cell of the flag columns was true: a
+    report's summary line needs both, and with streamed rows both are known
+    only after the last one is out.
 
     Each row is written as soon as the iterable yields it.  CSV always
     starts with the header row, so an empty row set still emits one line.
@@ -79,22 +88,33 @@ def emit_table(rows: Iterable[tuple], columns: list[str], fmt: str, out: TextIO)
     of cell: the first row tells CSV where bools (true/false) and sequences
     (joined by ";") are; other cells go to the csv module as they are.
     """
+    flagged = [columns.index(flag) for flag in flags]
+    rows = iter(rows)
     if fmt == "csv":
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(columns)
-        rows = iter(rows)
         first = next(rows, None)
         if first is None:
-            return
+            return 0, True
         at = [i for i, cell in enumerate(first) if isinstance(cell, (bool, list, tuple))]
         rows = chain((first,), rows)
-        writer.writerows(map(partial(_csv_cells, at), rows) if at else rows)
+
+        def write(row: tuple) -> None:
+            writer.writerow(_csv_cells(at, row) if at else row)
+
     elif fmt == "json":
         # json writes a tuple cell as a list
-        for row in rows:
+        def write(row: tuple) -> None:
             out.write(json.dumps(dict(zip(columns, row))) + "\n")
     else:
         raise UsageError(f"unknown output format {fmt!r}")
+    count, ok = 0, True
+    for row in rows:
+        write(row)
+        count += 1
+        if flagged and not all(row[i] for i in flagged):
+            ok = False
+    return count, ok
 
 
 def emit_scan_report(report: racah.ScanReport, out: TextIO) -> None:
@@ -118,28 +138,6 @@ def emit_scan_report(report: racah.ScanReport, out: TextIO) -> None:
             out.write(f', {{"T": {T}, "n": {n}, "s": {s}}}')
             i += 1
     out.write(f'], "rows_checked": {report.rows_checked}}}\n')
-
-
-class _Tally:
-    """Pass rows through, counting them and checking their flag cells.
-
-    A report's summary line needs the row count and the overall verdict,
-    and with streamed rows both are known only after the last one is out.
-    """
-
-    def __init__(self, rows: Iterable[tuple], columns: list[str], flags: tuple[str, ...] = ()):
-        self._rows = rows
-        self._at = [columns.index(flag) for flag in flags]
-        self.count = 0
-        self.ok = True
-
-    def __iter__(self) -> Iterator[tuple]:
-        at = self._at
-        for row in self._rows:
-            self.count += 1
-            if at and not all(row[i] for i in at):
-                self.ok = False
-            yield row
 
 
 def load_sequence(path: str) -> tuple[Fraction, ...]:
@@ -189,7 +187,7 @@ _SIGMA_COLUMNS = ["N", "k", "n", "T", "sigma", "sigma_approx", "positive", "meth
 def _sigma_row(inst: lefschetz.SigmaInstance, method: str) -> tuple:
     """The output row of one certificate by method, in the order of
     _SIGMA_COLUMNS, printed from its integer numerator over L."""
-    num, L, agree = lefschetz._certificate(inst, method)
+    num, L, agree = lefschetz.certificate(inst, method)
     return (
         inst.N, inst.k, inst.n, inst.T,
         format_ratio(num, L), decimal_ratio(num, L),
@@ -228,13 +226,10 @@ def _sigma_rows(args: argparse.Namespace, method: str, jobs: int) -> Iterator[tu
 
 def cmd_verify_grassmannian(args: argparse.Namespace, out: TextIO, err: TextIO) -> bool:
     jobs = _jobs(args.jobs)
-    rows = _Tally(_sigma_rows(args, args.method, jobs), _SIGMA_COLUMNS, ("positive", "agree"))
-    emit_table(rows, _SIGMA_COLUMNS, args.output_format, out)
-    print(
-        f"{rows.count} certificates: " + ("all positive" if rows.ok else "FAILED"),
-        file=err,
-    )
-    return rows.ok
+    rows = _sigma_rows(args, args.method, jobs)
+    count, ok = emit_table(rows, _SIGMA_COLUMNS, args.output_format, out, ("positive", "agree"))
+    print(f"{count} certificates: " + ("all positive" if ok else "FAILED"), file=err)
+    return ok
 
 
 def cmd_verify_pn(args: argparse.Namespace, out: TextIO, err: TextIO) -> bool:
@@ -245,21 +240,14 @@ def cmd_verify_pn(args: argparse.Namespace, out: TextIO, err: TextIO) -> bool:
         for n in range(args.nmin, args.nmax + 1)
     )
     columns = ["n", "commutator_ok", "tau", "tau_approx", "tau_positive"]
-    rows = _Tally(
-        (
-            (n, commutes, format_rational(tau), decimal_approx(tau), tau > 0)
-            for n, commutes, tau in checks
-        ),
-        columns,
-        ("commutator_ok", "tau_positive"),
+    rows = (
+        (n, commutes, format_rational(tau), decimal_approx(tau), tau > 0)
+        for n, commutes, tau in checks
     )
-    emit_table(rows, columns, args.output_format, out)
-    print(
-        f"projective model n={args.nmin}..{args.nmax}: "
-        + ("all relations hold" if rows.ok else "FAILED"),
-        file=err,
-    )
-    return rows.ok
+    _, ok = emit_table(rows, columns, args.output_format, out, ("commutator_ok", "tau_positive"))
+    verdict = "all relations hold" if ok else "FAILED"
+    print(f"projective model n={args.nmin}..{args.nmax}: {verdict}", file=err)
+    return ok
 
 
 def _ortho_row(T: int) -> Iterator[tuple[int, int, bool]]:
@@ -271,14 +259,10 @@ def cmd_verify_ortho(args: argparse.Namespace, out: TextIO, err: TextIO) -> bool
     t_lo, t_hi = _t_range(args)
     jobs = _jobs(args.jobs)
     columns = ["T", "pairs_checked", "ok"]
-    profiles = racah._range_pool(_ortho_row, range(t_lo, t_hi + 1), jobs, _CORRUPT)
-    rows = _Tally(profiles, columns, ("ok",))
-    emit_table(rows, columns, args.output_format, out)
-    print(
-        f"orthogonality T={t_lo}..{t_hi}: " + ("exact" if rows.ok else "FAILED"),
-        file=err,
-    )
-    return rows.ok
+    rows = racah._range_pool(_ortho_row, range(t_lo, t_hi + 1), jobs, _CORRUPT)
+    _, ok = emit_table(rows, columns, args.output_format, out, ("ok",))
+    print(f"orthogonality T={t_lo}..{t_hi}: " + ("exact" if ok else "FAILED"), file=err)
+    return ok
 
 
 def cmd_verify_needed(args: argparse.Namespace, out: TextIO, err: TextIO) -> bool:
@@ -287,8 +271,8 @@ def cmd_verify_needed(args: argparse.Namespace, out: TextIO, err: TextIO) -> boo
     scale, h, label, seed = _resolve_sequence(args.sequence_source, args.T, args.seed)
     # every row is walked before the first byte.  Row n reads dot / (P scale)
     # < total / scale, and P, scale > 0, so it holds exactly when dot < P total
-    walked = racah._alternating_rows(h)
-    concave, branches = racah._route_labels(h)
+    walked = [racah.alternating_row(n, h) for n in range(args.T)]
+    concave, branches = racah.route_labels(h)
     total = sum(h)
     rhs_text, rhs_approx = format_ratio(total, scale), decimal_ratio(total, scale)
     columns = [
@@ -296,28 +280,20 @@ def cmd_verify_needed(args: argparse.Namespace, out: TextIO, err: TextIO) -> boo
         "lhs", "lhs_approx", "rhs", "rhs_approx",
         "holds", "branches", "covered", "concave",
     ]
-    rows = _Tally(
+    rows = (
         (
-            (
-                args.T, n, label, seed,
-                format_ratio(dot, p * scale), decimal_ratio(dot, p * scale),
-                rhs_text, rhs_approx,
-                dot < p * total, labels, bool(labels), concave,
-            )
-            for n, ((dot, p), labels) in enumerate(zip(walked, branches))
-        ),
-        columns,
-        ("holds",),
+            args.T, n, label, seed,
+            format_ratio(dot, p * scale), decimal_ratio(dot, p * scale),
+            rhs_text, rhs_approx,
+            dot < p * total, labels, bool(labels), concave,
+        )
+        for n, ((dot, p), labels) in enumerate(zip(walked, branches))
     )
-    emit_table(rows, columns, args.output_format, out)
+    _, ok = emit_table(rows, columns, args.output_format, out, ("holds",))
+    verdict = "holds for all n" if ok else "FAILED"
     note = "" if concave else " (sequence not concave increasing: exploratory run)"
-    print(
-        f"alternating bound T={args.T}, sequence={label}: "
-        + ("holds for all n" if rows.ok else "FAILED")
-        + note,
-        file=err,
-    )
-    return rows.ok
+    print(f"alternating bound T={args.T}, sequence={label}: {verdict}{note}", file=err)
+    return ok
 
 
 def cmd_scan_bound(args: argparse.Namespace, out: TextIO, err: TextIO) -> bool:
@@ -373,9 +349,8 @@ def cmd_table(args: argparse.Namespace, out: TextIO, err: TextIO) -> bool:
         # the first seven columns: no method or agree flag
         columns = _SIGMA_COLUMNS[:7]
         jobs = _jobs(racah.default_jobs() if args.jobs is None else args.jobs)
-        rows = _Tally((row[:7] for row in _sigma_rows(args, "closed", jobs)), columns)
-        emit_table(rows, columns, args.output_format, out)
-        count = rows.count
+        rows = (row[:7] for row in _sigma_rows(args, "closed", jobs))
+        count, _ = emit_table(rows, columns, args.output_format, out)
     elif args.kind == "racah":
         t_lo, t_hi = _t_range(args)
         # the bound T-1 only grows with T, so the first T decides

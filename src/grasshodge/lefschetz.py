@@ -3,8 +3,8 @@
 The certificate for a box of width N and primitive codimension 2k is an
 exact rational assembled in two independent ways.  Directly, it pairs the
 lower hyperplane powers L^(n-b) alpha of the primitive class with the
-corrected upper powers C(L^(n+b) alpha), b = 0..n; sigma_walk gets all of
-them from one walk L^0 alpha, ..., L^(2n) alpha on integer coefficient
+corrected upper powers C(L^(n+b) alpha), b = 0..n, and gets all of them
+from one walk L^0 alpha, ..., L^(2n) alpha on integer coefficient
 vectors, one two-term Pieri step per power, and contracts each lower power
 with the integer staircase of the correction operator.  The walk takes one
 step more and requires L^(2n+1) alpha = 0 with alpha nonzero: the primitive
@@ -12,16 +12,15 @@ part in codimension 2k is the kernel of that power and has rank 1, so the
 walk proves that its class spans it (at k = 0, where that power lies past
 the box, it checks the degree instead).  In closed form, the certificate is
 the principal weight times the margin of row n = N - 2k of the harmonic
-alternating inequality at T = N + 2, read off one row walk of the Racah
-values.  Both routes give one integer numerator over L = lcm(1, ..., N + 1),
-so they compare as ints and the CLI prints the ratio with no Fraction.  One
-table per box holds L, the harmonic integers L H_0, ..., L H_(N+1) and,
-once the direct route first asks for them, the N + 1 staircases built from
-them; both routes at every k of the box read it.
-The direct route uses no Racah code, so the two stay independent;
-sigma_verdict returns the certificate with whether the two agree, and
-sigma_direct, the same pairing on whole Chow classes, is the definitional
-reference for the walk.
+alternating inequality at T = N + 2 (racah.alternating_row).  Both routes
+give one integer numerator over L = lcm(1, ..., N + 1), so they compare as
+ints and the CLI prints the ratio with no Fraction.  One table per box
+holds L, the harmonic integers L H_0, ..., L H_(N+1) and, once the direct
+route first asks for them, the N + 1 staircases built from them; both
+routes at every k of the box read it.  The direct route uses no Racah code,
+so the two stay independent; certificate returns the numerator by either
+route or both, with whether they agree, and sigma_direct, the same pairing
+on whole Chow classes, is the definitional reference for the walk.
 
 The module also carries a small model of projective n-space with one extra
 archimedean piece per codimension, used to check the commutator identity
@@ -143,7 +142,7 @@ def correction_op(x: ChowElement) -> ChowElement:
 def sigma_direct(inst: SigmaInstance) -> Fraction:
     """Certificate assembled term by term through the correction operator.
 
-    The definitional reference for sigma_walk: 2(n + 1) hyperplane powers,
+    The definitional reference for the direct walk: 2(n + 1) hyperplane powers,
     n + 1 corrections and n + 1 pairings on whole Chow classes.
     """
     alpha = primitive_class(inst.N, inst.k)
@@ -230,40 +229,28 @@ def _walk_numerator(inst: SigmaInstance) -> int:
     return sum(map(mul, tops, reversed(lower)))
 
 
-def _certificate(inst: SigmaInstance, method: str) -> tuple[int, int, bool]:
+def certificate(inst: SigmaInstance, method: str = "both") -> tuple[int, int, bool]:
     """The certificate by "direct", "closed" or "both" as its numerator over
     L = lcm(1, ..., N + 1), and whether the routes agree (vacuously true for
     one); both numerators are over the one L of the box, so they compare as
     ints.  The closed numerator is L times the principal weight times the
     margin rhs - lhs of row n of the alternating inequality for the harmonic
-    numbers at T: with h[s] = L H_s, the row walk w_n(s) = P_n R_n(s, T) and
-    P_n = w_n(0), it is P_n sum_s h[s] - sum_s (-1)^(s+1) w_n(s) h[s].
+    numbers at T: with h[s] = L H_s and (dot, P_n) the alternating_row of
+    n and h, it is P_n sum_s h[s] - dot.
     """
     if method not in ("direct", "closed", "both"):
         raise ValueError(f"unknown method {method!r}")
     L, h, column_sum, _ = _box_table(inst.N)  # h[i] = L H_i, i <= T - 1
     if method == "direct":
         return _walk_numerator(inst), L, True
-    row = racah._principal_row(inst.n, inst.T)
-    num = row[0] * column_sum - racah._alternating_dot(row, h)
+    dot, p = racah.alternating_row(inst.n, h)
+    num = p * column_sum - dot
     return num, L, method == "closed" or _walk_numerator(inst) == num
 
 
-def sigma_walk(inst: SigmaInstance) -> Fraction:
-    """The direct certificate, _walk_numerator(inst) / L, as one Fraction."""
-    return Fraction(*_certificate(inst, "direct")[:2])
-
-
 def sigma_closed(inst: SigmaInstance) -> Fraction:
-    """The closed certificate of _certificate as one Fraction."""
-    return Fraction(*_certificate(inst, "closed")[:2])
-
-
-def sigma_verdict(inst: SigmaInstance, method: str = "both") -> tuple[Fraction, bool]:
-    """The certificate of _certificate as one Fraction, with whether the
-    routes agree."""
-    num, L, agree = _certificate(inst, method)
-    return Fraction(num, L), agree
+    """The closed certificate as one Fraction."""
+    return Fraction(*certificate(inst, "closed")[:2])
 
 
 # ---------------------------------------------------------------------------

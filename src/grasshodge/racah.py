@@ -12,15 +12,16 @@ held exactly as one integer form, w_n(s) = P_n R_n(s, T) with the principal
 weight P_n = C(T-1, n) C(T+n, n), walked down a column by the three-term
 recurrence in n or along a row by the same recurrence in s; the sum itself
 lives in the tests as the independent oracle.  Around it sit the
-alternating inequality driven by a concave sequence, decided in integers
-(_alternating_rows) and returned by certify_alternating_bound as Fractions
-paired with their route labels, and the scan that checks |R_n(s, T)| <= 1
-across a whole parameter range.  The range pool (_range_pool) runs a
-per-key function over a range of keys on forked worker processes and
-yields each key's items in key order; the scan and the CLI's range commands
-all run on it.  The Legendre comparison family behind the "legendre" route
-label, and the window checks that support that regime, live with the tests
-in tests/legendre_checks.py.
+alternating inequality driven by a concave sequence, one row at a time in
+integers (alternating_row, which the closed certificate also reads) with
+the routes that certify it (route_labels) and their Fraction views
+(alternating_profile, certify_alternating_bound), and the scan that checks
+|R_n(s, T)| <= 1 across a whole parameter range.  The range pool
+(_range_pool) runs a per-key function over a range of keys on forked
+worker processes and yields each key's items in key order; the scan and
+the CLI's range commands all run on it.  The Legendre comparison family
+behind the "legendre" route label, and the window checks that support
+that regime, live with the tests in tests/legendre_checks.py.
 """
 
 from __future__ import annotations
@@ -275,25 +276,23 @@ class Inequality:
         return self.lhs < self.rhs
 
 
-def _alternating_dot(row: list[int], h) -> int:
-    """sum_s (-1)^(s+1) row[s] h[s] over s = 1..len(row)-1: odd s add, even
-    s subtract."""
-    return sum(map(mul, row[1::2], h[1::2])) - sum(map(mul, row[2::2], h[2::2]))
-
-
-def _alternating_rows(h) -> list[tuple[int, int]]:
-    """(dot_n, P_n) for n = 0..T-1, T = len(h), with h[s] = scale H_s:
-    dot_n = sum_s (-1)^(s+1) w_n(s) h[s], s = 1..T-1, so row n of the
-    alternating inequality reads dot_n / (P_n scale) < sum(h) / scale.  P_n
-    is w_n(0), read off row n's walk; one row is held at a time."""
-    rows = (_principal_row(n, len(h)) for n in range(len(h)))
-    return [(_alternating_dot(row, h), row[0]) for row in rows]
+def alternating_row(n: int, h) -> tuple[int, int]:
+    """(dot, P_n) of row n, dot / (P_n scale) < sum(h) / scale, of the
+    alternating inequality for the sequence form h[s] = scale H_s at
+    T = len(h) >= 3, 0 <= n <= T-1: dot = sum_s (-1)^(s+1) w_n(s) h[s] over
+    s = 1..T-1 and P_n = w_n(0), both read off one row walk."""
+    T = len(h)
+    if T < 3 or not 0 <= n < T:
+        raise ValueError(f"need T >= 3 and 0 <= n <= T-1, got T={T}, n={n}")
+    row = _principal_row(n, T)
+    # odd s add, even s subtract
+    return sum(map(mul, row[1::2], h[1::2])) - sum(map(mul, row[2::2], h[2::2])), row[0]
 
 
 def alternating_profile(scale: int, h) -> list[Inequality]:
     """Row n of sum_s (-1)^(s+1) R_n(s,T) H_s < sum_s H_s over s = 1..T-1
     for every n = 0..T-1, T = len(h), from the sequence form h[s] = scale H_s
-    (exactmath.integer_sequence): the Fractions of _alternating_rows(h), one
+    (exactmath.integer_sequence): the Fractions of alternating_row(n, h), one
     right side for all.  The scale must be positive: the sign of every row's
     denominator rests on it."""
     T = len(h)
@@ -302,7 +301,8 @@ def alternating_profile(scale: int, h) -> list[Inequality]:
     if scale < 1:
         raise ValueError(f"need scale >= 1, got {scale}")
     rhs = Fraction(sum(h), scale)
-    return [Inequality(Fraction(dot, p * scale), rhs) for dot, p in _alternating_rows(h)]
+    rows = (alternating_row(n, h) for n in range(T))
+    return [Inequality(Fraction(dot, p * scale), rhs) for dot, p in rows]
 
 
 def n_below_log(n: int, T: int) -> bool:
@@ -312,7 +312,7 @@ def n_below_log(n: int, T: int) -> bool:
     return exp_compare(n, T) < 0
 
 
-def _route_labels(h) -> tuple[bool, list[tuple[str, ...]]]:
+def route_labels(h) -> tuple[bool, list[tuple[str, ...]]]:
     """Whether h is concave increasing, and the route labels of each row n,
     as certify_alternating_bound gives them: they read h, never a row walk."""
     T = len(h)
@@ -353,7 +353,7 @@ def certify_alternating_bound(
 ) -> tuple[bool, list[tuple[Inequality, tuple[str, ...]]]]:
     """Whether h is concave increasing, and each row of
     alternating_profile(scale, h), n = 0..T-1, T = len(h), paired with the
-    labels of the routes that certify it (_route_labels).
+    labels of the routes that certify it (route_labels).
 
     The labels may be "cauchy" (the sufficient inequality holds, for a
     positive sum), "closed-form" (n <= 3 or n = T-1, rows with explicit
@@ -366,7 +366,7 @@ def certify_alternating_bound(
     every row is covered; other input still gets exact rows, but coverage is
     not guaranteed.
     """
-    concave, labels = _route_labels(h)
+    concave, labels = route_labels(h)
     return concave, list(zip(alternating_profile(scale, h), labels))
 
 

@@ -19,7 +19,7 @@ from grasshodge.chowring import (
     primitive_profile,
 )
 from grasshodge.cli import main
-from grasshodge.lefschetz import SigmaInstance, sigma_verdict
+from grasshodge.lefschetz import SigmaInstance, certificate
 from oracles import naive_pairing, pieri_step, skew_count_power, skew_syt_count
 
 
@@ -451,13 +451,13 @@ def test_fault_injection_binomial_row(monkeypatch, capsys):
     # for k >= 1 the walk ends at L^(2n+1) alpha, which the stray term leaves
     # nonzero, so its primitivity step raises
     with pytest.raises(lefschetz.NotPrimitive, match="N=4, k=1 is not primitive: L.5 alpha"):
-        sigma_verdict(SigmaInstance(4, 1), "both")
+        certificate(SigmaInstance(4, 1), "both")
     # at k = 0 the last power has weight 2N + 1, past the box, so the step
     # proves nothing there (every class of codimension 0 is primitive); the
     # stray term moves the top coefficient of L^(2N) alpha off the degree,
     # and the walk raises on that instead
     with pytest.raises(lefschetz.NotPrimitive, match=r"N=4, k=0 is corrupt: L\^8 alpha has 75 "):
-        sigma_verdict(SigmaInstance(4, 0), "both")
+        certificate(SigmaInstance(4, 0), "both")
     # the closed route walks no Pieri step
     assert main(["verify-grassmannian", "--Nmax", "8", "--method", "closed"]) == 0
     assert _power_mismatches(10)
@@ -472,4 +472,4 @@ def test_fault_injection_pairing_numerator(monkeypatch, capsys):
     code, rows = _verify_grassmannian(capsys)
     assert code == 1
     assert rows and not any(row["agree"] for row in rows)
-    assert sigma_verdict(SigmaInstance(6, 1), "both")[1] is False
+    assert certificate(SigmaInstance(6, 1), "both")[2] is False

@@ -332,15 +332,15 @@ def test_usage_error_from_argparse():
 def test_fault_injection_flips_exit_code(monkeypatch, capsys):
     # the certificate's integer numerator negated at (4, 2), where the CLI
     # reads it: that row alone is not positive
-    real = lefschetz._certificate
+    real = lefschetz.certificate
 
-    def corrupted(inst, method):
+    def corrupted(inst, method="both"):
         num, L, agree = real(inst, method)
         if inst.N == 4 and inst.k == 2:
             return -num, L, agree
         return num, L, agree
 
-    monkeypatch.setattr(lefschetz, "_certificate", corrupted)
+    monkeypatch.setattr(lefschetz, "certificate", corrupted)
     code, out, err = run_on_1_and_2_jobs(capsys, "verify-grassmannian", "--Nmax", "5")
     assert code == 1
     rows = [json.loads(line) for line in out.splitlines()]
@@ -727,7 +727,8 @@ def test_fault_injection_correction_op(monkeypatch, capsys):
     # patched _staircase is reached whatever box the shared table holds,
     # and no corrupted table outlives the test.  The closed route reads only
     # the table's harmonic integers, which the patch leaves alone
-    lefschetz.sigma_walk(lefschetz.SigmaInstance(5, 0))  # the shared table now holds box 5
+    # the shared table now holds box 5
+    lefschetz.certificate(lefschetz.SigmaInstance(5, 0), "direct")
     real = lefschetz._staircase
 
     def corrupted(N, b, h, column_sum):
@@ -747,7 +748,7 @@ def test_fault_injection_correction_op(monkeypatch, capsys):
     assert all(not r["agree"] for r in rows if r["N"] == 5)
     assert "FAILED" in err
     for k in range(3):
-        assert lefschetz.sigma_verdict(lefschetz.SigmaInstance(5, k), "both")[1] is False
+        assert lefschetz.certificate(lefschetz.SigmaInstance(5, k), "both")[2] is False
     code, _, _ = run_cli(capsys, "verify-grassmannian", "--Nmax", "6", "--method", "closed")
     assert code == 0
 
@@ -863,7 +864,7 @@ def test_fault_injection_upper_band(monkeypatch, capsys):
     for N in range(1, 11):
         for k in range(N // 2 + 1):
             try:
-                lefschetz.sigma_walk(lefschetz.SigmaInstance(N, k))
+                lefschetz.certificate(lefschetz.SigmaInstance(N, k), "direct")
             except lefschetz.NotPrimitive as exc:
                 failing.append((N, k, str(exc)))
     assert failing == [(7, 2, "the class alpha at N=7, k=2 is not primitive: L^7 alpha is not 0")]
@@ -877,15 +878,16 @@ def test_fault_injection_upper_band(monkeypatch, capsys):
         assert "Traceback" not in err
 
 
-def test_sigma_cells_match_the_fraction_of_sigma_verdict():
+def test_sigma_cells_match_the_fraction_of_certificate():
     # the CLI prints the certificate from its numerator over L; the cells
-    # are those of the reduced Fraction the library returns
+    # are those of the reduced Fraction of the library's numerator over L
     for N in range(1, 41):
         for k in range(N // 2 + 1):
             inst = lefschetz.SigmaInstance(N, k)
             for method in ("direct", "closed", "both"):
                 row = dict(zip(cli._SIGMA_COLUMNS, cli._sigma_row(inst, method)))
-                sigma, agree = lefschetz.sigma_verdict(inst, method)
+                num, L, agree = lefschetz.certificate(inst, method)
+                sigma = Fraction(num, L)
                 assert row["sigma"] == format_rational(sigma), (N, k, method)
                 assert row["sigma_approx"] == decimal_approx(sigma), (N, k, method)
                 assert (row["positive"], row["agree"]) == (sigma > 0, agree), (N, k, method)
@@ -959,20 +961,56 @@ def test_verify_needed_rows_build_no_fraction(monkeypatch, capsys):
 def test_fault_injection_alternating_dot_at_the_right_side(monkeypatch, capsys):
     # row 7's dot set to P sum(h): its lhs equals the rhs, so 7 is the one
     # row where the strict inequality fails
-    real = racah._alternating_rows
+    real = racah.alternating_row
 
-    def corrupted(h):
-        rows = real(h)
-        rows[7] = (rows[7][1] * sum(h), rows[7][1])
-        return rows
+    def corrupted(n, h):
+        dot, p = real(n, h)
+        return (p * sum(h), p) if n == 7 else (dot, p)
 
-    monkeypatch.setattr(racah, "_alternating_rows", corrupted)
+    monkeypatch.setattr(racah, "alternating_row", corrupted)
     code, out, err = run_cli(capsys, "verify-needed", "--T", "20")
     assert code == 1
     rows = [json.loads(line) for line in out.splitlines()]
     assert [r["n"] for r in rows if not r["holds"]] == [7]
     assert (rows[7]["lhs"], rows[7]["lhs_approx"]) == (rows[7]["rhs"], rows[7]["rhs_approx"])
     assert "FAILED" in err
+
+
+def test_fault_injection_one_alternating_row_reaches_both_commands(monkeypatch, capsys):
+    # row n = 4 at T = 12 with its dot set to P sum(h): one seam feeds the
+    # harmonic bound of verify-needed --T 12 and the closed certificate of
+    # N = 10 at the k with N - 2k = 4, and both fail at exactly that row
+    N, n = 10, 4
+    argvs = {
+        "needed": ("verify-needed", "--T", str(N + 2)),
+        "closed": ("verify-grassmannian", "--Nmin", str(N), "--Nmax", str(N), "--method", "closed"),
+    }
+    clean = {name: run_cli(capsys, *argv) for name, argv in argvs.items()}
+    assert [code for code, _, _ in clean.values()] == [0, 0]
+    real = racah.alternating_row
+
+    def corrupted(n_, h):
+        dot, p = real(n_, h)
+        return (p * sum(h), p) if (n_, len(h)) == (n, N + 2) else (dot, p)
+
+    monkeypatch.setattr(racah, "alternating_row", corrupted)
+    for name, argv in argvs.items():
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and "FAILED" in err, name
+        lines, clean_lines = out.splitlines(), clean[name][1].splitlines()
+        rows = [json.loads(line) for line in lines]
+        if name == "needed":
+            at = [r["n"] for r in rows if not r["holds"]]
+            assert at == [n]
+            row = rows[n]
+            assert (row["lhs"], row["lhs_approx"]) == (row["rhs"], row["rhs_approx"])
+        else:
+            at = [r["k"] for r in rows if not r["positive"]]
+            assert at == [(N - n) // 2]
+            assert (rows[at[0]]["n"], rows[at[0]]["sigma"]) == (n, "0")
+        # every other row is the clean run's, byte for byte
+        assert len(lines) == len(clean_lines)
+        assert [a == b for a, b in zip(lines, clean_lines)].count(False) == 1, name
 
 
 def test_fault_injection_proj_lower(monkeypatch, capsys):
@@ -1217,10 +1255,10 @@ def test_verify_needed_edge_sequences_pinned(tmp_path, monkeypatch, capsys, valu
 
 def test_emit_table_empty_rows_gives_header_only():
     buf = io.StringIO()
-    emit_table([], ["a", "b"], "csv", buf)
+    assert emit_table([], ["a", "b"], "csv", buf, ("b",)) == (0, True)
     assert buf.getvalue() == "a,b\n"
     buf = io.StringIO()
-    emit_table([], ["a", "b"], "json", buf)
+    assert emit_table(iter(()), ["a", "b"], "json", buf, ("b",)) == (0, True)
     assert buf.getvalue() == ""
 
 
@@ -1236,6 +1274,22 @@ def test_emit_table_cell_rendering():
         {"x": "1/3", "flag": True, "tags": ["p", "q"], "gap": None, "k": 7},
         {"x": "-2", "flag": False, "tags": [], "gap": None, "k": -1},
     ]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_emit_table_counts_rows_and_checks_flag_cells(fmt):
+    # the flags change only the returned verdict, never a byte of output
+    rows = [("1/3", True, ("p", "q"), 7), ("-2", False, (), -1), ("5", True, ("r",), 0)]
+    columns = ["x", "flag", "tags", "k"]
+    plain = io.StringIO()
+    assert emit_table(rows, columns, fmt, plain) == (3, True)
+    for flags, ok in (((), True), (("flag",), False), (("k",), False), (("x", "tags"), False)):
+        buf = io.StringIO()
+        assert emit_table(iter(rows), columns, fmt, buf, flags) == (3, ok), flags
+        assert buf.getvalue() == plain.getvalue(), flags
+    # every flag cell true
+    buf = io.StringIO()
+    assert emit_table(rows[::2], columns, fmt, buf, ("flag", "x")) == (2, True)
 
 
 def test_load_sequence_blank_lines_ok(tmp_path):

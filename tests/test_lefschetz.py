@@ -15,13 +15,12 @@ from grasshodge import lefschetz
 from grasshodge.exactmath import binomial, harmonic, harmonic_numerators
 from grasshodge.lefschetz import (
     SigmaInstance,
+    certificate,
     chain_constant,
     correction_op,
     proj_commutator_check,
     sigma_closed,
     sigma_direct,
-    sigma_verdict,
-    sigma_walk,
 )
 from grasshodge.racah import principal_weight, racah_eval
 from oracles import (
@@ -33,6 +32,12 @@ from oracles import (
     proj_sigma,
     top_coefficient,
 )
+
+
+def _walk(inst):
+    """The direct certificate, the walk's numerator over L, as one Fraction."""
+    num, L, _ = certificate(inst, "direct")
+    return Fraction(num, L)
 
 
 def test_sigma_frozen_values():
@@ -92,7 +97,7 @@ def test_upper_walk_holds_only_in_box_entries(monkeypatch):
         return out
 
     monkeypatch.setattr(lefschetz, "_pieri_step", spy)
-    sigma_walk(SigmaInstance(200, 0))
+    _walk(SigmaInstance(200, 0))
     assert len(built) == 201 and sum(built) == 10100 and built[-1] == 0
 
 
@@ -101,14 +106,14 @@ def test_walk_matches_direct_reference():
     for N in range(1, 25):
         for k in range(N // 2 + 1):
             inst = SigmaInstance(N, k)
-            assert sigma_walk(inst) == sigma_direct(inst), (N, k)
+            assert _walk(inst) == sigma_direct(inst), (N, k)
 
 
 def test_walk_matches_closed_form():
     for N in range(1, 61):
         for k in range(N // 2 + 1):
             inst = SigmaInstance(N, k)
-            assert sigma_walk(inst) == sigma_closed(inst), (N, k)
+            assert _walk(inst) == sigma_closed(inst), (N, k)
 
 
 def test_primitive_part_has_rank_one():
@@ -135,11 +140,11 @@ def test_walk_rejects_alpha_off_by_one_in_any_coefficient(monkeypatch):
 
                 monkeypatch.setattr(lefschetz, "_primitive_coefficients", corrupted)
                 with pytest.raises(lefschetz.NotPrimitive, match=f"N={N}, k={k} "):
-                    sigma_walk(SigmaInstance(N, k))
+                    _walk(SigmaInstance(N, k))
     # a zero class is in every kernel; the walk asks for alpha != 0 as well
     monkeypatch.setattr(lefschetz, "_primitive_coefficients", lambda N, k: [0] * (k + 1))
     with pytest.raises(lefschetz.NotPrimitive, match="N=6, k=2 is not primitive: it is 0"):
-        sigma_walk(SigmaInstance(6, 2))
+        _walk(SigmaInstance(6, 2))
 
 
 def test_sigma_closed_matches_weighted_harmonic_sum():
@@ -247,17 +252,19 @@ def test_whipple_bridge(T, data):
 
 
 def test_verdict_fields():
-    sigma, agree = sigma_verdict(SigmaInstance(6, 1), method="both")
-    assert sigma > 0 and agree
-    assert sigma == Fraction(618125, 3)
+    num, L, agree = certificate(SigmaInstance(6, 1), method="both")
+    assert Fraction(num, L) > 0 and agree
+    assert Fraction(num, L) == Fraction(618125, 3)
+    # both routes by default, over L = lcm(1, ..., 7)
+    assert certificate(SigmaInstance(6, 1)) == (num, L, True) and L == 420
     with pytest.raises(ValueError):
-        sigma_verdict(SigmaInstance(6, 1), method="fast")
+        certificate(SigmaInstance(6, 1), method="fast")
 
 
 def test_verdict_single_pipeline():
-    direct, direct_agree = sigma_verdict(SigmaInstance(9, 2), method="direct")
-    closed, closed_agree = sigma_verdict(SigmaInstance(9, 2), method="closed")
-    assert direct == closed
+    direct, L, direct_agree = certificate(SigmaInstance(9, 2), method="direct")
+    closed, L_closed, closed_agree = certificate(SigmaInstance(9, 2), method="closed")
+    assert (direct, L) == (closed, L_closed)
     assert direct_agree and closed_agree  # vacuous for one pipeline
 
 
@@ -277,7 +284,9 @@ def test_certificate_pipelines_never_give_floats():
                 lower = lefschetz_power(alpha, 2 * inst.n - r)
                 assert _exact(intersection_pairing(lower, corrected)), (N, k, r)
             assert _exact(sigma_direct(inst)) and _exact(sigma_closed(inst)), (N, k)
-            assert _exact(sigma_walk(inst)), (N, k)
+            # each route's numerator and its L are ints
+            for method in ("direct", "closed"):
+                assert all(type(c) is int for c in certificate(inst, method)[:2]), (N, k)
 
 
 # --- projective-space model ---

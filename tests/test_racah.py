@@ -24,6 +24,7 @@ from grasshodge.racah import (
     _principal_row,
     _principal_steps,
     alternating_profile,
+    alternating_row,
     bound_scan,
     certify_alternating_bound,
     n_below_log,
@@ -813,3 +814,24 @@ def test_alternating_rejects_scale_below_1(scale):
     for check in (alternating_profile, certify_alternating_bound):
         with pytest.raises(ValueError, match=f"need scale >= 1, got {scale}"):
             check(scale, h)
+
+
+@pytest.mark.parametrize("T, n", [(2, 0), (1, 0), (0, 0), (5, -1), (5, 5), (5, 9)])
+def test_alternating_row_rejects_bad_T_and_n(T, n):
+    # T is the length of h = [0, scale H_1, ..., scale H_(T-1)]
+    h = harmonic_numerators(4)[1][:T]
+    with pytest.raises(ValueError, match=f"need T >= 3 and 0 <= n <= T-1, got T={T}, n={n}"):
+        alternating_row(n, h)
+
+
+def test_alternating_row_matches_term_sum():
+    # (dot, P_n) with dot = sum_s (-1)^(s+1) P_n R_n(s, T) h[s], R from the
+    # 4F3 sum, for the harmonic form and for arbitrary integers h
+    rng = random.Random(35)
+    for T in range(3, 16):
+        for h in (harmonic_numerators(T - 1)[1], [rng.randint(-99, 99) for _ in range(T)]):
+            for n in range(T):
+                p = principal_weight(n, T)
+                dot = sum((-1) ** (s + 1) * p * racah_sum(n, s, T) * h[s] for s in range(1, T))
+                row = alternating_row(n, h)
+                assert row == (dot, p) and type(row[0]) is int, (T, n, h)
