@@ -64,16 +64,12 @@ from .exactmath import exp_compare, validate_concave
 # Along a row n the recurrence is the same with n and s exchanged, by the
 # self-duality R_n(s) = R_s(n) (P_n is constant along the row).  Put as
 # K w_n = lambda_n D w_n, lambda_n = 2n(n+1), D = diag(2s+1), it has K
-# symmetric tridiagonal (_difference_operator): off-diagonal
-# alpha_s = (s+1)((s+1)^2-T^2) and diagonal -beta_s,
-# beta_s = (s+1)^3 + s^3 - (2s+1) T^2.  The row walk solves
-# K w_n = lambda_n D w_n forward from w_n(-1) = 0, w_n(0) = P_n, dividing by
-# alpha_s up to s + 1 = T-1, where alpha_s is last nonzero.  K is symmetric,
-# so (lambda_n - lambda_m) w_m^T D w_n = w_m^T K w_n - w_n^T K w_m = 0 for
-# the distinct lambda_n: orthogonality_profile certifies all T(T+1)/2 row
-# pairs from T^2 three-term identities and T norms, on the alpha and beta the
-# row walk steps with, and its pair count counts pairs certified, not pair
-# sums formed.
+# symmetric tridiagonal (_difference_operator: alpha_s off the diagonal,
+# -beta_s on it).  The row walk solves it forward from w_n(-1) = 0,
+# w_n(0) = P_n, dividing by alpha_s up to s + 1 = T-1, where alpha_s is last
+# nonzero; alternating_row checks the equation left at s = T-1.  On the same
+# alpha and beta, orthogonality_profile certifies all T(T+1)/2 row pairs and
+# the T row norms from T^2 three-term identities and the two edge columns.
 #
 # Both walks stay on small numbers: on the grid |w_n(s)| <= P_n wherever the
 # scan has checked the bound, and P_n has at most about 2.5 kbit at T = 1000.
@@ -220,20 +216,18 @@ def orthogonality_profile(T: int) -> tuple[int, bool]:
     sum_s (2s+1) R_n R_m over s = 0..T-1 must equal T^2/(2n+1) when n = m
     and 0 otherwise.  Returns the number of pairs certified, T(T+1)/2, and
     whether the certificate holds.  It walks the principal columns
-    s = 0..T-1 in order, holding three, and checks as exact integers:
-
-    * the three-term identity in s, K w_n = lambda_n D w_n, at every n and
-      s:  alpha_s w_n(s+1) - beta_s w_n(s) + alpha_(s-1) w_n(s-1)
-      = 2n(n+1) (2s+1) w_n(s), with alpha and beta from _difference_operator;
-      alpha_(-1) = alpha_(T-1) = 0, so no value off the grid is read;
-    * the T diagonal norms (2n+1) sum_s (2s+1) w_n(s)^2 = T^2 P_n^2, summed
-      as the columns pass.
-
-    K is symmetric, so (lambda_n - lambda_m) sum_s (2s+1) w_n w_m =
-    w_m^T K w_n - w_n^T K w_m = 0, and the eigenvalues lambda_n = 2n(n+1)
-    are distinct: every off-diagonal pair sum vanishes.  The values pass only
-    if the T(T+1)/2 pair sums would also pass, at O(T^2) products instead of
-    O(T^3).
+    s = 0..T-1 in order, holding three, and checks in integers the identity
+    alpha_s w_n(s+1) - beta_s w_n(s) + alpha_(s-1) w_n(s-1)
+    = 2n(n+1) (2s+1) w_n(s) at every n and s (alpha_(-1) = alpha_(T-1) = 0)
+    and the edge columns w_n(0) = P_n and w_n(T-1) = (-1)^n C(T-1, n)^2.
+    These decide every pair sum (the proof is in README):
+    1. each row, s = T-1 included, is an eigenvector of the symmetric K for
+       a distinct lambda_n = 2n(n+1), so pairs n < m vanish;
+    2. column 0 makes row n P_n times the forward solution u(lambda_n);
+    3. confluent Christoffel-Darboux for K - lambda D gives the norm
+       h_n = P_n^2 R_n(T-1) (2T-1) c_T prod_(m != n) (x_n - x_m),
+       x_n = n(n+1), c_T = (-1)^(T-1) T^2 / ((2T-1) (T-1)! T!);
+    4. that is T^2/(2n+1) exactly when column T-1 has its closed form.
     """
     if T < 3:
         raise ValueError(f"need T >= 3, got {T}")
@@ -241,8 +235,10 @@ def orthogonality_profile(T: int) -> tuple[int, bool]:
     alpha, beta = _difference_operator(T)
     lams = [2 * n * (n + 1) for n in range(T)]
     pairs = T * (T + 1) // 2
-    norms = prev = [0] * T
+    prev = [0] * T
     cur = _principal_column(0, T, steps, T - 1)
+    if cur != [principal_weight(n, T) for n in range(T)]:
+        return pairs, False
     for s, (up, down, b) in enumerate(zip(alpha, (0, *alpha), beta)):
         nxt = _principal_column(s + 1, T, steps, T - 1) if s < T - 1 else [0] * T
         o = 2 * s + 1
@@ -251,12 +247,13 @@ def orthogonality_profile(T: int) -> tuple[int, bool]:
             (b + lam * o) * w for lam, w in zip(lams, cur)
         ]:
             return pairs, False
-        # w * w first: CPython squares an int times itself faster
-        norms = [acc + w * w * o for acc, w in zip(norms, cur)]
         prev, cur = cur, nxt
-    return pairs, all(
-        (2 * n + 1) * acc == T * T * principal_weight(n, T) ** 2 for n, acc in enumerate(norms)
-    )
+    # column T-1, (-1)^n C(T-1, n)^2, one exact division per n
+    edge, c = [], 1
+    for n in range(T):
+        edge.append(-c * c if n % 2 else c * c)
+        c = c * (T - 1 - n) // (n + 1)
+    return pairs, prev == edge
 
 
 # ---------------------------------------------------------------------------
@@ -285,6 +282,10 @@ def alternating_row(n: int, h) -> tuple[int, int]:
     if T < 3 or not 0 <= n < T:
         raise ValueError(f"need T >= 3 and 0 <= n <= T-1, got T={T}, n={n}")
     row = _principal_row(n, T)
+    alpha, beta = _difference_operator(T)
+    # the equation at s = T-1, which the walk takes no step on
+    if alpha[-2] * row[-2] != (beta[-1] + 2 * n * (n + 1) * (2 * T - 1)) * row[-1]:
+        raise InexactStep(f"row n={n} at T={T} fails its equation at s={T - 1}")
     # odd s add, even s subtract
     return sum(map(mul, row[1::2], h[1::2])) - sum(map(mul, row[2::2], h[2::2])), row[0]
 
@@ -374,19 +375,18 @@ def certify_alternating_bound(
 # The range pool: one per-key function over a range of keys on J processes.
 #
 # A key's function returns an iterable of items, and every key is turned
-# into one record by _key_record: (0, items), or (1 + i, the items before
-# the error, its message) when the key ends in an instance of the caller's
-# errors[i].  Key i runs in process i mod J.  This process makes the records
-# of keys 0, J, 2J, ... when their turn comes; forked worker j makes those
-# of keys j, j + J, ... and writes each to its pipe, length-prefixed
-# marshal, as soon as it is made.  Every record is handled alike, in key
-# order: its items are yielded, then its error, if it has one, is raised
-# with its class and message.  So the run fails where the serial run fails,
-# after the same output, and no key is run twice; a range of any length is
-# held only as far as the pipe buffers let a worker run ahead.  Items hold
-# only what marshal carries: ints, strings, bools, tuples and lists.  The
-# pool needs os.fork and a process without threads (grasshodge starts
-# none); without os.fork, or with one key, it forks nothing.
+# into one record by _key_record.  Key i runs in process i mod J.  This
+# process makes the records of keys 0, J, 2J, ... when their turn comes;
+# forked worker j makes those of keys j, j + J, ... and writes each to its
+# pipe, length-prefixed marshal, as soon as it is made.  Every record is
+# handled alike, in key order: its items are yielded, then its error, if it
+# has one, is raised with its class and message.  So the run fails where the
+# serial run fails, after the same output, and no key is run twice; a range
+# of any length is held only as far as the pipe buffers let a worker run
+# ahead.  Items hold only what marshal carries: ints, strings, bools, tuples
+# and lists.  The pool needs os.fork and a process without threads
+# (grasshodge starts none); without os.fork, or with one key, it forks
+# nothing.
 # ---------------------------------------------------------------------------
 
 
@@ -527,8 +527,8 @@ def _reap(worker: tuple) -> tuple[int, int]:
 # The scan walks each column s of the half grid down to n_s (_scan_depths)
 # and compares |w_n(s)| with P_n, so the bound needs no denominator.  The
 # deeper points are decided by Wilson's orthogonality, which verify-ortho
-# certifies for each T: by the self-duality R_n(s) = R_s(n) the column norm
-# sum_m (2m+1) R_m(s)^2 is T^2/(2s+1), so its terms m = 0 and m = n >= 1
+# certifies for each T: the weighted table is then orthogonal, so its column
+# norm sum_m (2m+1) R_m(s)^2 follows as T^2/(2s+1); its terms m = 0, n >= 1
 # give |R_n(s)| < 1 strictly once T^2 < (2n+2)(2s+1).  Every division of
 # the column walk was exact on T 3..1000.  The edge row n = 0 is R_0 = 1 by
 # definition, so the walk compares n >= 1 only and the CLI prints the edge
@@ -568,8 +568,7 @@ def _scan_one_T(T: int) -> tuple[int, list, list, int]:
     """Scan the half grid 0 <= n <= s <= T-1 for one T, column by column, on
     the principal weights: |w_n(s)| against P_n.
 
-    Column s stops at n_s; below it Wilson's orthogonality, which
-    verify-ortho certifies, decides.  Returns T, the violations and the
+    Column s stops at n_s (_scan_depths).  Returns T, the violations and the
     interior equality cases (n >= 1) as plain tuples in (n, s) order (ints
     only, which the range pool's marshal records carry), violations carrying
     the exact value as the pair (w_n(s), P_n), and the number of points

@@ -3,7 +3,8 @@
 Each function here is the slow, definitional form of something the library
 computes by a faster route: the terminating 4F3 sum behind R_n(s, T), the
 pairwise orthogonality sums (on fractions, and on the integer table that the
-library certifies by three-term identities instead), the single-degree
+library certifies by three-term identities instead), the row norms as sums
+of squares (which the library reads off two edge columns), the single-degree
 inequalities built on it, the top-row product of R, the bound scan walked
 over the whole half grid (the library leaves part of it to the orthogonality
 norm) and its JSON line built as one dict, the coefficient recurrence of the Legendre polynomials, the binomial
@@ -81,6 +82,22 @@ def orthogonality_pairs(T):
                 ok = False
         pairs += T - n
     return pairs, ok
+
+
+def row_norms(T):
+    """Whether every row norm of the principal-weight table at T holds,
+    (2n+1) sum_s (2s+1) w_n(s)^2 = T^2 P_n^2, summed as squares over the T
+    columns of the library's column walk; the certificate reads these norms
+    off its two edge columns instead."""
+    steps = racah._principal_steps(T)
+    norms = [0] * T
+    for s in range(T):
+        column = racah._principal_column(s, T, steps, T - 1)
+        norms = [acc + (2 * s + 1) * w * w for acc, w in zip(norms, column)]
+    return all(
+        (2 * n + 1) * acc == T * T * racah.principal_weight(n, T) ** 2
+        for n, acc in enumerate(norms)
+    )
 
 
 def scan_half_grid(T):

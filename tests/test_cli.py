@@ -307,8 +307,8 @@ def test_table_rows_stream():
         # within one T, one column at a time: 0.23 MiB (the whole grid
         # held: 0.81 MiB)
         (["table", "--kind", "racah", "--T", "100"], 0.4 * 2**20),
-        # three columns and T running norms: 0.12 MiB (the whole grid
-        # held: 0.72 MiB)
+        # three columns, and the edge column T-1 built once at the end (the
+        # whole grid held: 0.72 MiB)
         (["verify-ortho", "--T", "100"], 0.4 * 2**20),
     ]
     for argv, bound in cases:
@@ -632,14 +632,18 @@ def test_fault_injection_row_weight(monkeypatch, capsys):
         # identities around s = 17 do not
         lambda s, w: -w if s == 17 else w,
         # the whole row doubled: every three-term identity is linear and still
-        # holds, as does every off-diagonal sum; the diagonal norm of row 20
-        # reads 4 T^2 P_20^2
+        # holds, as does every off-diagonal sum; column 0 reads 2 P_20, not
+        # P_20
         lambda s, w: 2 * w,
+        # the whole row negated: every three-term identity, every pair sum
+        # and every row norm still holds, so a certificate of orthogonality
+        # and norms alone passes it; column 0 reads -P_20
+        lambda s, w: -w,
     ],
-    ids=["plus-one", "negated", "row-doubled"],
+    ids=["plus-one", "negated", "row-doubled", "row-negated"],
 )
 def test_fault_injection_engine_reduced_rows(monkeypatch, capsys, corrupt):
-    # row 20 of the column walk at T = 40 corrupted three ways: the
+    # row 20 of the column walk at T = 40 corrupted four ways: the
     # certificate, which reads no off-diagonal pair sum, must fail on each
     real = racah._principal_column
 
@@ -656,7 +660,44 @@ def test_fault_injection_engine_reduced_rows(monkeypatch, capsys, corrupt):
     assert json.loads(out)["ok"] is False
 
 
-@pytest.mark.parametrize("n, s", [(0, 0), (0, 39), (39, 0), (39, 39), (20, 39)])
+def test_fault_injection_ortho_weight(monkeypatch, capsys):
+    # P_7 off by 1 at T = 40 while the table is right: the column-0 check
+    # reads it
+    real = racah.principal_weight
+    monkeypatch.setattr(racah, "principal_weight", lambda n, T: real(n, T) + ((n, T) == (7, 40)))
+    assert racah.orthogonality_profile(40) == (820, False)
+    code, out, _ = run_cli(capsys, "verify-ortho", "--Tmin", "39", "--Tmax", "41")
+    assert code == 1
+    assert [json.loads(line)["ok"] for line in out.splitlines()] == [True, False, True]
+
+
+def test_fault_injection_ortho_last_column_sign(monkeypatch, capsys):
+    # column T-1 and alpha_(T-2) negated together at T = 40, a sign change
+    # of the last coordinate that keeps K symmetric: every three-term
+    # identity, pair sum and row norm still holds, and only the closed form
+    # of column T-1 reads it
+    real_column, real_operator = racah._principal_column, racah._difference_operator
+
+    def column(s, T, steps, n_max):
+        values = real_column(s, T, steps, n_max)
+        return [-w for w in values] if (s, T) == (39, 40) else values
+
+    def operator(T):
+        alpha, beta = real_operator(T)
+        if T == 40:
+            alpha = (*alpha[:-2], -alpha[-2], alpha[-1])
+        return alpha, beta
+
+    monkeypatch.setattr(racah, "_principal_column", column)
+    monkeypatch.setattr(racah, "_difference_operator", operator)
+    assert orthogonality_pairs(40) == (820, True)
+    assert racah.orthogonality_profile(40) == (820, False)
+    code, out, _ = run_cli(capsys, "verify-ortho", "--Tmin", "39", "--Tmax", "41")
+    assert code == 1
+    assert [json.loads(line)["ok"] for line in out.splitlines()] == [True, False, True]
+
+
+@pytest.mark.parametrize("n, s", [(0, 0), (0, 39), (39, 0), (39, 39), (20, 39), (7, 39)])
 def test_fault_injection_ortho_table_entry(monkeypatch, capsys, n, s):
     # entry n of column s off by 1 at T = 40, on the edges, where
     # alpha_(-1) = alpha_(T-1) = 0 leave the fewest identities reading it;
@@ -692,6 +733,30 @@ def test_fault_injection_ortho_coefficient(monkeypatch, capsys, coefficient, s):
     code, out, _ = run_cli(capsys, "verify-ortho", "--Tmin", "9", "--Tmax", "11")
     assert code == 1
     assert [json.loads(line)["ok"] for line in out.splitlines()] == [True, False, True]
+
+
+def test_fault_injection_row_last_entry(monkeypatch, capsys):
+    # w_4(11) off by 1 at T = 12: the row walk takes no step past s = 11, so
+    # only the equation at s = T-1 reads it; the closed sweep of N = 10
+    # keeps k = 0..2 (n = 10, 8, 6) and stops at k = 3 (n = 4)
+    real = racah._principal_row
+
+    def corrupted(n, T):
+        row = real(n, T)
+        if (n, T) == (4, 12):
+            row[11] += 1
+        return row
+
+    monkeypatch.setattr(racah, "_principal_row", corrupted)
+    code, out, err = run_cli(capsys, "verify-needed", "--T", "12")
+    assert (code, out) == (1, "")
+    assert "FAILED" in err and "n=4 at T=12" in err
+    argv = ("verify-grassmannian", "--Nmin", "10", "--Nmax", "10", "--method", "closed")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert [json.loads(line)["k"] for line in out.splitlines()] == [0, 1, 2]
+    assert "FAILED" in err and "n=4 at T=12" in err
+    assert "Traceback" not in err
 
 
 def test_fault_injection_operator_coefficient(monkeypatch, capsys):

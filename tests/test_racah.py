@@ -5,7 +5,7 @@ import random
 import select
 import time
 from fractions import Fraction
-from math import comb
+from math import comb, factorial, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -53,6 +53,7 @@ from oracles import (
     orthogonality_pairs,
     racah_sum,
     racah_top_product,
+    row_norms,
     scan_json,
 )
 
@@ -186,6 +187,56 @@ def test_orthogonality_certificate_matches_pair_sums():
     # the three-term certificate against every pair sum of the same table
     for T in range(3, 61):
         assert orthogonality_profile(T) == orthogonality_pairs(T) == (T * (T + 1) // 2, True)
+
+
+def test_orthogonality_certificate_matches_row_norms():
+    # the norms the certificate reads off its edge columns, against the
+    # same norms summed as squares
+    for T in range(3, 151):
+        assert orthogonality_profile(T) == (T * (T + 1) // 2, True), T
+        assert row_norms(T), T
+
+
+def _edge_constant(T):
+    """c_T, the leading coefficient in x = lambda/2 of the forward solution
+    u_(T-1)(lambda) of K u = lambda D u from u_0 = 1: each step divides by
+    alpha_s and multiplies lambda by 2s+1."""
+    alpha, _ = racah._difference_operator(T)
+    return prod(Fraction(2 * (2 * j + 1), alpha[j]) for j in range(T - 1))
+
+
+def test_edge_constant_closed_form():
+    for T in range(3, 201):
+        c = _edge_constant(T)
+        assert c == prod(
+            Fraction(-2 * (2 * j + 1), (j + 1) * (T * T - (j + 1) ** 2)) for j in range(T - 1)
+        ), T
+        assert c == Fraction((-1) ** (T - 1) * T * T, (2 * T - 1) * factorial(T - 1) * factorial(T))
+
+
+def _norm_from_edge(n, T, r_last):
+    """h_n / P_n^2 by the confluent Christoffel-Darboux identity, from
+    R_n(T-1) = r_last."""
+    x = [m * (m + 1) for m in range(T)]
+    spread = prod(x[n] - x[m] for m in range(T) if m != n)
+    return r_last * (2 * T - 1) * _edge_constant(T) * spread
+
+
+def test_norm_from_edge_matches_direct_sums():
+    for T in range(3, 20):
+        for n in range(T):
+            direct = sum((2 * s + 1) * racah_sum(n, s, T) ** 2 for s in range(T))
+            assert _norm_from_edge(n, T, racah_sum(n, T - 1, T)) == direct, (T, n)
+
+
+def test_norm_from_edge_closed_form():
+    # the column T-1 closed form, R_n(T-1) = (-1)^n C(T-1, n)^2 / P_n, gives
+    # exactly the norm T^2/(2n+1); the identity is linear in R_n(T-1), so no
+    # other edge value does
+    for T in range(3, 61):
+        for n in range(T):
+            r_last = Fraction((-1) ** n * comb(T - 1, n) ** 2, principal_weight(n, T))
+            assert _norm_from_edge(n, T, r_last) == Fraction(T * T, 2 * n + 1), (T, n)
 
 
 # --- scan ---
